@@ -6,13 +6,13 @@ sparse matrix as the adjacency matrix of an undirected weighted graph
 column" and edge weight 1 per non-zero.  This package provides the graph
 views and primitives those algorithms need: symmetric CSR adjacency,
 modularity gain (Equation 1), union-find community tracking, the merge
-dendrogram with DFS leaf enumeration, and common-neighbour counting.
+dendrogram with DFS leaf enumeration, and traversals.
 """
 
 from repro.graph.adjacency import Adjacency, adjacency_from_csr
 from repro.graph.dendrogram import Dendrogram
-from repro.graph.modularity import modularity, modularity_gain_array
-from repro.graph.traversal import bfs_order, common_neighbor_counts
+from repro.graph.modularity import modularity
+from repro.graph.traversal import bfs_order
 from repro.graph.unionfind import UnionFind
 
 __all__ = [
@@ -20,8 +20,6 @@ __all__ = [
     "adjacency_from_csr",
     "Dendrogram",
     "modularity",
-    "modularity_gain_array",
     "bfs_order",
-    "common_neighbor_counts",
     "UnionFind",
 ]

@@ -26,7 +26,8 @@ class Adjacency:
     ----------
     indptr, indices:
         CSR neighbour lists; symmetric by construction (if ``v`` appears in
-        ``neighbors(u)`` then ``u`` appears in ``neighbors(v)``).
+        ``neighbors(u)`` then ``u`` appears in ``neighbors(v)``), with
+        parallel arcs merged, so no neighbour is listed twice.
     weights:
         ``float64`` edge weights aligned with ``indices``.
     degree:

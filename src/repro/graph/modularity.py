@@ -28,17 +28,6 @@ def merge_gain(w_ab: float, deg_a: float, deg_b: float, m: float) -> float:
     return w_ab / m - (deg_a * deg_b) / (2.0 * m * m)
 
 
-def modularity_gain_array(
-    w_ab: np.ndarray, deg_a: float, deg_b: np.ndarray, m: float
-) -> np.ndarray:
-    """Vectorised :func:`merge_gain` over candidate neighbour communities."""
-    w_ab = np.asarray(w_ab, dtype=np.float64)
-    deg_b = np.asarray(deg_b, dtype=np.float64)
-    if m <= 0:
-        return np.zeros_like(w_ab)
-    return w_ab / m - (deg_a * deg_b) / (2.0 * m * m)
-
-
 def modularity(adj: Adjacency, labels: np.ndarray) -> float:
     """Total modularity Q of a community labelling.
 

@@ -1,10 +1,4 @@
-"""Traversals and neighbourhood statistics.
-
-Step II of Algorithm 1 repeatedly asks "which unvisited vertex shares the
-most common neighbours with v?".  :func:`common_neighbor_counts` answers
-that in O(sum of candidate degrees) with a marker array — no per-pair set
-intersections.
-"""
+"""Traversals and neighbourhood statistics."""
 
 from __future__ import annotations
 
@@ -13,41 +7,6 @@ from collections import deque
 import numpy as np
 
 from repro.graph.adjacency import Adjacency
-
-
-def common_neighbor_counts(
-    adj: Adjacency,
-    v: int,
-    candidates: np.ndarray,
-    _marker: np.ndarray | None = None,
-) -> np.ndarray:
-    """Number of common neighbours between ``v`` and each candidate.
-
-    ``_marker`` may be a reusable ``bool[n]`` scratch array (zeroed on
-    entry and restored before returning) to avoid reallocating per call in
-    the reordering hot loop.
-    """
-    marker = _marker if _marker is not None else np.zeros(adj.n, dtype=bool)
-    nv = adj.neighbors(v)
-    marker[nv] = True
-    candidates = np.asarray(candidates, dtype=np.int64)
-    starts = adj.indptr[candidates]
-    lens = adj.indptr[candidates + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        marker[nv] = False
-        return np.zeros(candidates.size, dtype=np.int64)
-    # Ragged gather of all candidates' neighbour lists in one shot.
-    offsets = np.zeros(candidates.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=offsets[1:])
-    flat = np.repeat(starts, lens) + (
-        np.arange(total, dtype=np.int64) - np.repeat(offsets, lens)
-    )
-    hits = marker[adj.indices[flat]].astype(np.int64)
-    csum = np.concatenate([[0], np.cumsum(hits)])
-    counts = csum[offsets + lens] - csum[offsets]
-    marker[nv] = False
-    return counts
 
 
 def two_hop_candidates(

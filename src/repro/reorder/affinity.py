@@ -18,6 +18,26 @@ paper's "u in DFS that has most common nbrs with v" loop; we bound the
 candidate set (``chain_width``) so the whole pass stays O(n log n)-ish on
 hub-heavy graphs instead of the naive O(n^2) scan.
 
+Both steps are scalar loops over Python lists made once per graph (once
+per level in Step I): per-vertex numpy calls on arrays of a handful of
+elements would cost more in call overhead than the work they do.
+
+Step II's DFS candidates are the first ``chain_width`` unvisited leaves
+after the chain's source.  Every leaf before the source is already
+visited, so that window is kept as a set whose end position moves forward
+as its members are visited, instead of being rescanned on every step.
+Common neighbours are counted one of two ways, chosen per head from
+degree sums: walking the head's two-hop neighbourhood once (cost: the
+summed degrees of its neighbours), or scanning each candidate's neighbour
+list against the head's (cost: the candidates' summed degrees).  The walk
+is used unless it costs more than scanning ``2 * chain_width`` candidates
+of mean degree; a head next to a hub scans instead of walking the hub's
+whole list.  The two agree because an :class:`Adjacency` is symmetric and
+stores no arc twice: then ``w`` is reached from the head through ``u``
+exactly when ``u`` is a common neighbour.  The winner is the largest count
+with the earliest DFS position, so no result depends on the order a set or
+dict is iterated in.
+
 Rectangular matrices are reordered through their row-connectivity graph
 (rows sharing a column become neighbours), built by
 :func:`row_projection_graph`.
@@ -25,20 +45,20 @@ Rectangular matrices are reordered through their row-connectivity graph
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
-from repro.graph.adjacency import Adjacency, adjacency_from_csr
+from repro.errors import ValidationError
+from repro.graph.adjacency import Adjacency, adjacency_from_csr, contract_by_labels
 from repro.graph.dendrogram import Dendrogram
-from repro.graph.modularity import modularity_gain_array
-from repro.graph.traversal import common_neighbor_counts
+from repro.graph.modularity import merge_gain
 from repro.graph.unionfind import UnionFind
 from repro.reorder.base import Permutation, ReorderResult
 from repro.sparse.csr import CSRMatrix
 
 
-def build_dendrogram(
-    adj: Adjacency, max_levels: int = 12
-) -> tuple[Dendrogram, UnionFind]:
+def build_dendrogram(adj: Adjacency, max_levels: int = 12) -> Dendrogram:
     """Step I: multi-level greedy modularity merges in ascending-degree order.
 
     Each level performs one pass over the (contracted) graph's vertices in
@@ -49,63 +69,67 @@ def build_dendrogram(
     just-in-time incremental aggregation of Rabbit Order, and it is what
     produces the nested hierarchy of Figure 2(b) (vertex 7 absorbing
     repeatedly as 7', 7'', 7''').
-    """
-    from repro.graph.adjacency import contract_by_labels
 
+    A vertex's edge weight is summed per neighbouring community in CSR
+    order, and the largest gain wins, ties going to the smallest community
+    root (the first maximum in ascending root order).
+    """
     n = adj.n
     dendro = Dendrogram(n)
-    uf = UnionFind(n)
     m = adj.total_weight
     if m <= 0:
-        return dendro, uf
+        return dendro
+    uf = UnionFind(n)
 
     work = adj
     # leaf representative of each work-graph vertex (level 0: itself)
     rep = np.arange(n, dtype=np.int64)
     for _level in range(max_levels):
-        comm_degree = work.degree.copy()
+        # per-arc values as flat 8-byte arrays: as fast to index as lists,
+        # at a fifth of their memory
+        indptr = work.indptr.tolist()
+        indices = array("q", work.indices.astype(np.int64).tobytes())
+        weights = array("d", work.weights.astype(np.float64).tobytes())
+        comm_degree = work.degree.tolist()
+        leaf_rep = rep.tolist()
         local_uf = UnionFind(work.n)
+        find = local_uf.find
         merges = 0
-        visit = np.argsort(work.degree, kind="stable")
-        for v in visit:
-            v = int(v)
-            nbrs = work.neighbors(v)
-            if nbrs.size == 0:
+        for v in np.argsort(work.degree, kind="stable").tolist():
+            lo, hi = indptr[v], indptr[v + 1]
+            if lo == hi:
                 continue
-            w = work.neighbor_weights(v)
-            lr_v = local_uf.find(v)
+            lr_v = find(v)
             # Group v's edge weight by the *community* of each neighbour.
-            roots = np.fromiter(
-                (local_uf.find(int(u)) for u in nbrs),
-                dtype=np.int64,
-                count=nbrs.size,
-            )
-            foreign = roots != lr_v
-            if not foreign.any():
+            w_to: dict[int, float] = {}
+            for k in range(lo, hi):
+                root = find(indices[k])
+                if root != lr_v:
+                    w_to[root] = w_to.get(root, 0.0) + weights[k]
+            if not w_to:
                 continue
-            cand_roots, inv = np.unique(roots[foreign], return_inverse=True)
-            w_to = np.zeros(cand_roots.size, dtype=np.float64)
-            np.add.at(w_to, inv, w[foreign])
-            gains = modularity_gain_array(
-                w_to, comm_degree[lr_v], comm_degree[cand_roots], m
-            )
-            best = int(np.argmax(gains))
-            if gains[best] <= 0.0:
+            # largest dQ (Equation 1); a tie goes to the smallest community root
+            deg_v = comm_degree[lr_v]
+            target = -1
+            best = 0.0
+            for root, w in w_to.items():
+                gain = merge_gain(w, deg_v, comm_degree[root], m)
+                if target < 0 or gain > best or (gain == best and root < target):
+                    target, best = root, gain
+            if best <= 0.0:
                 continue
-            target = int(cand_roots[best])
             # Record the merge (absorbing community first so its leaves
             # stay contiguous under DFS), then union both trackers.
-            glob_v = uf.find(int(rep[lr_v]))
-            glob_u = uf.find(int(rep[target]))
+            glob_v = uf.find(leaf_rep[lr_v])
+            glob_u = uf.find(leaf_rep[target])
             node = dendro.merge(glob_u, glob_v)
-            surviving_glob = uf.union(glob_v, glob_u)
-            dendro.set_representative(surviving_glob, node)
-            new_deg = comm_degree[lr_v] + comm_degree[target]
-            surviving_local = local_uf.union(lr_v, target)
-            comm_degree[surviving_local] = new_deg
+            dendro.set_representative(uf.union(glob_v, glob_u), node)
+            new_deg = deg_v + comm_degree[target]
+            comm_degree[local_uf.union(lr_v, target)] = new_deg
             merges += 1
         if merges == 0 or work.n <= 2:
             break
+        del indices, weights  # contraction allocates its own per-arc arrays
         labels = local_uf.components()
         new_work, compact = contract_by_labels(work, labels)
         # Representative leaf of each contracted vertex: every member of a
@@ -114,7 +138,7 @@ def build_dendrogram(
         new_rep[compact] = rep[labels]
         work = new_work
         rep = new_rep
-    return dendro, uf
+    return dendro
 
 
 def generate_ordering(
@@ -124,78 +148,75 @@ def generate_ordering(
 
     Returns ``order``: ``order[k]`` is the vertex assigned new id ``k``.
     """
+    if chain_width < 0:
+        raise ValidationError(f"chain_width must be >= 0, got {chain_width}")
     n = adj.n
-    leaves = dendro.leaves_dfs()
-    dfs_pos = np.empty(n, dtype=np.int64)
-    dfs_pos[leaves] = np.arange(n)
+    leaves = dendro.leaves_dfs().tolist()
+    dfs_pos = [0] * n
+    for pos, leaf in enumerate(leaves):
+        dfs_pos[leaf] = pos
+    # Walk a head's two-hop neighbourhood unless that reads more arcs than
+    # scanning 2 * chain_width candidates of mean degree would.
+    arcs = np.diff(adj.indptr)
+    reach = np.concatenate(([0], np.cumsum(arcs[adj.indices])))
+    two_hop_arcs = reach[adj.indptr[1:]] - reach[adj.indptr[:-1]]
+    walk = (two_hop_arcs <= 2 * chain_width * adj.indices.size / max(n, 1)).tolist()
+    indptr = adj.indptr.tolist()
+    indices = adj.indices.tolist()
+    nbrs = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
 
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    marker = np.zeros(n, dtype=bool)
-    new_vid = 0
+    visited = [False] * n
+    order: list[int] = []
+    # The DFS window: the first `chain_width` unvisited leaves.  `win_end`
+    # is one past the last leaf it took in.
+    window = set(leaves[:chain_width])
+    win_end = len(window)
+
+    def visit(u: int) -> None:
+        nonlocal win_end
+        order.append(u)
+        visited[u] = True
+        if dfs_pos[u] < win_end:
+            window.remove(u)
+            while win_end < n:
+                leaf = leaves[win_end]
+                win_end += 1
+                if not visited[leaf]:
+                    window.add(leaf)
+                    break
+
     cursor = 0  # next DFS leaf to examine
-
-    while new_vid < n:
+    while len(order) < n:
         # outer loop: first unvisited leaf in DFS order becomes the source
-        while cursor < n and visited[leaves[cursor]]:
+        while visited[leaves[cursor]]:
             cursor += 1
-        if cursor >= n:
-            break
-        v = int(leaves[cursor])
-        order[new_vid] = v
-        visited[v] = True
-        new_vid += 1
+        v = leaves[cursor]
+        visit(v)
 
         # chain: follow maximal common-neighbour vertices
-        while new_vid < n:
-            cands = _chain_candidates(
-                adj, v, leaves, cursor, visited, chain_width
-            )
-            if cands.size == 0:
-                break
-            counts = common_neighbor_counts(adj, v, cands, _marker=marker)
-            if counts.max() <= 0:
-                break
+        while len(order) < n:
+            cands = window.union([u for u in nbrs[v] if not visited[u]][:chain_width])
+            counts: dict[int, int] = {}
+            if walk[v]:
+                # walk v's two-hop neighbourhood once
+                for u in nbrs[v]:
+                    for w in cands.intersection(nbrs[u]):
+                        counts[w] = counts.get(w, 0) + 1
+            else:
+                # scan each candidate's neighbour list against v's
+                head = set(nbrs[v])
+                for u in cands:
+                    counts[u] = len(head.intersection(nbrs[u]))
             # tie-break on earliest DFS position, per the paper's example
-            top = counts == counts.max()
-            winners = cands[top]
-            u = int(winners[np.argmin(dfs_pos[winners])])
-            order[new_vid] = u
-            visited[u] = True
-            new_vid += 1
-            v = u
-    return order
-
-
-def _chain_candidates(
-    adj: Adjacency,
-    v: int,
-    leaves: np.ndarray,
-    cursor: int,
-    visited: np.ndarray,
-    width: int,
-) -> np.ndarray:
-    """Unvisited candidates: v's neighbours + the next DFS-order leaves."""
-    nbrs = adj.neighbors(v)
-    unvisited_nbrs = nbrs[~visited[nbrs]]
-    if unvisited_nbrs.size > width:
-        unvisited_nbrs = unvisited_nbrs[:width]
-    # scan forward in DFS order for up to `width` unvisited leaves
-    dfs_cands = []
-    k = cursor
-    found = 0
-    n = leaves.size
-    while k < n and found < width:
-        leaf = leaves[k]
-        if not visited[leaf]:
-            dfs_cands.append(leaf)
-            found += 1
-        k += 1
-    if dfs_cands:
-        return np.unique(
-            np.concatenate([unvisited_nbrs, np.asarray(dfs_cands, dtype=np.int64)])
-        )
-    return np.unique(unvisited_nbrs)
+            best_u, best, best_pos = -1, 0, n
+            for u, k in counts.items():
+                if k > best or (k == best and dfs_pos[u] < best_pos):
+                    best_u, best, best_pos = u, k, dfs_pos[u]
+            if best <= 0:
+                break
+            visit(best_u)
+            v = best_u
+    return np.array(order, dtype=np.int64)
 
 
 def row_projection_graph(csr: CSRMatrix, max_pairs_per_col: int = 64) -> Adjacency:
@@ -205,34 +226,23 @@ def row_projection_graph(csr: CSRMatrix, max_pairs_per_col: int = 64) -> Adjacen
     Columns touching more than ``max_pairs_per_col`` rows are subsampled
     (they would otherwise add O(deg^2) edges and no ordering signal).
     """
-    from repro.graph.adjacency import Adjacency as _Adj
-
     n = csr.n_rows
-    # Build column->rows lists by sorting nnz by column.
+    # Sort nnz by column: each column's rows become one ascending run.
     rows = np.repeat(np.arange(n, dtype=np.int64), csr.row_lengths())
     order = np.argsort(csr.indices, kind="stable")
     s_cols = csr.indices[order]
     s_rows = rows[order]
     col_start = np.searchsorted(s_cols, np.arange(csr.n_cols + 1))
-
-    src_list, dst_list = [], []
-    for c in range(csr.n_cols):
-        lo, hi = col_start[c], col_start[c + 1]
-        k = hi - lo
-        if k < 2:
-            continue
-        members = s_rows[lo:hi]
-        if k > max_pairs_per_col:
-            members = members[:: max(1, k // max_pairs_per_col)]
-            k = members.size
-        # chain edges (consecutive pairs) keep it O(k) instead of O(k^2)
-        src_list.append(members[:-1])
-        dst_list.append(members[1:])
-    if src_list:
-        u = np.concatenate(src_list)
-        v = np.concatenate(dst_list)
-    else:
-        u = v = np.empty(0, dtype=np.int64)
+    # A column of k > max_pairs_per_col rows keeps every
+    # (k // max_pairs_per_col)-th of them — all columns at once.
+    k = np.diff(col_start)[s_cols]
+    step = np.where(k > max_pairs_per_col, np.maximum(1, k // max_pairs_per_col), 1)
+    kept = np.flatnonzero((np.arange(s_cols.size) - col_start[s_cols]) % step == 0)
+    # chain edges (consecutive kept rows of one column) keep it O(k)
+    # instead of O(k^2)
+    chained = s_cols[kept[:-1]] == s_cols[kept[1:]]
+    u = s_rows[kept[:-1][chained]]
+    v = s_rows[kept[1:][chained]]
 
     key = u * np.int64(n) + v
     both = np.concatenate([key, v * np.int64(n) + u])
@@ -246,7 +256,7 @@ def row_projection_graph(csr: CSRMatrix, max_pairs_per_col: int = 64) -> Adjacen
     np.cumsum(counts, out=indptr[1:])
     w = np.ones(uu.size, dtype=np.float64)
     degree = counts.astype(np.float64)
-    return _Adj(
+    return Adjacency(
         n=n,
         indptr=indptr,
         indices=vv,
@@ -271,7 +281,7 @@ def data_affinity_reorder(
     ids — and hence the dense matrix — stay put.
     """
     adj = _graph_for(csr)
-    dendro, _ = build_dendrogram(adj)
+    dendro = build_dendrogram(adj)
     order = generate_ordering(adj, dendro, chain_width=chain_width)
     return ReorderResult(
         name="affinity",

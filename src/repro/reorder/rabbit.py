@@ -19,7 +19,7 @@ from repro.sparse.csr import CSRMatrix
 def rabbit_reorder(csr: CSRMatrix) -> ReorderResult:
     """Community coarsening + DFS leaf order (no affinity chaining)."""
     adj = _graph_for(csr)
-    dendro, _ = build_dendrogram(adj)
+    dendro = build_dendrogram(adj)
     order = dendro.leaves_dfs()
     return ReorderResult(
         name="rabbit",

@@ -6,10 +6,11 @@ import pytest
 from repro.errors import ValidationError
 from repro.graph.adjacency import adjacency_from_csr, contract_by_labels
 from repro.graph.dendrogram import Dendrogram
-from repro.graph.modularity import merge_gain, modularity, modularity_gain_array
-from repro.graph.traversal import bfs_order, common_neighbor_counts, two_hop_candidates
+from repro.graph.modularity import merge_gain, modularity
+from repro.graph.traversal import bfs_order, two_hop_candidates
 from repro.graph.unionfind import UnionFind
 
+from affinity_reference import common_neighbor_counts, modularity_gain_array
 from tests.conftest import random_csr
 
 

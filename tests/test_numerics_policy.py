@@ -24,7 +24,7 @@ import repro
 from repro.errors import ValidationError
 from repro.kernels.tc_common import execute_tiled_reference
 from repro.serve.sharded import AsyncSpMMEngine, ShardedSpMMEngine
-from repro.sparse.convert import coo_to_csr
+from repro.sparse.convert import coo_to_csr, to_scipy
 from repro.sparse.random import erdos_renyi
 from repro.tune.policy import (
     EXACT,
@@ -92,10 +92,11 @@ class TestPolicy:
 def assert_within_bound(csr, B, tier):
     p = repro.plan(csr, feature_dim=B.shape[1])
     C = p.multiply(B, numerics=tier)
-    A64 = csr.to_dense().astype(np.float64)
+    # sparse float64 oracle: a dataset-size A is never densified
+    A64 = to_scipy(csr).astype(np.float64)
     B64 = B.astype(np.float64)
     C64 = A64 @ B64
-    envelope = np.abs(A64) @ np.abs(B64)
+    envelope = abs(A64) @ np.abs(B64)
     bound = resolve_policy(tier).error_bound(max_row_nnz(csr))
     err = np.abs(C.astype(np.float64) - C64)
     assert np.all(err <= bound * envelope + 1e-30), (

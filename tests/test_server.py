@@ -445,6 +445,20 @@ class TestAdmission:
 # ----------------------------------------------------------------------
 # micro-batching (fake-clock window)
 # ----------------------------------------------------------------------
+async def until_open_batch_holds(server, k: int, timeout: float = 30.0):
+    """Wait until a micro-batch still collecting holds ``k`` requests."""
+
+    def largest() -> int:
+        with server._lock:
+            return max((len(b.items) for b in server._batches.values()), default=0)
+
+    async def poll():
+        while largest() < k:
+            await asyncio.sleep(0.001)
+
+    await asyncio.wait_for(poll(), timeout)
+
+
 class TestBatching:
     def _gated_server(self, **cfg):
         server = make_server(cfg=cfg)
@@ -474,9 +488,9 @@ class TestBatching:
                 )
                 for i in range(4)
             ]
-            while server.counters()["pending_batches"] < 1:
-                await asyncio.sleep(0.001)
-            # window still open: all four requests must have joined it
+            # fingerprinting runs on the engine's pool, so requests join
+            # the open batch one by one: wait until all four are in it
+            await until_open_batch_holds(server, 4)
             gate.set()
             await asyncio.gather(*tasks)
             stats = server.engine.stats

@@ -1,13 +1,11 @@
-"""The numpy execution arm — the executor's historical ``execute`` body.
+"""The numpy execution arm: replays a prepared executor's chunk programs.
 
-This is the loop that used to live inline in
-:meth:`repro.kernels.executor.TCExecPlan.execute`, extracted verbatim so
-the backend layer owns *where* a prepared multiply runs while the
-executor keeps owning the compiled state.  Per (member, chunk) the work
-— and therefore the fp32 accumulation order — is unchanged, so results
-remain bit-for-bit identical to the pre-backend code and, under the
-``exact`` mode, to
-:func:`~repro.kernels.tc_common.execute_tiled_reference`.
+The executor (:class:`repro.kernels.executor.TCExecPlan`) owns the
+compiled state and the per-chunk step (``_run_chunk``); this arm owns
+the loop around it — TF32 rounding of ``B``, member/chunk iteration,
+buffers and the output.  Per (member, chunk) the fp32 accumulation order
+is the reference's, so under the ``exact`` mode results are bit-for-bit
+identical to :func:`~repro.kernels.tc_common.execute_tiled_reference`.
 """
 
 from __future__ import annotations
@@ -57,11 +55,12 @@ class CpuBackend(DeviceBackend):
             buf = ex._pool.acquire(max_rows, n)
             acc = np.zeros((t.n_windows, wr, n), dtype=np.float32)
             try:
-                if ex.materialized or batch == 1:
+                if batch == 1 or (ex.materialized and len(prog) == 1):
                     # member-outer: one member's rounded B + accumulator
-                    # stay cache-resident; chunk tiles are free views.
-                    # Per (member, chunk) the work — and therefore the
-                    # fp32 accumulation order — is identical to the
+                    # stay cache-resident; a whole-matrix program reads
+                    # the resident tile stack as it is.  Per (member,
+                    # chunk) the work — and therefore the fp32
+                    # accumulation order — is identical to the
                     # chunk-outer reference loop.
                     for i in range(batch):
                         if i:
@@ -77,8 +76,9 @@ class CpuBackend(DeviceBackend):
                             )
                         ex._finish_member(acc, out[i], n)
                 else:
-                    # lazy tiles + multi-B: decompress each chunk once
-                    # and share it across the whole batch
+                    # multi-B over lazy tiles or several chunks: fetch
+                    # (or decompress) each chunk's tiles once and share
+                    # them across the whole batch
                     B_r = (
                         tf32_round(B)
                         if ex.rounds_inputs

@@ -2,8 +2,8 @@
 
 The executor (:class:`~repro.kernels.executor.TCExecPlan`) was designed
 as exactly the device-resident state a kernel launch needs — pre-rounded
-tiles, gather positions and pad masks, fold schedules, the output
-permutation.  :class:`CupyBackend` uploads that state **once per
+tiles in fold order, gather positions and pad masks, fold steps, the
+output permutation.  :class:`CupyBackend` uploads that state **once per
 executor** into a :class:`DeviceExecState` (cached on the executor
 instance, so the existing stale-value pruning in
 :func:`~repro.kernels.executor.get_executor` — which drops executors
@@ -13,13 +13,16 @@ device per call.  Only ``B`` moves host→device per multiply (one upload
 even for a whole ``multiply_many`` batch) and only the result moves
 back.
 
-``np.add.reduceat`` has no cupy equivalent, so the fold stage of
-``"reduceat"``-strategy chunks and the 9+-block bucket of ``"stepped"``
-chunks use :func:`device_reduceat`, a replica of numpy's per-segment
-``a[first] + pairwise_sum(a[first+1:])`` accumulation (the same
-pairwise blocking numpy's reduce kernel uses).  Because the replica
-mirrors a numpy implementation detail, a one-time probe
-(:func:`reduceat_replica_ok`) validates it bitwise against
+The device replays the host program shape: one gather through the
+program's fold-order positions, one batched MMA, the step-major slice
+adds of :func:`~repro.kernels.executor.fold_slabs`, one add of the
+folded rows into a per-RowWindow accumulator and one un-permuting
+``take``.  ``np.add.reduceat`` has no cupy equivalent, so the long
+windows that follow the slabs use :func:`device_reduceat`, a replica of
+numpy's per-segment ``a[first] + pairwise_sum(a[first+1:])``
+accumulation (the same pairwise blocking numpy's reduce kernel uses).
+Because the replica mirrors a numpy implementation detail, a one-time
+probe (:func:`reduceat_replica_ok`) validates it bitwise against
 ``np.add.reduceat`` — including signed-zero edge cases — and a failed
 probe makes backend resolution fall back to the CPU arm: correctness
 never depends on the replica, availability of the cupy arm does.
@@ -41,6 +44,7 @@ import weakref
 import numpy as np
 
 from repro.backend.base import DeviceBackend
+from repro.kernels.executor import fold_slabs
 
 #: numpy's pairwise-summation block size (``PW_BLOCKSIZE``)
 _PW_BLOCKSIZE = 128
@@ -158,16 +162,9 @@ class _DeviceChunk:
     __slots__ = (
         "pos",
         "pad_rows",
-        "uniq_w",
-        "first",
-        "single_rows",
-        "single_wins",
-        "short_first",
-        "short_first_p1",
-        "short_wins",
-        "short_steps",
-        "long_rows",
-        "long_wins",
+        "tile_rows",
+        "scatter",
+        "wins",
         "long_first",
         "fused",
     )
@@ -195,8 +192,6 @@ class DeviceExecState:
         up = self._upload
         self.tiles_all = up(ex.tiles_all)
         self.vals_rounded = up(ex.vals_rounded)
-        self.scatter_flat = up(ex.scatter_flat)
-        self.pos_all = up(ex.pos_all)
         self.out_rank = up(ex.out_rank)
         #: blocks-per-chunk -> (host program identity, device chunks)
         self._programs: dict = {}
@@ -238,40 +233,23 @@ class DeviceExecState:
         return cached
 
     def _build_chunk(self, ex, hp) -> _DeviceChunk:
-        bc = ex.tiling.block_cols
         up = self._upload
         dc = _DeviceChunk()
-        dc.pos = self.pos_all[hp.b0 * bc : hp.b1 * bc]  # view: no upload
+        dc.pos = up(hp.pos)
         dc.pad_rows = up(hp.pad_rows) if hp.pad_rows.size else None
-        dc.uniq_w = up(hp.uniq_w)
-        dc.first = None
-        dc.single_rows = dc.single_wins = None
-        dc.short_first = dc.short_first_p1 = dc.short_wins = None
-        dc.short_steps = []
-        dc.long_rows = dc.long_wins = dc.long_first = None
+        dc.tile_rows = dc.scatter = dc.wins = dc.long_first = None
         dc.fused = []
         if hp.strategy == "fused":
             dc.fused = [
                 (up(wins), up(rows2d), up(a_fused))
                 for wins, rows2d, a_fused in hp.fused_groups
             ]
-        elif hp.strategy == "stepped":
-            if hp.single_rows.size:
-                dc.single_rows = up(hp.single_rows)
-                dc.single_wins = up(hp.single_wins)
-            if hp.short_first.size:
-                dc.short_first = up(hp.short_first)
-                dc.short_first_p1 = up(hp.short_first + 1)
-                dc.short_wins = up(hp.short_wins)
-                dc.short_steps = [
-                    (n_open, up(rows)) for n_open, rows in hp.short_steps
-                ]
-            if hp.long_rows is not None:
-                dc.long_rows = up(hp.long_rows)
-                dc.long_wins = up(hp.long_wins)
-                dc.long_first = [int(f) for f in hp.long_first]
-        elif hp.strategy == "reduceat":
-            dc.first = [int(f) for f in hp.first]
+            return dc
+        dc.tile_rows = up(hp.tile_rows)
+        dc.scatter = up(hp.scatter)
+        dc.wins = up(hp.wins)
+        if hp.long_first is not None:
+            dc.long_first = [int(f) for f in hp.long_first]
         return dc
 
 
@@ -374,37 +352,39 @@ class CupyBackend(DeviceBackend):
         if ex.rounds_inputs:
             B_d = _tf32_round_device(xp, B_d)
         wr = t.window_rows
-        acc = xp.zeros((t.n_windows, wr, n), dtype=np.float32)
-        out_d = xp.zeros((batch, n_out, n), dtype=np.float32)
-        for i in range(batch):
-            if i:
-                acc.fill(0.0)
-            for hp, dc in zip(host_prog, dev_prog):
-                self._run_chunk(xp, state, ex, hp, dc, B_d[i], acc, n)
-            C_perm = acc.reshape(t.n_windows * wr, n)[: t.n_rows]
-            out_d[i] = xp.take(C_perm, state.out_rank, axis=0)
-        out = self._download(out_d)
+        accs = xp.zeros((batch, t.n_windows, wr, n), dtype=np.float32)
+        # chunk-outer: each chunk's tiles are fetched (or decompressed)
+        # once per call and shared across the batch
+        for hp, dc in zip(host_prog, dev_prog):
+            tiles = self._chunk_tiles(xp, state, ex, hp, dc)
+            for i in range(batch):
+                self._run_chunk(xp, ex, hp, dc, tiles, B_d[i], accs[i], n)
+        C_perm = accs.reshape(batch, t.n_windows * wr, n)[:, : t.n_rows]
+        out = self._download(xp.take(C_perm, state.out_rank, axis=1))
         return out[0] if single else out
 
-    def _chunk_tiles(self, xp, state: DeviceExecState, ex, hp):
-        """Device A tiles of one chunk (resident view or lazy scatter)."""
+    def _chunk_tiles(self, xp, state: DeviceExecState, ex, hp, dc):
+        """Device A tiles of one chunk in program order (the resident
+        stack, a gather from it, or a lazy scatter)."""
+        if hp.strategy == "fused":
+            return None  # fused chunks carry their A slabs
         if state.tiles_all is not None:
-            return state.tiles_all[hp.b0 : hp.b1]
+            if dc.tile_rows is None:
+                return state.tiles_all
+            return xp.take(state.tiles_all, dc.tile_rows, axis=0)
         t = ex.tiling
         wr, bc = t.window_rows, t.block_cols
         lo = int(state.tc_offset[hp.b0])
         hi = int(state.tc_offset[hp.b1])
         tiles = xp.zeros(hp.k * wr * bc, dtype=np.float32)
-        tiles[state.scatter_flat[lo:hi] - hp.b0 * wr * bc] = (
-            state.vals_rounded[lo:hi]
-        )
+        tiles[dc.scatter] = state.vals_rounded[lo:hi]
         return tiles.reshape(hp.k, wr, bc)
 
-    def _run_chunk(self, xp, state, ex, hp, dc, B_r_i, acc, n: int) -> None:
+    def _run_chunk(self, xp, ex, hp, dc, tiles, B_r_i, acc, n: int) -> None:
         """One (chunk, batch member) step, all operands device-resident.
 
         The op sequence — gather, pad zeroing, batched MMA, then the
-        strategy's fold — mirrors ``TCExecPlan._run_chunk`` exactly."""
+        program's fold — mirrors ``TCExecPlan._run_chunk`` exactly."""
         bc = ex.tiling.block_cols
         gathered = xp.take(B_r_i, dc.pos, axis=0)
         if dc.pad_rows is not None:
@@ -415,23 +395,12 @@ class CupyBackend(DeviceBackend):
                 b_f = g3[rows2d].reshape(rows2d.shape[0], -1, n)
                 acc[wins] += xp.matmul(a_fused, b_f)
             return
-        tiles = self._chunk_tiles(xp, state, ex, hp)
         # batched_tile_mma(g3, tiles, assume_rounded=True): A_tile @ B_tile
         part = xp.matmul(tiles, g3)
-        if hp.strategy == "direct":
-            acc[dc.uniq_w] += part
-        elif hp.strategy == "stepped":
-            if dc.single_rows is not None:
-                acc[dc.single_wins] += part[dc.single_rows]
-            if dc.short_first is not None:
-                fold = part[dc.short_first_p1]
-                for n_open, rows in dc.short_steps:
-                    fold[:n_open] += part[rows]
-                fold += part[dc.short_first]  # a0 + rest (commutative)
-                acc[dc.short_wins] += fold
-            if dc.long_rows is not None:
-                acc[dc.long_wins] += device_reduceat(
-                    xp, part[dc.long_rows], dc.long_first
-                )
-        else:
-            acc[dc.uniq_w] += device_reduceat(xp, part, dc.first)
+        fold_slabs(part, hp.steps)
+        ns = hp.n_short
+        acc[dc.wins[:ns]] += part[:ns]
+        if dc.long_first is not None:
+            acc[dc.wins[ns:]] += device_reduceat(
+                xp, part[sum(hp.steps) :], dc.long_first
+            )

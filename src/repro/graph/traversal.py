@@ -1,4 +1,4 @@
-"""Traversals and neighbourhood statistics."""
+"""Graph traversals."""
 
 from __future__ import annotations
 
@@ -7,31 +7,6 @@ from collections import deque
 import numpy as np
 
 from repro.graph.adjacency import Adjacency
-
-
-def two_hop_candidates(
-    adj: Adjacency, v: int, limit: int = 64
-) -> np.ndarray:
-    """Distinct vertices at distance exactly 1-2 from ``v`` (capped).
-
-    The cap keeps the affinity ordering O(n log n)-ish on hub-heavy graphs:
-    hubs would otherwise enumerate the whole graph as candidates.
-    """
-    nv = adj.neighbors(v)
-    if nv.size == 0:
-        return nv
-    # Take neighbours plus neighbours-of-the-first-few-neighbours.
-    pieces = [nv]
-    budget = limit * 4
-    for u in nv[: min(nv.size, 16)]:
-        nb = adj.neighbors(int(u))
-        pieces.append(nb[: max(0, budget)])
-        budget -= nb.size
-        if budget <= 0:
-            break
-    cand = np.unique(np.concatenate(pieces))
-    cand = cand[cand != v]
-    return cand[:limit] if cand.size > limit else cand
 
 
 def bfs_order(adj: Adjacency, start: int = 0) -> np.ndarray:

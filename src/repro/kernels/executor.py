@@ -9,51 +9,73 @@ not depend on ``B`` is the same on every call:
   value- not B-dependent);
 * **gather geometry** — the ``SparseAToB`` positions that pull rows of B
   into each block's slab, and which slots are padding (zero rows);
-* **window segmentation** — ``np.unique`` over ``block_window`` and the
-  ``reduceat`` segment starts that fold per-block partial products into
-  per-RowWindow accumulators;
+* **window segmentation** — which blocks fold into which RowWindow, and
+  in what order;
 * **the output permutation** — the rank array that undoes row relabeling.
 
 :class:`TCExecPlan` materialises all of that once per
-:class:`~repro.kernels.tc_common.TCPlan` and replays it per call, so the
-steady-state multiply is reduced to: round B once, gather through a
-pooled buffer, batched MMA on pre-rounded tiles, segmented accumulation.
+:class:`~repro.kernels.tc_common.TCPlan` and replays it per call.
 Results are bit-for-bit identical to the unprepared reference path
 (:func:`~repro.kernels.tc_common.execute_tiled_reference`): TF32 rounding
 is elementwise and idempotent, so rounding B before the gather (instead
 of rounding each gathered slab) and rounding A values before the scatter
-(instead of each decompressed tile) commute exactly, and the per-chunk
-``np.matmul`` / ``np.add.reduceat`` calls see identically shaped,
-identically valued operands.
+(instead of each decompressed tile) commute exactly, every block's MMA
+sees the reference's operands, and every window's partial products are
+added in the reference's order.  NaN payloads are the one exception:
+numpy's elementwise add keeps the first operand's NaN in its SIMD body
+and the second's in its scalar tail (``reduceat`` included), so when two
+NaNs with different payloads meet, which one survives depends on array
+position.  Which outputs are NaN, and every other bit, match.
 
 Materialisation respects a byte budget: when the dense A tiles of a huge
 matrix would exceed ``exec_max_bytes`` the executor keeps precomputed
 flat scatter indices instead and decompresses per chunk on the fly
 (still cheaper than the reference, which also re-derives the indices).
 
-Strategies are chosen per chunk by density:
+**Fold order.**  The reference folds each chunk with
+``np.add.reduceat``, which costs ~25 ns per (segment, inner element)
+pair and so dominates its multiply.  A compiled chunk instead holds its
+TC blocks in the order the fold consumes them, baked into its gather
+positions, pad slots and A tiles (into the scatter indices when the
+tiles are lazy):
 
-* ``"direct"`` — every RowWindow in the chunk owns exactly one block;
-  the segmented sum degenerates to an indexed add (bit-for-bit).
-* ``"stepped"`` — the workhorse.  ``np.add.reduceat`` costs ~25 ns per
-  (segment, inner element) pair, which makes the segmented sum the
-  single most expensive stage of the reference path.  Its accumulation
-  order is, per segment, ``a[first] + pairwise_sum(a[first+1:])`` with
-  numpy's pairwise kernel — sequential below 8 elements — so for
-  segments of ≤ 8 blocks (the overwhelming majority under 8-row
-  windows) the identical bits can be produced by a handful of *whole-
-  array* fancy-indexed adds over precomputed step indices.  Longer
-  segments are compacted and handed to ``reduceat`` itself (compaction
-  preserves per-segment bits).  Because this replica depends on an
-  implementation detail of numpy, a one-time runtime probe checks it
-  against ``reduceat``; if numpy ever changes, compilation silently
-  falls back to:
-* ``"reduceat"`` — the reference's own segmented sum (bit-for-bit by
-  construction).
+* *short* windows (at most :data:`STEPPED_MAX_SEG` blocks) come first,
+  sorted by block count, descending, and laid out step-major: block
+  ``s`` of every window with more than ``s`` blocks forms one contiguous
+  slab, so each fold step is one in-place slice add over a prefix;
+* *long* windows follow, each window's blocks contiguous, and are folded
+  by ``reduceat`` itself (compaction preserves per-segment bits).
+
+A multiply is then one unbuffered gather (``np.take(..., mode="clip")``
+into a pooled buffer), one batched MMA over the pre-rounded tiles, the
+slice adds, one add of the folded rows into a per-RowWindow accumulator
+(windows can straddle chunk boundaries) and one ``take`` that undoes the
+row relabeling.  The layout relies on three preconditions:
+
+* windows are contiguous in block order (``block_window`` is
+  non-decreasing), so a window's blocks in a chunk are one segment;
+* ``reduceat`` accumulates a segment of up to 8 blocks as
+  ``a[first] + leftfold(a[first+1:])``.  That is a numpy implementation
+  detail (its pairwise sum is sequential below 8 elements), so a
+  one-time probe (:func:`_stepped_replica_ok`) checks it; if it ever
+  fails, compilation caps the slab layout at one block per window and
+  hands every longer window to ``reduceat``;
+* ``0 + x`` sets the signed zero: the folded windows land in a zeroed
+  accumulator, as in the reference, which turns a ``-0.0`` fold into
+  ``+0.0`` and changes nothing else.
+
+Each chunk program keeps a strategy label (reported in
+:attr:`ExecStats.strategies`):
+
+* ``"direct"`` — every window in the chunk owns exactly one block, so
+  the fold has no steps;
+* ``"stepped"`` — the fold-order layout above;
+* ``"reduceat"`` — the same layout capped at one block per window (the
+  probe failed);
 * ``"fused"`` — high-``MeanNNZTC`` chunks in the reassociating modes
   (``"adaptive"``/``"fast"``) run one dense GEMM per RowWindow group
-  (blocks concatenated along K).  This reassociates the fp32
-  accumulation, so it is *not* bit-for-bit with the reference — it
+  (blocks concatenated along K) in block order.  This reassociates the
+  fp32 accumulation, so it is *not* bit-for-bit with the reference — it
   stays within the documented tier error bound
   (:meth:`repro.tune.NumericsPolicy.error_bound`).
 
@@ -111,10 +133,11 @@ def _stepped_replica_ok() -> bool:
     """One-time probe: does this numpy's ``reduceat`` accumulate each
     segment as ``a[first] + leftfold(a[first+1:])`` for lengths ≤ 8?
 
-    The stepped strategy reproduces exactly that order; if a numpy
-    upgrade ever changes the kernel, this probe fails and compilation
-    falls back to calling ``reduceat`` itself — correctness never
-    depends on the probe, only speed does.
+    The slab fold reproduces exactly that order; if a numpy upgrade
+    ever changes the kernel, this probe fails and compilation caps the
+    slabs at one block per window, handing every longer window to
+    ``reduceat`` itself — correctness never depends on the probe, only
+    speed does.
     """
     global _stepped_ok
     if _stepped_ok is None:
@@ -161,39 +184,101 @@ class ExecStats:
 
 @dataclass
 class _ChunkProgram:
-    """Frozen B-invariant execution state for one block chunk."""
+    """Frozen B-invariant execution state for one block chunk.
+
+    Non-fused chunks hold their blocks in fold order (see the module
+    docstring): ``steps`` short-window slabs, then the long windows.
+    """
 
     b0: int
     b1: int
     strategy: str  # "direct" | "stepped" | "reduceat" | "fused"
-    #: gather rows into (rounded) B, padding mapped to row 0 — a view
-    #: into the plan-level position array
+    #: gather rows into (rounded) B for the chunk's blocks in program
+    #: order, padding mapped to row 0
     pos: np.ndarray
-    #: flat row ids (chunk-relative) of the gather buffer to zero
+    #: flat row ids (chunk-relative, program order) of the gather buffer
+    #: to zero
     pad_rows: np.ndarray
-    #: target RowWindows of this chunk's segments
-    uniq_w: np.ndarray
-    #: first block row of each segment (reduceat starts)
-    first: np.ndarray
+    #: rows of ``tiles_all`` holding the chunk's tiles in program order;
+    #: ``None`` when they arrive in program order anyway (a whole-matrix
+    #: program over the resident stack, a lazy executor's baked
+    #: ``scatter``) and for fused chunks, which never read them
+    tile_rows: np.ndarray | None = None
+    #: windows still open at each fold step: slab ``s`` is the
+    #: ``steps[s]`` rows starting at ``sum(steps[:s])``
+    steps: tuple = ()
+    #: target RowWindow of each folded row group: the short windows in
+    #: slab order, then the long windows in block order
+    wins: np.ndarray | None = None
+    #: ``reduceat`` starts of the long windows, relative to the long
+    #: region (``None``: no long windows)
+    long_first: np.ndarray | None = None
+    #: lazy executors: flat index of each of the chunk's nnz into its
+    #: program-order tile stack
+    scatter: np.ndarray | None = None
     #: fused strategy: [(window ids, (g, L) block rows, (g, 8, L*8) A)]
     fused_groups: list = field(default_factory=list)
-    # --- stepped strategy ------------------------------------------------
-    #: length-1 segments: part rows / target windows (indexed add)
-    single_rows: np.ndarray | None = None
-    single_wins: np.ndarray | None = None
-    #: length-2..8 segments: first rows, their targets, and the fold
-    #: steps [(positions into the short list, part rows to add)]
-    short_first: np.ndarray | None = None
-    short_wins: np.ndarray | None = None
-    short_steps: list = field(default_factory=list)
-    #: length-9+ segments: compacted rows, compact starts, targets
-    long_rows: np.ndarray | None = None
-    long_first: np.ndarray | None = None
-    long_wins: np.ndarray | None = None
 
     @property
     def k(self) -> int:
         return self.b1 - self.b0
+
+    @property
+    def n_short(self) -> int:
+        """Folded rows the slabs produce (one per short window)."""
+        return self.steps[0] if self.steps else 0
+
+
+def _segments(w: np.ndarray):
+    """``(windows, first block, block count)`` of a chunk's segments;
+    ``w`` is its ``block_window`` slice (windows contiguous)."""
+    wins, first = np.unique(w, return_index=True)
+    return wins, first, np.diff(np.append(first, w.size))
+
+
+def _fold_layout(wins, first, seg, cap: int):
+    """Fold order of one chunk: windows of at most ``cap`` blocks
+    step-major by block count (descending, stable), then the longer ones
+    contiguous.  Returns ``(order, steps, wins, long_first)`` with
+    ``order`` chunk-relative."""
+    short = np.flatnonzero(seg <= cap)
+    short = short[np.argsort(-seg[short], kind="stable")]
+    neg_len = -seg[short]
+    n_steps = int(-neg_len[0]) if short.size else 0
+    steps = tuple(
+        int(np.searchsorted(neg_len, -s, side="left")) for s in range(n_steps)
+    )
+    parts = [first[short[:m]] + s for s, m in enumerate(steps)]
+    long_ = np.flatnonzero(seg > cap)
+    long_first = None
+    if long_.size:
+        parts.append(ragged_gather_indices(first[long_], seg[long_]))
+        long_first = np.zeros(long_.size, dtype=np.int64)
+        np.cumsum(seg[long_][:-1], out=long_first[1:])
+    fold_wins = np.concatenate([wins[short], wins[long_]])
+    return np.concatenate(parts), steps, fold_wins, long_first
+
+
+def fold_slabs(part, steps: tuple) -> None:
+    """Fold the step-major short region of ``part`` in place.
+
+    Step ``s >= 2`` adds slab ``s`` into the open prefix of slab 1
+    (``rest = a1 + a2 + ...``, left to right), then slab 0 takes
+    ``rest + a0`` — ``reduceat``'s order for segments of up to 8 blocks.
+    ``rest`` goes first because ``reduceat`` keeps the rest's NaN when
+    both are NaN, and numpy's vector add keeps its first operand's.
+    Slab 0 then holds one folded row group per short window.  Works on
+    any array module whose arrays take numpy ufuncs.
+    """
+    if len(steps) < 2:
+        return
+    rest = steps[0]
+    lo = rest + steps[1]
+    for m in steps[2:]:
+        part[rest : rest + m] += part[lo : lo + m]
+        lo += m
+    head = part[: steps[1]]
+    np.add(part[rest : rest + steps[1]], head, out=head)
 
 
 class _BufferPool:
@@ -245,8 +330,9 @@ class TCExecPlan:
         decompressed lazily per chunk from precomputed scatter indices.
     ``exec_mode``
         ``"exact"`` (default): strategies restricted to the bit-for-bit
-        ``"direct"``/``"reduceat"`` paths.  ``"adaptive"``: dense chunks
-        may use the ``"fused"`` GEMM strategy (fp32 reassociation).
+        ``"direct"``/``"stepped"``/``"reduceat"`` set.  ``"adaptive"``:
+        dense chunks may use the ``"fused"`` GEMM strategy (fp32
+        reassociation).
         ``"fast"``: fused chunks *and* no TF32 input rounding.  The
         ``mode`` constructor argument overrides the meta default, which
         is how one plan serves several numerics tiers at once.
@@ -314,6 +400,7 @@ class TCExecPlan:
             self.vals_rounded = np.zeros(0, dtype=np.float32)
             self.scatter_flat = np.zeros(0, dtype=np.int64)
             self.tiles_all = None
+            self._tile_pos = None
             self.pos_all = np.zeros(0, dtype=np.int64)
             self.pad_all = np.zeros(0, dtype=np.int64)
             self.materialized = False
@@ -347,8 +434,21 @@ class TCExecPlan:
         tile_bytes = t.n_blocks * wr * bc * 4
         self.materialized = tile_bytes <= self.max_bytes
         if self.materialized:
-            tiles = np.zeros(t.n_blocks * wr * bc, dtype=np.float32)
-            tiles[self.scatter_flat] = self.vals_rounded
+            # the tile stack is value-derived and never persisted, so it
+            # is built straight in the whole-matrix fold order: a
+            # single-chunk program reads it as is, other chunks gather
+            # their tiles through ``_tile_pos``
+            cap = STEPPED_MAX_SEG if _stepped_replica_ok() else 1
+            order = _fold_layout(*_segments(t.block_window), cap)[0]
+            #: row of ``tiles_all`` holding each block's tile
+            self._tile_pos = np.empty(t.n_blocks, dtype=np.int64)
+            self._tile_pos[order] = np.arange(t.n_blocks, dtype=np.int64)
+            tsz = wr * bc
+            blk = self.scatter_flat // tsz
+            tiles = np.zeros(t.n_blocks * tsz, dtype=np.float32)
+            tiles[self.scatter_flat + (self._tile_pos[blk] - blk) * tsz] = (
+                self.vals_rounded
+            )
             self.tiles_all = tiles.reshape(t.n_blocks, wr, bc)
             # the scatter descriptors exist only to feed lazy per-chunk
             # decompression; with the tiles resident they are dead weight
@@ -358,6 +458,7 @@ class TCExecPlan:
             self.vals_rounded = None
         else:
             self.tiles_all = None
+            self._tile_pos = None
 
         # gather geometry: padding slots (-1) pull row 0 and are zeroed
         if restored is not None:
@@ -378,9 +479,15 @@ class TCExecPlan:
     def _check_structural(structural: tuple | None, plan) -> dict | None:
         """Validate restored structural state; ``None`` falls back to
         recomputation (restored geometry is an optimisation, never a
-        correctness dependency)."""
+        correctness dependency).  Values are range-checked too: the
+        multiply indexes with ``mode="clip"``, which would clamp a bad
+        index instead of raising."""
         if structural is None:
             return None
+
+        def in_range(a: np.ndarray, hi: int) -> bool:
+            return not a.size or (int(a.min()) >= 0 and int(a.max()) < hi)
+
         try:
             meta, arrays = structural
             t = plan.tiling
@@ -391,12 +498,18 @@ class TCExecPlan:
             scatter = arrays.get("scatter_flat")
             if scatter is not None:
                 scatter = np.asarray(scatter, dtype=np.int64)
-                if scatter.shape != (t.nnz,):
+                if scatter.shape != (t.nnz,) or not in_range(
+                    scatter, slot_count * t.window_rows
+                ):
                     return None
             if (
                 out_rank.shape != (plan.n_rows_original,)
                 or pos_all.shape != (slot_count,)
                 or pad_all.size > slot_count
+                or not in_range(out_rank, t.n_rows)
+                or not in_range(pos_all, t.n_cols)
+                or not in_range(pad_all, slot_count)
+                or (np.diff(pad_all) <= 0).any()
             ):
                 return None
             return {
@@ -522,17 +635,14 @@ class TCExecPlan:
         """Compile one chunk ``[b0, b1)`` (also the unit
         :meth:`rebase_from` recompiles when a delta dirtied it)."""
         t = self.tiling
-        bc = t.block_cols
+        wr, bc = t.window_rows, t.block_cols
         k = b1 - b0
-        pos = self.pos_all[b0 * bc : b1 * bc]
+        wins, first, seg = _segments(t.block_window[b0:b1])
         lo = np.searchsorted(self.pad_all, b0 * bc)
         hi = np.searchsorted(self.pad_all, b1 * bc)
         pad_rows = self.pad_all[lo:hi] - b0 * bc
-        w = t.block_window[b0:b1]
-        uniq_w, first = np.unique(w, return_index=True)
-        seg_len = np.diff(np.append(first, k))
         mean_nnz = counts_nnz[b0:b1].mean() if k else 0.0
-        if (seg_len == 1).all():
+        if (seg == 1).all():
             strategy = "direct"
         elif (
             self.mode != "exact"
@@ -543,24 +653,55 @@ class TCExecPlan:
                 else mean_nnz >= FUSED_DENSITY_THRESHOLD
             )
         ):
-            strategy = "fused"
+            cp = _ChunkProgram(
+                b0=b0,
+                b1=b1,
+                strategy="fused",
+                pos=self.pos_all[b0 * bc : b1 * bc],
+                pad_rows=pad_rows,
+            )
+            cp.fused_groups = self._compile_fused(cp, wins, first, seg)
+            return cp
         elif _stepped_replica_ok():
             strategy = "stepped"
         else:
             strategy = "reduceat"
+        cap = STEPPED_MAX_SEG if strategy == "stepped" else 1
+        rel, steps, fold_wins, long_first = _fold_layout(wins, first, seg, cap)
+        order = rel + b0
+        is_pad = np.zeros(k * bc, dtype=bool)
+        is_pad[pad_rows] = True
         cp = _ChunkProgram(
             b0=b0,
             b1=b1,
             strategy=strategy,
-            pos=pos,
-            pad_rows=pad_rows,
-            uniq_w=uniq_w,
-            first=first,
+            pos=self.pos_all.reshape(-1, bc)[order].reshape(-1),
+            pad_rows=np.flatnonzero(is_pad.reshape(k, bc)[rel].reshape(-1)),
+            steps=steps,
+            wins=fold_wins,
+            long_first=long_first,
         )
-        if strategy == "stepped":
-            self._compile_stepped(cp, seg_len)
-        elif strategy == "fused":
-            cp.fused_groups = self._compile_fused(cp, seg_len)
+        if not self.materialized:
+            # lazy tiles: bake the order into the chunk's scatter indices
+            tsz = wr * bc
+            flat = self.scatter_flat[t.tc_offset[b0] : t.tc_offset[b1]]
+            blk = flat // tsz
+            rank = np.empty(k, dtype=np.int64)
+            rank[rel] = np.arange(k, dtype=np.int64)
+            # chunk-relative, so 32 bits nearly always suffice: lazy
+            # executors exist for huge matrices, where the indices
+            # rival the tiles in size
+            cp.scatter = (rank[blk - b0] * tsz + (flat - blk * tsz)).astype(
+                np.int32 if k * tsz < 2**31 else np.int64
+            )
+        else:
+            tile_rows = self._tile_pos[order]
+            # a whole-matrix program reads the stack as it was built
+            whole = b0 == 0 and b1 == t.n_blocks
+            if not (
+                whole and np.array_equal(tile_rows, np.arange(k, dtype=np.int64))
+            ):
+                cp.tile_rows = tile_rows
         return cp
 
     def rebase_from(self, old: "TCExecPlan", dirty_blocks) -> int:
@@ -574,8 +715,7 @@ class TCExecPlan:
         clean chunk's program is identical to what a fresh compile would
         produce (even the fused strategy's baked A slabs, since every
         changed value lives in a dirty window), so reusing the object is
-        bit-neutral.  Dirty chunks are recompiled one by one.  Returns
-        the number of chunk programs reused (0 when ineligible).
+        bit-neutral.  Dirty chunks are recompiled one by one.  Returns the number of chunk programs reused (0 when ineligible).
         """
         t, ot = self.tiling, old.tiling
         if (
@@ -619,48 +759,7 @@ class TCExecPlan:
                         )
         return reused
 
-    @staticmethod
-    def _compile_stepped(cp: _ChunkProgram, seg_len: np.ndarray) -> None:
-        """Precompute the fold program replicating ``reduceat`` bitwise.
-
-        Buckets the chunk's segments by length: 1 (indexed add), 2..8
-        (``a[first] + leftfold(rest)`` via step arrays — step ``s`` adds
-        block row ``first+s`` into every still-open fold), and 9+
-        (compacted and reduced by ``reduceat`` itself at execute time,
-        which preserves per-segment bits).
-
-        The short bucket is sorted by segment length, longest first, so
-        the still-open folds of every step form a contiguous *prefix*:
-        each step is a cheap slice-add instead of a fancy-indexed
-        read-modify-write.  Reordering the bucket is bit-neutral — the
-        segments are independent and their targets disjoint.
-        """
-        single = seg_len == 1
-        short = (seg_len >= 2) & (seg_len <= STEPPED_MAX_SEG)
-        long_ = seg_len > STEPPED_MAX_SEG
-        cp.single_rows = cp.first[single]
-        cp.single_wins = cp.uniq_w[single]
-        short_len = seg_len[short]
-        order = np.argsort(-short_len, kind="stable")
-        cp.short_first = cp.first[short][order]
-        cp.short_wins = cp.uniq_w[short][order]
-        short_len = short_len[order]
-        cp.short_steps = []
-        for s in range(2, int(short_len.max()) if short_len.size else 2):
-            n_open = int(np.searchsorted(-short_len, -s, side="left"))
-            cp.short_steps.append((n_open, cp.short_first[:n_open] + s))
-        if long_.any():
-            firsts, lens = cp.first[long_], seg_len[long_]
-            cp.long_rows = ragged_gather_indices(firsts, lens)
-            cp.long_first = np.zeros(lens.size, dtype=np.int64)
-            np.cumsum(lens[:-1], out=cp.long_first[1:])
-            cp.long_wins = cp.uniq_w[long_]
-        else:
-            cp.long_rows = None
-
-    def _compile_fused(
-        self, cp: _ChunkProgram, seg_len: np.ndarray
-    ) -> list:
+    def _compile_fused(self, cp: _ChunkProgram, wins, first, seg) -> list:
         """Group a chunk's windows by block count and pre-concatenate A.
 
         A window with L blocks becomes one ``(8, L*8)`` dense A slab; all
@@ -668,39 +767,47 @@ class TCExecPlan:
         """
         t = self.tiling
         wr, bc = t.window_rows, t.block_cols
-        tiles = self.tiles_all[cp.b0 : cp.b1]
+        tiles = self.tiles_all[self._tile_pos[cp.b0 : cp.b1]]  # block order
         groups = []
-        for length in np.unique(seg_len):
-            sel = np.flatnonzero(seg_len == length)
-            rows2d = cp.first[sel][:, None] + np.arange(length, dtype=np.int64)
+        for length in np.unique(seg):
+            sel = np.flatnonzero(seg == length)
+            rows2d = first[sel][:, None] + np.arange(length, dtype=np.int64)
             a = tiles[rows2d]  # (g, L, wr, bc)
             a_fused = np.ascontiguousarray(
                 a.transpose(0, 2, 1, 3).reshape(sel.size, wr, length * bc)
             )
-            groups.append((cp.uniq_w[sel], rows2d, a_fused))
+            groups.append((wins[sel], rows2d, a_fused))
         return groups
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _chunk_tiles(self, cp: _ChunkProgram) -> np.ndarray:
-        """Pre-rounded dense A tiles of one chunk (view or lazy scatter)."""
+    def _chunk_tiles(self, cp: _ChunkProgram) -> np.ndarray | None:
+        """Pre-rounded dense A tiles of one chunk in program order (the
+        resident stack, a gather from it, or a lazy scatter)."""
+        if cp.strategy == "fused":
+            return None  # fused chunks carry their A slabs
         if self.tiles_all is not None:
-            return self.tiles_all[cp.b0 : cp.b1]
+            if cp.tile_rows is None:
+                return self.tiles_all
+            return np.take(self.tiles_all, cp.tile_rows, axis=0)
         t = self.tiling
         wr, bc = t.window_rows, t.block_cols
         lo, hi = t.tc_offset[cp.b0], t.tc_offset[cp.b1]
         tiles = np.zeros(cp.k * wr * bc, dtype=np.float32)
-        tiles[self.scatter_flat[lo:hi] - cp.b0 * wr * bc] = self.vals_rounded[lo:hi]
+        tiles[cp.scatter] = self.vals_rounded[lo:hi]
         return tiles.reshape(cp.k, wr, bc)
 
     def _run_chunk(
         self, cp: _ChunkProgram, tiles, B_r_i, acc_i, buf, n: int
     ) -> None:
-        """One (chunk, batch member) step: gather, MMA, segmented add."""
+        """One (chunk, batch member) step: gather, MMA, fold into the
+        member's accumulator ``acc_i``."""
         bc = self.tiling.block_cols
         gathered = buf[: cp.k * bc]
-        np.take(B_r_i, cp.pos, axis=0, out=gathered)
+        # mode="clip" skips the bounds check that makes take buffer its
+        # whole output before copying it into ``out``
+        np.take(B_r_i, cp.pos, axis=0, out=gathered, mode="clip")
         if cp.pad_rows.size:
             gathered[cp.pad_rows] = 0.0
         g3 = gathered.reshape(cp.k, bc, n)
@@ -710,26 +817,13 @@ class TCExecPlan:
                 acc_i[wins] += np.matmul(a_fused, b_f)
             return
         part = batched_tile_mma(g3, tiles, assume_rounded=True)
-        if cp.strategy == "direct":
-            acc_i[cp.uniq_w] += part
-        elif cp.strategy == "stepped":
-            # each window lives in exactly one bucket, so the three adds
-            # touch disjoint acc slots — together they are the
-            # reference's single fancy-indexed add, bit for bit
-            if cp.single_rows.size:
-                acc_i[cp.single_wins] += part[cp.single_rows]
-            if cp.short_first.size:
-                fold = part[cp.short_first + 1]
-                for n_open, rows in cp.short_steps:
-                    fold[:n_open] += part[rows]
-                fold += part[cp.short_first]  # a0 + rest (commutative)
-                acc_i[cp.short_wins] += fold
-            if cp.long_rows is not None:
-                acc_i[cp.long_wins] += np.add.reduceat(
-                    part[cp.long_rows], cp.long_first, axis=0
-                )
-        else:
-            acc_i[cp.uniq_w] += np.add.reduceat(part, cp.first, axis=0)
+        fold_slabs(part, cp.steps)
+        ns = cp.n_short
+        acc_i[cp.wins[:ns]] += part[:ns]
+        if cp.long_first is not None:
+            acc_i[cp.wins[ns:]] += np.add.reduceat(
+                part[sum(cp.steps) :], cp.long_first, axis=0
+            )
 
     def execute(self, B: np.ndarray, backend=None) -> np.ndarray:
         """SpMM over the prepared state; ``B`` is ``(K, N)`` or
@@ -748,13 +842,20 @@ class TCExecPlan:
         """
         from repro.backend import resolve_backend
 
+        # the arms gather with mode="clip", which clamps instead of
+        # raising: a B of the wrong height must be refused here
+        if B.ndim not in (2, 3) or B.shape[-2] != self.tiling.n_cols:
+            raise ValidationError(
+                f"B must be ({self.tiling.n_cols}, N) or "
+                f"(batch, {self.tiling.n_cols}, N); got {B.shape}"
+            )
         return resolve_backend(backend).execute(self, B)
 
     def _finish_member(self, acc_i, out_i, n: int) -> None:
         """Undo the row relabeling into the caller-visible output slice."""
         t = self.tiling
         C_perm = acc_i.reshape(t.n_windows * t.window_rows, n)[: t.n_rows]
-        np.take(C_perm, self.out_rank, axis=0, out=out_i)
+        np.take(C_perm, self.out_rank, axis=0, out=out_i, mode="clip")
 
     # ------------------------------------------------------------------
     @property
@@ -768,6 +869,7 @@ class TCExecPlan:
             self.vals_rounded,
             self.scatter_flat,
             self.tiles_all,
+            self._tile_pos,
             self.pos_all,
             self.pad_all,
             self.out_rank,
@@ -777,17 +879,13 @@ class TCExecPlan:
         for cp in programs:
             total += arr_bytes(
                 cp.pad_rows,
-                cp.uniq_w,
-                cp.first,
-                cp.single_rows,
-                cp.single_wins,
-                cp.short_first,
-                cp.short_wins,
-                cp.long_rows,
+                cp.tile_rows,
+                cp.wins,
                 cp.long_first,
-                cp.long_wins,
+                cp.scatter,
             )
-            total += arr_bytes(*(rows for _, rows in cp.short_steps))
+            if cp.strategy != "fused":
+                total += cp.pos.nbytes  # fused chunks view ``pos_all``
             for _, rows2d, a_fused in cp.fused_groups:
                 total += rows2d.nbytes + a_fused.nbytes
         return total

@@ -6,10 +6,10 @@ All three TC kernels share the RowWindow/TC-block structure, so they share
   prepared executor (:mod:`repro.kernels.executor`), which compiles the
   B-invariant half of the computation once per plan — tile
   decompression + TF32 rounding of A, SparseAToB gather positions and
-  pad masks, ``np.unique`` window segmentation and ``reduceat`` segment
-  starts, the output permutation — and replays it per call.  Only the
-  B-dependent work (one TF32 rounding of B, the gather, the MMAs, the
-  segmented accumulation) runs per multiply;
+  pad masks, the fold order of each chunk's blocks, the output
+  permutation — and replays it per call.  Only the B-dependent work
+  (one TF32 rounding of B, the gather, the MMAs, the fold) runs per
+  multiply;
 * :func:`execute_tiled_reference` — the pre-executor path that re-derives
   every B-invariant artifact inside the call.  Kept as the bit-for-bit
   oracle the executor is tested against (and as the "unprepared" arm of

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import resource
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,27 @@ from repro.sparse.random import (
     erdos_renyi,
     powerlaw_graph,
 )
+
+
+#: address-space cap for the test process and the workers it starts:
+#: a runaway allocation fails its own test with ``MemoryError`` instead
+#: of getting the whole run OOM-killed
+MEMORY_CAP_BYTES = 4 << 30
+
+
+def pytest_configure(config):
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = MEMORY_CAP_BYTES
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    if soft == resource.RLIM_INFINITY or soft > cap:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Log the suite's peak resident memory (``ru_maxrss`` is in KiB)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    terminalreporter.write_line(f"peak RSS of the test process: {peak / 1024:.0f} MB")
 
 
 @pytest.fixture(scope="session")

@@ -145,9 +145,8 @@ class TestConformance:
         )
 
     def test_stepped_single_block_windows(self, arm):
-        # windows whose nnz fit one TC block land in the stepped
-        # single bucket (indexed add, no fold) when the chunk also
-        # holds multi-block windows; build that mix explicitly
+        # windows whose nnz fit one TC block take no fold step when the
+        # chunk also holds multi-block windows; build that mix explicitly
         r = np.random.default_rng(5)
         dense = np.zeros((64, 64), dtype=np.float32)
         for w in range(4):
@@ -165,13 +164,11 @@ class TestConformance:
         p = plan_for(csr, B)
         C = p.multiply(B, backend=arm)
         ex = get_executor(p.tc_plan)
-        singles = sum(
-            cp.single_rows.size
-            for prog in ex._programs.values()
-            for cp in prog
-            if cp.strategy == "stepped"
-        )
-        assert singles > 0
+        assert ex.stats.strategies == {"stepped": 1}
+        # single-block windows sit in slab 0 past the windows that go
+        # on to a second step
+        (cp,) = ex._programs[ex._blocks_per_chunk(8)]
+        assert len(cp.steps) > 1 and cp.steps[0] > cp.steps[1]
         assert bits_equal(C, execute_tiled_reference(p.tc_plan, B))
 
     def test_nonfinite_inputs_round_identically(self, fake):
@@ -254,6 +251,26 @@ class TestConformance:
             p.multiply_many(Bs, numerics="fast", backend=arm),
             p.multiply_many(Bs, numerics="fast", backend="cpu"),
         )
+
+    @pytest.mark.parametrize("max_bytes", [None, 64])
+    def test_multi_chunk_accumulator_path(self, arm, max_bytes):
+        # forced chunking: windows straddle chunk boundaries, so folded
+        # rows go through the accumulator — the hub's 13-block window
+        # by reduceat (device_reduceat on the cupy arm) — eager and
+        # lazy, single and batched
+        csr = hub_csr()
+        p = repro.plan(csr, feature_dim=16)
+        p.tc_plan.meta["exec_chunk_elems"] = 40 * p.tc_plan.tiling.block_cols * 16
+        if max_bytes is not None:
+            p.prepare(max_bytes=max_bytes)
+        Bs = np.stack([make_b(csr, n=16, seed=s) for s in (60, 61)])
+        ref = np.stack(
+            [execute_tiled_reference(p.tc_plan, b, blocks_per_chunk=40) for b in Bs]
+        )
+        assert bits_equal(p.multiply_many(Bs, backend=arm), ref)
+        assert bits_equal(p.multiply(Bs[0], backend=arm), ref[0])
+        (prog,) = get_executor(p.tc_plan)._programs.values()
+        assert len(prog) > 1 and prog[0].long_first is not None
 
     def test_multiply_many_matches_singles(self, arm):
         csr = random_csr(n_rows=96, n_cols=96, density=0.1, seed=15)

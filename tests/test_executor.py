@@ -60,8 +60,11 @@ class TestBitForBit:
         C = p.multiply(B)
         assert bits_equal(C, execute_tiled_reference(p.tc_plan, B))
         ex = get_executor(p.tc_plan)
+        assert ex.stats.strategies == {"stepped": 1}
+        # the hub's windows (> 8 blocks) follow the slabs, one reduceat
+        # segment each
         cp = ex._programs[ex._blocks_per_chunk(16)][0]
-        assert cp.strategy == "stepped" and cp.long_rows is not None
+        assert cp.long_first is not None and cp.long_first.size >= 1
 
     def test_batched_matches_looped_reference(self):
         csr = random_csr(100, 64, 0.1, seed=41)
@@ -110,6 +113,23 @@ class TestBitForBit:
         C = p.multiply(B)
         assert C.shape == (16, 8) and not C.any()
         assert bits_equal(C, execute_tiled_reference(p.tc_plan, B))
+
+    @pytest.mark.parametrize(
+        "kernel_cls", [AccSpMMKernel, TCGNNKernel, DTCKernel]
+    )
+    @pytest.mark.parametrize("dk", [-1, 1])
+    def test_wrong_height_b_raises(self, kernel_cls, dk):
+        # the gather clamps out-of-range rows instead of raising, so a B
+        # whose height is not A's column count must be refused up front
+        csr = random_csr(96, 80, 0.12, seed=21)
+        k = kernel_cls()
+        tc = k.plan(csr, 16, DEVICE)
+        with pytest.raises(ValidationError):
+            k.execute(tc, rhs(80 + dk))
+        with pytest.raises(ValidationError):
+            execute_tiled(tc, rhs(80 + dk, batch=2))
+        with pytest.raises(ValidationError):
+            get_executor(tc).execute(rhs(80 + dk), backend="cpu")
 
     def test_padding_slots_zeroed(self):
         # a 1-nnz matrix guarantees 7 padding slots in its only block

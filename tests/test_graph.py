@@ -7,7 +7,7 @@ from repro.errors import ValidationError
 from repro.graph.adjacency import adjacency_from_csr, contract_by_labels
 from repro.graph.dendrogram import Dendrogram
 from repro.graph.modularity import merge_gain, modularity
-from repro.graph.traversal import bfs_order, two_hop_candidates
+from repro.graph.traversal import bfs_order
 from repro.graph.unionfind import UnionFind
 
 from affinity_reference import common_neighbor_counts, modularity_gain_array
@@ -191,12 +191,6 @@ class TestTraversal:
         adj = adjacency_from_csr(medium_graph_csr)
         out = common_neighbor_counts(adj, 0, np.empty(0, dtype=np.int64))
         assert out.size == 0
-
-    def test_two_hop_candidates_capped(self, medium_graph_csr):
-        adj = adjacency_from_csr(medium_graph_csr)
-        cands = two_hop_candidates(adj, 0, limit=8)
-        assert cands.size <= 8
-        assert 0 not in cands
 
     def test_bfs_covers_all_components(self, medium_graph_csr):
         adj = adjacency_from_csr(medium_graph_csr)

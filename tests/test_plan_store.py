@@ -124,6 +124,45 @@ class TestSerialRoundTrip:
         arrays["pos_all"] = arrays["pos_all"][:-1]  # wrong shape
         assert np.array_equal(C0, p2.multiply(B))  # recomputed, not trusted
 
+    @pytest.mark.parametrize(
+        "field,corrupt",
+        [
+            ("pos_all", "past_end"),
+            ("pos_all", "negative"),
+            ("out_rank", "past_end"),
+            ("out_rank", "negative"),
+            ("pad_all", "unsorted"),
+            ("pad_all", "past_end"),
+        ],
+    )
+    def test_out_of_range_structural_values_fall_back(self, field, corrupt):
+        # the multiply gathers with mode="clip", which clamps a bad index
+        # instead of raising, so restored values are range-checked once
+        csr = make_csr(seed=5)
+        B = make_b(csr)
+        p = repro.plan(csr, feature_dim=32)
+        C0 = p.multiply(B)
+        p2 = AccPlan.from_bytes(p.to_bytes())
+        meta, arrays = p2.tc_plan.exec_structural
+        t = p2.tc_plan.tiling
+        arr = np.array(arrays[field], dtype=np.int64)
+        assert arr.size > 1
+        if field == "pos_all":
+            at = np.setdiff1d(np.arange(arr.size), arrays["pad_all"])[0]
+            hi = t.n_cols
+        elif field == "out_rank":
+            at = int(np.argmax(arr) if corrupt == "negative" else np.argmin(arr))
+            hi = t.n_rows
+        else:
+            at, hi = -1, t.n_blocks * t.block_cols
+        if corrupt == "unsorted":
+            arr = arr[::-1].copy()
+        else:
+            arr[at] = hi if corrupt == "past_end" else -1
+        arrays[field] = arr
+        assert np.array_equal(C0.view(np.uint32), p2.multiply(B).view(np.uint32))
+        assert not np.array_equal(getattr(p2.executor, field), arr)
+
     def test_bilateral_reorder_alias_preserved(self):
         from repro.reorder.affinity import reorder_bilateral
 

@@ -53,15 +53,28 @@ class MatrixFingerprint:
 
 
 def fingerprint(csr: CSRMatrix) -> MatrixFingerprint:
-    """Fingerprint a CSR matrix by content (one pass over its arrays)."""
-    shape_tag = f"{csr.n_rows}x{csr.n_cols}".encode()
-    return MatrixFingerprint(
-        n_rows=csr.n_rows,
-        n_cols=csr.n_cols,
-        nnz=csr.nnz,
-        structure=_digest(shape_tag, csr.indptr.tobytes(), csr.indices.tobytes()),
-        values=_digest(csr.vals.tobytes()),
-    )
+    """Fingerprint a CSR matrix by content.
+
+    The first call on a matrix object makes one pass over its arrays and
+    stores the result on the object; every later call returns it without
+    reading the arrays.  That is sound because a ``CSRMatrix``'s arrays
+    are read-only.  Threads racing on a first call each compute the same
+    value and store an equal one, so the memo needs no lock.
+    """
+    fp = csr._fingerprint
+    if fp is None:
+        shape_tag = f"{csr.n_rows}x{csr.n_cols}".encode()
+        fp = MatrixFingerprint(
+            n_rows=csr.n_rows,
+            n_cols=csr.n_cols,
+            nnz=csr.nnz,
+            structure=_digest(
+                shape_tag, csr.indptr.tobytes(), csr.indices.tobytes()
+            ),
+            values=_digest(csr.vals.tobytes()),
+        )
+        object.__setattr__(csr, "_fingerprint", fp)
+    return fp
 
 
 def config_fingerprint(config) -> str:

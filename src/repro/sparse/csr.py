@@ -14,6 +14,40 @@ import numpy as np
 from repro.errors import FormatError, ValidationError
 
 
+def _read_only_all_the_way_down(obj) -> bool:
+    """True when nothing can write to the memory under ``obj``: every
+    array and memoryview on its base chain is read-only and the chain
+    ends in an object whose buffer is read-only.  An array that owns its
+    memory fails even when flagged read-only — its holder can flip the
+    flag back."""
+    while True:
+        if isinstance(obj, np.ndarray):
+            if obj.flags.writeable:
+                return False
+            obj = obj.base
+        elif isinstance(obj, memoryview):
+            if not obj.readonly:
+                return False
+            obj = obj.obj
+        else:
+            break
+    if obj is None:
+        return False
+    try:
+        with memoryview(obj) as view:
+            return view.readonly
+    except TypeError:
+        return False
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only all the way down, else a copy resting on
+    an immutable ``bytes`` object, which the next matrix adopts as is."""
+    if _read_only_all_the_way_down(arr):
+        return arr
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
+
+
 @dataclass(frozen=True)
 class CSRMatrix:
     """An ``n_rows x n_cols`` sparse matrix in CSR format.
@@ -30,6 +64,21 @@ class CSRMatrix:
 
     Zero-dimension matrices (0 rows and/or 0 columns) are legal — an empty
     row/column selection produces one — and necessarily hold no entries.
+
+    The three arrays are read-only, so a matrix never changes after
+    construction and its content fingerprint can be computed once and
+    kept on the instance (:func:`repro.serve.fingerprint.fingerprint`).
+    An input array is adopted without a copy only when it is read-only all
+    the way down: not writeable, no writeable ndarray on its ``.base``
+    chain, and a chain ending in a read-only buffer — ``bytes``, or the
+    read-only ``mmap`` under a plan-store memmap load.  Every other input
+    (a freshly computed array, a view of a writable buffer, an array that
+    owns its memory and could be flagged writeable again) is copied once.
+    Arrays of another ``CSRMatrix`` qualify, so derived matrices share
+    them.  Changing values means building a new matrix; the serving engine
+    serves one with the same structure through its value-refresh path.
+    Pickling and ``copy.deepcopy`` rebuild through the constructor, so a
+    copy is read-only too and carries no fingerprint.
     """
 
     n_rows: int
@@ -39,9 +88,10 @@ class CSRMatrix:
     vals: np.ndarray
 
     def __post_init__(self) -> None:
-        indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        vals = np.ascontiguousarray(self.vals, dtype=np.float32)
+        # frozen before validation, so the checks below see what is stored
+        indptr = _read_only(np.ascontiguousarray(self.indptr, dtype=np.int64))
+        indices = _read_only(np.ascontiguousarray(self.indices, dtype=np.int64))
+        vals = _read_only(np.ascontiguousarray(self.vals, dtype=np.float32))
         if self.n_rows < 0 or self.n_cols < 0:
             raise ValidationError("matrix dimensions must be non-negative")
         if indptr.shape != (self.n_rows + 1,):
@@ -60,6 +110,18 @@ class CSRMatrix:
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "vals", vals)
+        # content fingerprint, stored by repro.serve.fingerprint.fingerprint
+        # on first use; sound because the arrays above never change
+        object.__setattr__(self, "_fingerprint", None)
+
+    def __reduce__(self):
+        # numpy unpickles arrays writable: rebuild through the constructor
+        # so a pickled or deep-copied matrix is read-only again and starts
+        # without the fingerprint memo
+        return (
+            type(self),
+            (self.n_rows, self.n_cols, self.indptr, self.indices, self.vals),
+        )
 
     # ------------------------------------------------------------------
     @property

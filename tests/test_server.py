@@ -22,7 +22,13 @@ import pytest
 
 from repro.errors import EngineClosedError, ValidationError
 from repro.serve.engine import SpMMEngine
-from repro.serve.frames import encode_frame, read_frame_from
+from repro.serve.frames import (
+    _HEAD,
+    _decode_body,
+    _decode_header,
+    encode_frame,
+    read_frame_from,
+)
 from repro.serve.server import (
     ServerConfig,
     SpMMServer,
@@ -737,6 +743,24 @@ class TestPayload:
     def test_malformed_payload_raises_validation_error(self, meta, arrays):
         with pytest.raises(ValidationError):
             payload_to_csr(meta, arrays)
+
+    def test_request_matrix_does_not_pin_the_frame_body(self):
+        # the server reads a frame body into one bytearray and decodes
+        # its arrays as views into it; the request's matrix is cached
+        # with its plan, so it must not keep the whole body (B included)
+        # alive
+        csr = make_csr(33)
+        raw = multiply_frame(csr, make_b(csr))
+        _, _, header_len, body_len = _HEAD.unpack_from(raw)
+        header_end = _HEAD.size + header_len
+        body = bytearray(raw[header_end:])
+        _, meta, table = _decode_header(raw[_HEAD.size:header_end], body_len)
+        arrays = _decode_body(table, body)
+        whole = np.frombuffer(body, dtype=np.uint8)
+        assert np.shares_memory(arrays["indptr"], whole)  # zero-copy decode
+        got = payload_to_csr(meta, arrays)
+        for arr in (got.indptr, got.indices, got.vals):
+            assert not np.shares_memory(arr, whole)
 
     def test_inconsistent_csr_arrays_rejected(self):
         # structurally broken indptr: FormatError/ValidationError, and

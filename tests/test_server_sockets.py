@@ -24,6 +24,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,22 @@ def live_server(engine_kw=None, **cfg_kw):
         assert not thread.is_alive(), "server failed to stop"
 
 
+def wait_for_open_batch(server, k: int, timeout: float = 60.0) -> bool:
+    """Poll from a client-side thread until a micro-batch still
+    collecting holds ``k`` requests; False on timeout."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with server._lock:
+            largest = max(
+                (len(b.items) for b in server._batches.values()), default=0
+            )
+        if largest >= k:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+
+
 class TestLiveSocket:
     def test_concurrent_mixed_tenant_clients_observe_batching(self):
         """The acceptance-criteria e2e: concurrent mixed-tenant clients,
@@ -90,9 +107,17 @@ class TestLiveSocket:
         barrier = threading.Barrier(n_clients)
         results: dict[int, np.ndarray] = {}
         errors: list = []
+        # the batch leader holds its window open until every request has
+        # joined (each is decoded and fingerprinted first), rather than
+        # for a fixed time that a slow host can overrun
+        gate = asyncio.Event()
+
+        async def held_sleep(_):
+            await gate.wait()
 
         with live_server(batch_window=0.25, max_batch=16) as box:
             host, port = box["addr"]
+            box["server"]._sleep = held_sleep
 
             def client_run(i):
                 try:
@@ -110,11 +135,17 @@ class TestLiveSocket:
             ]
             for t in threads:
                 t.start()
+            try:
+                joined = wait_for_open_batch(box["server"], n_clients)
+            finally:
+                box["loop"].call_soon_threadsafe(gate.set)
             for t in threads:
                 t.join(60)
+            assert not any(t.is_alive() for t in threads)
             with SpMMClient(host, port) as c:
                 metrics = c.metrics()
 
+        assert joined, "the clients' requests never shared one open batch"
         assert not errors, errors
         assert len(results) == n_clients  # nothing dropped
         for C in results.values():

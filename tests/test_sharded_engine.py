@@ -844,7 +844,13 @@ class TestDrainDuringWarmStart:
             # the warm-up is admitted and running on the pool...
             await loop.run_in_executor(None, entered.wait, 10)
             drain = asyncio.create_task(eng.drain())
-            await asyncio.sleep(0.05)
+
+            async def until_draining():
+                while not eng.stats["async"]["draining"]:
+                    await asyncio.sleep(0.001)
+
+            # wait for the drain to begin, not for a fixed time...
+            await asyncio.wait_for(until_draining(), timeout=10)
             # ...so the drain must still be waiting on it
             assert not drain.done()
             assert eng.stats["async"]["draining"]

@@ -7,7 +7,12 @@ both the batching and the plan-cache paths stay hot).  The run fails
 if any 5xx-class ``internal`` error occurs, if any response is wrong
 (every result is checked bit-for-bit against a direct in-process
 ``SpMMEngine``), or if any request is silently dropped — every send
-must produce a result frame or a documented retryable error.
+must produce a result frame or a documented retryable error.  The
+server batches with no timed window, so the run also requires that the
+clients (six by default) over four matrices still form batches
+(``batched_requests > 0``).  Each request's round trip is timed in its
+client thread; the summary reports the p50 and p99 with the sample
+count, a percentile only when at least 10 samples lie beyond it.
 
 The final ``/metrics`` snapshot is written to
 ``results/server_load_metrics.json`` (CI uploads it as an artifact) and
@@ -37,6 +42,16 @@ from repro.sparse.random import erdos_renyi
 
 N_MATRICES = 4
 FEATURE_DIM = 16
+#: a percentile is reported only with at least this many samples beyond it
+MIN_BEYOND = 10
+
+
+def percentile_or_none(samples, p: float) -> float | None:
+    """The ``p``-th percentile of ``samples``, or None when fewer than
+    :data:`MIN_BEYOND` samples lie beyond it."""
+    if len(samples) * (100.0 - p) / 100.0 < MIN_BEYOND:
+        return None
+    return float(np.percentile(samples, p))
 
 
 def _workload(seed=5):
@@ -61,7 +76,7 @@ def run_load(seconds: float, n_clients: int = 6) -> dict:
     async def serve():
         server = SpMMServer(
             engine=AsyncSpMMEngine(n_shards=2, capacity=32),
-            config=ServerConfig(batch_window=0.005, max_inflight=64),
+            config=ServerConfig(max_inflight=64),
         )
         box["server"] = server
         box["addr"] = await server.start()
@@ -78,6 +93,8 @@ def run_load(seconds: float, n_clients: int = 6) -> dict:
 
     deadline = time.monotonic() + seconds
     tallies = [dict(sent=0, ok=0, retryable=0) for _ in range(n_clients)]
+    #: round-trip milliseconds of each client's bit-exact results
+    round_trips: list[list[float]] = [[] for _ in range(n_clients)]
     failures: list[str] = []
 
     def client_run(i: int) -> None:
@@ -88,6 +105,7 @@ def run_load(seconds: float, n_clients: int = 6) -> dict:
                 while time.monotonic() < deadline:
                     j = int(rng.integers(0, N_MATRICES))
                     tally["sent"] += 1
+                    t0 = time.perf_counter()
                     try:
                         C = c.multiply(
                             mats[j], bs[j], tenant=f"tenant-{i % 3}"
@@ -98,10 +116,12 @@ def run_load(seconds: float, n_clients: int = 6) -> dict:
                             return
                         tally["retryable"] += 1
                         continue
+                    elapsed_ms = (time.perf_counter() - t0) * 1e3
                     if not np.array_equal(C, refs[j]):
                         failures.append(f"client {i}: wrong result for {j}")
                         return
                     tally["ok"] += 1
+                    round_trips[i].append(elapsed_ms)
         except Exception as exc:  # noqa: BLE001 - recorded and fatal
             failures.append(f"client {i}: {type(exc).__name__}: {exc}")
 
@@ -132,7 +152,11 @@ def run_load(seconds: float, n_clients: int = 6) -> dict:
     assert ok + retryable == sent, (ok, retryable, sent)  # nothing dropped
     assert ok > 0
     assert metrics["engine"]["plans_built"] == N_MATRICES  # planned once
+    # no timed window: batches form only from requests queued behind a
+    # busy key, which concurrent clients over four matrices still produce
+    assert server_counters["batched_requests"] > 0, server_counters
 
+    samples = [ms for client in round_trips for ms in client]
     return {
         "seconds": round(elapsed, 2),
         "clients": n_clients,
@@ -145,8 +169,15 @@ def run_load(seconds: float, n_clients: int = 6) -> dict:
             / max(1, server_counters["multiplies"]),
             3,
         ),
+        "latency_samples": len(samples),
+        "p50_ms": percentile_or_none(samples, 50.0),
+        "p99_ms": percentile_or_none(samples, 99.0),
         "metrics": metrics,
     }
+
+
+def _ms(value: float | None) -> str:
+    return "n/a (too few samples)" if value is None else f"{value:.2f} ms"
 
 
 def render(result: dict) -> str:
@@ -159,6 +190,9 @@ def render(result: dict) -> str:
         f"  retryable rejections  {result['retryable_rejections']}",
         f"  throughput            {result['throughput_rps']} req/s",
         f"  batched share         {result['batched_share']}",
+        f"  round trip p50        {_ms(result['p50_ms'])}"
+        f"  ({result['latency_samples']} samples)",
+        f"  round trip p99        {_ms(result['p99_ms'])}",
         f"  internal errors       "
         f"{result['metrics']['server']['internal_errors']}  (must be 0)",
     ]

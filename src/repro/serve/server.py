@@ -12,7 +12,7 @@ data-plane needs:
   without multiplying), ``delta`` (patch a cached plan with a
   structural edit against a fingerprint — the streaming path; an
   optional bundled ``b`` multiplies against the edited matrix in the
-  same round trip through the micro-batching machinery),
+  same round trip through the batching machinery),
   ``stats``/``metrics`` (engine stat dicts plus
   server counters), ``warm_start``, and ``ping``.
 * **Per-tenant quotas + admission control** — token-bucket rate limits
@@ -20,15 +20,16 @@ data-plane needs:
   checked before any engine work; a global ``max_inflight`` cap sheds
   excess data-plane requests with an explicit retryable ``overloaded``
   response instead of queueing them into latency collapse.
-* **Same-fingerprint micro-batching** — concurrent ``multiply``
-  requests for one matrix (same fingerprint, device, resolved numerics
-  tier, execution backend, and operand shape) arriving within
-  ``batch_window`` seconds
-  coalesce into one :meth:`~repro.serve.sharded.AsyncSpMMEngine.
-  multiply_many` — PR 4's miss coalescing generalized to the data
-  plane: the per-matrix preparation cost is amortized not just across
-  requests over time but across requests *in flight*.  Results are
-  bit-for-bit identical to unbatched serving.
+* **Same-fingerprint dynamic batching** — a ``multiply`` whose batch
+  key (fingerprint, device, resolved numerics tier, execution backend,
+  and operand shape) has nothing executing reaches the engine at once;
+  same-key requests that arrive while it executes queue, and run
+  together as one :meth:`~repro.serve.sharded.AsyncSpMMEngine.
+  multiply_many` as soon as it returns.  No request waits for a
+  timer: batches form only from work that queues behind a busy key,
+  so the per-matrix preparation cost is amortized across requests
+  *in flight*.  Results are bit-for-bit identical to unbatched
+  serving.
 * **Backpressure + load shedding** — response writes await the
   transport drain; reads are bounded by ``read_timeout`` (slow or
   stalled clients are disconnected, not accumulated); frame size caps
@@ -45,11 +46,12 @@ Every failure mode maps to a documented error code (``bad_frame``,
 The module is stdlib-only (asyncio + sockets) and ships its test seams
 as API: the connection handler depends only on duck-typed
 reader/writer streams so fault-injection tests can drop, stall, and
-corrupt mid-frame without real network flakiness; the batching window
-sleeps through an injectable ``_sleep``; quotas read an injectable
-monotonic ``clock``.  :class:`SpMMClient` is the blocking client
-(``python -m repro.serve.server`` runs a worker; see the CLI at the
-bottom).
+corrupt mid-frame without real network flakiness; batching reaches the
+engine only through ``engine.multiply``/``engine.multiply_many``, which
+tests wrap to hold a call and let requests queue behind it; quotas read
+an injectable monotonic ``clock``.  :class:`SpMMClient` is the blocking
+client (``python -m repro.serve.server`` runs a worker; see the CLI at
+the bottom).
 """
 
 from __future__ import annotations
@@ -186,9 +188,8 @@ class ServerConfig:
     ``burst`` tokens; ``None`` means unlimited.  ``max_inflight`` caps
     concurrently-executing data-plane requests (beyond it requests are
     shed with a retryable ``overloaded`` response — explicit shedding
-    beats silent queueing).  ``batch_window`` is the same-fingerprint
-    coalescing window in seconds and ``max_batch`` the most requests
-    one flush folds into a single ``multiply_many``.  ``read_timeout``
+    beats silent queueing).  ``max_batch`` is the most queued same-key
+    requests one ``multiply_many`` runs together.  ``read_timeout``
     bounds every socket read (the slow-client guard); ``None`` disables
     it.  ``max_body_bytes`` caps a request frame's array payload.
     """
@@ -197,7 +198,6 @@ class ServerConfig:
     port: int = 0
     max_connections: int = 128
     max_inflight: int = 32
-    batch_window: float = 0.002
     max_batch: int = 32
     read_timeout: float | None = 30.0
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
@@ -235,9 +235,10 @@ class _TokenBucket:
 
 
 class _Batch:
-    """One open micro-batch: same-key multiplies awaiting a flush."""
+    """One batch key's queue: same-key multiplies waiting for the key's
+    runner task; ``items`` is mutated only under the server lock."""
 
-    __slots__ = ("csr", "fp", "device", "policy", "backend", "items", "closed")
+    __slots__ = ("csr", "fp", "device", "policy", "backend", "items")
 
     def __init__(self, csr, fp, device, policy, backend=None):
         self.csr = csr
@@ -246,7 +247,6 @@ class _Batch:
         self.policy = policy
         self.backend = backend
         self.items: list = []  # (B, tenant, future)
-        self.closed = False
 
 
 @audit_guarded
@@ -265,8 +265,14 @@ class SpMMServer:
         ...
         await server.stop()        # stops accepting, drains the engine
 
+    Batching: each batch key (see :meth:`_batched_multiply`) has at
+    most one runner task.  A request whose key has none starts one and
+    runs at once; requests arriving while the key's batch executes
+    queue, and the runner takes up to ``max_batch`` of them as its next
+    batch when the engine call returns.  There is no timed window.
+
     Thread safety: the server itself runs on one event loop.  Counters,
-    quota buckets, and the open-batch map are guarded by one lock —
+    quota buckets, and the batch-queue map are guarded by one lock —
     held only for dict-sized operations, never across an ``await`` or
     an engine call — so :meth:`metrics` may be read from any thread
     (ops pollers) while the loop serves.
@@ -299,18 +305,16 @@ class SpMMServer:
         self.engine = engine
         self.config = config or ServerConfig()
         self._clock = clock
-        #: the batching window's sleep — injectable so tests can hold
-        #: the window open deterministically (a fake clock for time)
-        self._sleep = asyncio.sleep
         self._lock = create_lock("SpMMServer._lock")
         self._inflight_count = 0
         self._buckets: dict = {}
         #: tenant -> data-plane request counters.  Tracked here (not
-        #: only in the engine) because a mixed-tenant micro-batch
+        #: only in the engine) because a mixed-tenant batch
         #: reaches the engine as one untagged ``multiply_many`` —
         #: admission is where per-tenant attribution is exact.
         self._tenants: dict = {}
-        #: batch key -> the currently-open _Batch for that key
+        #: batch key -> its _Batch queue, present while the key's runner
+        #: task executes or has requests queued
         self._batches: dict = {}
         self._counters = {
             "connections_total": 0,
@@ -332,8 +336,8 @@ class SpMMServer:
             "errors_sent": 0,
             "results_sent": 0,
         }
-        #: in-flight flush tasks; loop-confined (touched only from the
-        #: event loop), so unguarded by design
+        #: batch runners and open connections; loop-confined (touched
+        #: only from the event loop), so unguarded by design
         self._tasks: set = set()
         self._server = None
         self.address: tuple | None = None
@@ -354,8 +358,8 @@ class SpMMServer:
         await self._server.serve_forever()
 
     async def stop(self, drain_engine: bool = True) -> None:
-        """Graceful shutdown: close the listener, let pending batch
-        flushes deliver, then (by default) drain the engine — in-flight
+        """Graceful shutdown: close the listener, let queued batches
+        deliver, then (by default) drain the engine — in-flight
         futures complete, new submissions are rejected, the thread pool
         shuts down deterministically."""
         if self._server is not None:
@@ -632,7 +636,7 @@ class SpMMServer:
         matrix payload travels), carries the edits as
         ``GraphDelta.as_arrays`` payloads, and may bundle a dense ``b``
         to multiply against the *edited* matrix in the same round trip —
-        that multiply reuses the same-fingerprint micro-batching
+        that multiply reuses the same-fingerprint batching
         machinery under the new fingerprint, so concurrent post-edit
         traffic coalesces exactly like ``multiply`` traffic."""
         with self._lock:
@@ -678,78 +682,90 @@ class SpMMServer:
         )
 
     # ------------------------------------------------------------------
-    # micro-batching
+    # dynamic batching
     # ------------------------------------------------------------------
     async def _batched_multiply(
         self, csr, fp, B, device, policy, tenant, backend=None
     ) -> tuple:
-        """Join (or open) the micro-batch for this request's key and
-        await its flush.  The key is everything that must agree for two
-        requests to share one ``multiply_many``: full fingerprint,
-        device, resolved numerics tier, execution arm, and operand
-        shape+dtype."""
+        """Queue this request on its batch key and await the result.
+        The key is everything that must agree for two requests to share
+        one ``multiply_many``: full fingerprint, device, resolved
+        numerics tier, execution arm, and operand shape+dtype.  The
+        first request of an idle key starts the key's runner task."""
         loop = asyncio.get_running_loop()
         key = (fp.full, device, policy.tier, backend, B.shape, B.dtype.str)
         fut = loop.create_future()
         with self._lock:
             batch = self._batches.get(key)
-            leader = (
-                batch is None
-                or batch.closed
-                or len(batch.items) >= self.config.max_batch
-            )
-            if leader:
+            idle = batch is None
+            if idle:
                 batch = _Batch(csr, fp, device, policy, backend)
                 self._batches[key] = batch
             batch.items.append((B, tenant, fut))
-        if leader:
-            self._spawn(self._flush_batch(key, batch))
+        if idle:
+            self._spawn(self._run_batches(key, batch))
         return await fut
 
-    async def _flush_batch(self, key, batch) -> None:
-        """Leader task: hold the window open, then execute the batch."""
+    async def _run_batches(self, key, batch) -> None:
+        """Runner task of one batch key: execute up to ``max_batch``
+        queued requests at a time until the queue is empty, then retire
+        the key.  A failed engine call fails only its own batch; a
+        cancelled runner fails every request it still holds."""
+        items: list = []
         try:
-            await self._sleep(self.config.batch_window)
-        finally:
+            while True:
+                with self._lock:
+                    items = batch.items[: self.config.max_batch]
+                    del batch.items[: len(items)]
+                    if not items:
+                        del self._batches[key]
+                        return
+                try:
+                    results = await self._execute_batch(batch, items)
+                except Exception as exc:  # noqa: BLE001 - the batch's error
+                    for _, _, fut in items:
+                        if not fut.done():
+                            fut.set_exception(exc)
+                    continue
+                for (_, _, fut), result in zip(items, results):
+                    if not fut.done():
+                        fut.set_result(result)
+        except BaseException as exc:
             with self._lock:
-                batch.closed = True
+                items += batch.items
+                batch.items.clear()
                 if self._batches.get(key) is batch:
                     del self._batches[key]
-        items = batch.items
-        try:
-            if len(items) == 1:
-                B, tenant, fut = items[0]
-                C = await self.engine.multiply(
-                    batch.csr, B, device=batch.device,
-                    numerics=batch.policy, tenant=tenant, fp=batch.fp,
-                    backend=batch.backend,
-                )
-                with self._lock:
-                    self._counters["single_requests"] += 1
-                if not fut.done():
-                    fut.set_result((C, False))
-            else:
-                Bs = np.stack([b for b, _, _ in items])
-                # a mixed-tenant batch is attributed per-tenant at the
-                # server (admission already counted each request);
-                # engine tenant tagging applies to singles only
-                Cs = await self.engine.multiply_many(
-                    batch.csr, Bs, device=batch.device,
-                    numerics=batch.policy, fp=batch.fp,
-                    backend=batch.backend,
-                )
-                with self._lock:
-                    self._counters["batches"] += 1
-                    self._counters["batched_requests"] += len(items)
-                for i, (_, _, fut) in enumerate(items):
-                    if not fut.done():
-                        fut.set_result((Cs[i], True))
-        except BaseException as exc:
             for _, _, fut in items:
                 if not fut.done():
                     fut.set_exception(exc)
-            if isinstance(exc, asyncio.CancelledError):
-                raise
+            raise
+
+    async def _execute_batch(self, batch, items) -> list:
+        """One engine call for ``items``: a lone request runs as a
+        tenant-tagged ``multiply``, several as one ``multiply_many``.
+        Returns each request's ``(C, batched)``."""
+        if len(items) == 1:
+            B, tenant, _ = items[0]
+            C = await self.engine.multiply(
+                batch.csr, B, device=batch.device, numerics=batch.policy,
+                tenant=tenant, fp=batch.fp, backend=batch.backend,
+            )
+            with self._lock:
+                self._counters["single_requests"] += 1
+            return [(C, False)]
+        # a mixed-tenant batch is attributed per-tenant at the server
+        # (admission already counted each request); engine tenant
+        # tagging applies to singles only
+        Cs = await self.engine.multiply_many(
+            batch.csr, np.stack([b for b, _, _ in items]),
+            device=batch.device, numerics=batch.policy, fp=batch.fp,
+            backend=batch.backend,
+        )
+        with self._lock:
+            self._counters["batches"] += 1
+            self._counters["batched_requests"] += len(items)
+        return [(C, True) for C in Cs]
 
     # ------------------------------------------------------------------
     # observability
@@ -779,7 +795,7 @@ class SpMMClient:
 
     One socket, request/response in lockstep — a thread wanting
     concurrency opens its own client (connections are cheap; the
-    server's micro-batching coalesces across connections).  Error
+    server's batching coalesces across connections).  Error
     responses raise :class:`~repro.errors.ServerError` carrying the
     documented ``code`` and ``retryable`` flag.  Context-manager aware.
     """
@@ -971,10 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--capacity", type=int, default=64)
     parser.add_argument("--max-inflight", type=int, default=32)
     parser.add_argument("--max-connections", type=int, default=128)
-    parser.add_argument(
-        "--batch-window", type=float, default=0.002,
-        help="same-fingerprint coalescing window, seconds",
-    )
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--read-timeout", type=float, default=30.0)
     parser.add_argument(
@@ -996,7 +1008,6 @@ async def _amain(args) -> int:
         port=args.port,
         max_connections=args.max_connections,
         max_inflight=args.max_inflight,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
         read_timeout=args.read_timeout,
     )

@@ -3,11 +3,12 @@
 Everything here runs in-process: the connection handler is driven
 directly with an ``asyncio.StreamReader`` (fed, stalled, or truncated
 at will) and a :class:`FakeWriter` that records — or refuses — response
-frames; the batching window sleeps through an injected gate and the
-quota buckets read an injected clock.  No sockets, no wall-clock
-dependence (``tests/test_server_sockets.py`` covers the real-network
-layer).  Each fault must produce its documented error code and leave
-the counters consistent — the server never hangs or silently drops.
+frames; batching tests hold the engine's first call on a gate and wait
+for requests to queue behind it, and the quota buckets read an injected
+clock.  No sockets, no wall-clock dependence
+(``tests/test_server_sockets.py`` covers the real-network layer).  Each
+fault must produce its documented error code and leave the counters
+consistent — the server never hangs or silently drops.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from repro.serve.server import (
 from repro.serve.sharded import AsyncSpMMEngine
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.random import erdos_renyi
+
+from engine_gate import EngineGate, queued, until
 
 
 def make_csr(seed=0, n=64, deg=4.0):
@@ -449,98 +452,98 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------
-# micro-batching (fake-clock window)
+# dynamic batching (engine gate: hold a call, let requests queue)
 # ----------------------------------------------------------------------
-async def until_open_batch_holds(server, k: int, timeout: float = 30.0):
-    """Wait until a micro-batch still collecting holds ``k`` requests."""
+def start_connection(server, frame, writer) -> asyncio.Task:
+    return asyncio.create_task(
+        server._serve_connection(feed_reader(frame), writer)
+    )
 
-    def largest() -> int:
-        with server._lock:
-            return max((len(b.items) for b in server._batches.values()), default=0)
 
-    async def poll():
-        while largest() < k:
-            await asyncio.sleep(0.001)
+async def hold_then_queue(server, gate, first, rest, one_by_one=False):
+    """Send ``first`` alone and wait until its engine call is held, then
+    send each frame of ``rest`` and wait until all of them are queued
+    behind it; returns ``(writers, tasks)`` in send order.  With
+    ``one_by_one`` each request is queued before the next is sent, which
+    fixes the queue order."""
+    writers = [FakeWriter() for _ in range(1 + len(rest))]
+    tasks = [start_connection(server, first, writers[0])]
+    await until(gate.held.is_set)
+    for i, frame in enumerate(rest, start=1):
+        tasks.append(start_connection(server, frame, writers[i]))
+        if one_by_one:
+            await until(lambda i=i: queued(server) == i)
+    await until(lambda: queued(server) == len(rest))
+    return writers, tasks
 
-    await asyncio.wait_for(poll(), timeout)
+
+async def finish(server, gate, tasks) -> dict:
+    """Release the gate, wait (bounded) for every connection, drain."""
+    gate.release()
+    await asyncio.wait_for(asyncio.gather(*tasks), 60)
+    stats = server.engine.stats
+    await server.engine.drain()
+    return stats
 
 
 class TestBatching:
-    def _gated_server(self, **cfg):
-        server = make_server(cfg=cfg)
-        gate = asyncio.Event()
-
-        async def held_sleep(_):
-            await gate.wait()
-
-        server._sleep = held_sleep
-        return server, gate
-
     def test_same_fingerprint_requests_coalesce(self):
         csr = make_csr(11)
+        n_queued = 3
 
         async def main():
-            server, gate = self._gated_server()
+            server = make_server()
+            gate = EngineGate(server)
             B = make_b(csr)
-            writers = [FakeWriter() for _ in range(4)]
-            tasks = [
-                asyncio.create_task(
-                    server._serve_connection(
-                        feed_reader(
-                            multiply_frame(csr, B, tenant=f"t{i % 2}")
-                        ),
-                        writers[i],
-                    )
-                )
-                for i in range(4)
-            ]
-            # fingerprinting runs on the engine's pool, so requests join
-            # the open batch one by one: wait until all four are in it
-            await until_open_batch_holds(server, 4)
-            gate.set()
-            await asyncio.gather(*tasks)
-            stats = server.engine.stats
-            await server.engine.drain()
-            return writers, server.counters(), stats
+            frames = [multiply_frame(csr, B, tenant=f"t{i % 2}") for i in range(4)]
+            writers, tasks = await hold_then_queue(
+                server, gate, frames[0], frames[1:]
+            )
+            stats = await finish(server, gate, tasks)
+            return writers, gate, server.counters(), stats
 
-        writers, counters, stats = asyncio.run(main())
+        writers, gate, counters, stats = asyncio.run(main())
         ref = SpMMEngine().spmm(csr, make_b(csr))
+        assert [kind for kind, _ in gate.calls] == ["multiply", "multiply_many"]
+        assert gate.sizes == [1, n_queued]
+        batched = [w.frames()[0].meta["batched"] for w in writers]
+        assert batched == [False] + [True] * n_queued
         for w in writers:
             frame = w.frames()[0]
             assert frame.kind == "result"
-            assert frame.meta["batched"] is True
             assert np.array_equal(frame.arrays["c"], ref)
+        assert counters["single_requests"] == 1
+        assert counters["batched_requests"] == n_queued
         assert counters["batches"] == 1
-        assert counters["batched_requests"] == 4
-        assert counters["single_requests"] == 0
+        assert counters["pending_batches"] == 0  # the key retired
         assert stats["plans_built"] == 1
 
     def test_different_numerics_tiers_never_coalesce(self):
         csr = make_csr(12)
 
         async def main():
-            server, gate = self._gated_server()
+            server = make_server()
+            gate = EngineGate(server)
             B = make_b(csr)
-            writers = [FakeWriter() for _ in range(2)]
-            tasks = [
-                asyncio.create_task(
-                    server._serve_connection(
-                        feed_reader(multiply_frame(csr, B, numerics=tier)),
-                        writers[i],
-                    )
-                )
-                for i, tier in enumerate(["exact", "tf32"])
-            ]
-            while server.counters()["pending_batches"] < 2:
-                await asyncio.sleep(0.001)
-            gate.set()
-            await asyncio.gather(*tasks)
-            await server.engine.drain()
-            return writers, server.counters()
+            writers = [FakeWriter(), FakeWriter()]
+            exact = start_connection(
+                server, multiply_frame(csr, B, numerics="exact"), writers[0]
+            )
+            await until(gate.held.is_set)
+            # a different key never waits on the held one
+            await asyncio.wait_for(
+                start_connection(
+                    server, multiply_frame(csr, B, numerics="tf32"), writers[1]
+                ),
+                60,
+            )
+            exact_done_early = exact.done()
+            await finish(server, gate, [exact])
+            return writers, exact_done_early, server.counters()
 
-        writers, counters = asyncio.run(main())
-        tiers = {w.frames()[0].meta["numerics"] for w in writers}
-        assert tiers == {"exact", "tf32"}
+        writers, exact_done_early, counters = asyncio.run(main())
+        assert not exact_done_early
+        assert [w.frames()[0].meta["numerics"] for w in writers] == ["exact", "tf32"]
         assert counters["batches"] == 0  # two singles, no multi-batch
         assert counters["single_requests"] == 2
 
@@ -548,7 +551,7 @@ class TestBatching:
         csr = make_csr(13)
 
         async def main():
-            server = make_server(cfg={"batch_window": 0.0})
+            server = make_server()
             w = await run_connection(server, multiply_frame(csr, make_b(csr)))
             await server.engine.drain()
             return w.frames(), server.counters()
@@ -557,73 +560,113 @@ class TestBatching:
         assert frames[0].meta["batched"] is False
         assert counters["single_requests"] == 1
         assert counters["batched_requests"] == 0
+        assert counters["pending_batches"] == 0
 
     def test_max_batch_splits_excess(self):
         csr = make_csr(14)
 
         async def main():
             server = make_server(cfg={"max_batch": 2})
-            gate = asyncio.Event()
-            windows = []  # one _sleep call per batch leader
+            gate = EngineGate(server)
+            Bs = [make_b(csr, seed=s) for s in range(6)]
+            writers, tasks = await hold_then_queue(
+                server, gate, multiply_frame(csr, Bs[0]),
+                [multiply_frame(csr, B) for B in Bs[1:]], one_by_one=True,
+            )
+            await finish(server, gate, tasks)
+            return Bs, writers, gate, server.counters()
 
-            async def held_sleep(_):
-                windows.append(1)
-                await gate.wait()
-
-            server._sleep = held_sleep
-            B = make_b(csr)
-            writers = [FakeWriter() for _ in range(3)]
-            tasks = [
-                asyncio.create_task(
-                    server._serve_connection(
-                        feed_reader(multiply_frame(csr, B)), writers[i]
-                    )
-                )
-                for i in range(3)
-            ]
-            # a second leader only appears once the first batch is full:
-            # two windows open <=> requests split 2 + 1
-            while len(windows) < 2:
-                await asyncio.sleep(0.001)
-            gate.set()
-            await asyncio.gather(*tasks)
-            await server.engine.drain()
-            return writers, server.counters()
-
-        writers, counters = asyncio.run(main())
-        assert all(w.frames()[0].kind == "result" for w in writers)
-        assert counters["batched_requests"] == 2  # one full batch...
-        assert counters["single_requests"] == 1   # ...and the overflow
+        Bs, writers, gate, counters = asyncio.run(main())
+        assert gate.sizes == [1, 2, 2, 1]
+        # queued requests run in arrival order
+        assert np.array_equal(
+            np.concatenate([stack for _, stack in gate.calls]), np.stack(Bs)
+        )
+        for w, B in zip(writers, Bs):
+            assert np.array_equal(
+                w.frames()[0].arrays["c"], SpMMEngine().spmm(csr, B)
+            )
+        assert counters["batches"] == 2
+        assert counters["batched_requests"] == 4
+        assert counters["single_requests"] == 2
 
     def test_batch_failure_propagates_to_every_waiter(self):
         csr = make_csr(15)
 
         async def main():
-            server, gate = self._gated_server()
+            server = make_server(cfg={"max_batch": 2})
+            # engine call 1 (the first queued batch of two) raises the
+            # engine's ValidationError; call 2 is queued behind it
+            gate = EngineGate(server, fail_call=1)
+            B = make_b(csr)
+            frame = multiply_frame(csr, B)
+            writers, tasks = await hold_then_queue(
+                server, gate, frame, [frame] * 4
+            )
+            await finish(server, gate, tasks)
+            return writers, gate, server.counters()
+
+        writers, gate, counters = asyncio.run(main())
+        assert gate.sizes == [1, 2, 2]
+        frames = [w.frames()[0] for w in writers]
+        for f in frames[1:3]:  # every member of the failed batch
+            assert f.kind == "error"
+            assert f.meta["code"] == "bad_request"
+        ref = SpMMEngine().spmm(csr, make_b(csr))
+        for f in frames[:1] + frames[3:]:  # the runner carried on
+            assert f.kind == "result"
+            assert np.array_equal(f.arrays["c"], ref)
+        assert counters["results_sent"] == 3
+        assert counters["internal_errors"] == 0
+        assert counters["pending_batches"] == 0
+
+    def test_engine_rejection_reaches_every_member(self):
+        csr = make_csr(16)
+
+        async def main():
+            server = make_server()
+            gate = EngineGate(server)
             # wrong inner dimension: the engine rejects at execution
             bad_B = np.ones((csr.n_cols + 1, 4), dtype=np.float32)
-            writers = [FakeWriter() for _ in range(2)]
-            tasks = [
-                asyncio.create_task(
-                    server._serve_connection(
-                        feed_reader(multiply_frame(csr, bad_B)), writers[i]
-                    )
-                )
-                for i in range(2)
-            ]
-            while server.counters()["pending_batches"] < 1:
-                await asyncio.sleep(0.001)
-            gate.set()
-            await asyncio.gather(*tasks)
-            await server.engine.drain()
-            return writers, server.counters()
+            frame = multiply_frame(csr, bad_B)
+            writers, tasks = await hold_then_queue(
+                server, gate, frame, [frame] * 2
+            )
+            await finish(server, gate, tasks)
+            return writers, gate, server.counters()
 
-        writers, counters = asyncio.run(main())
+        writers, gate, counters = asyncio.run(main())
+        assert gate.sizes == [1, 2]
         for w in writers:
             assert w.frames()[0].kind == "error"
             assert w.frames()[0].meta["code"] == "bad_request"
         assert counters["results_sent"] == 0
         assert counters["internal_errors"] == 0
+
+    def test_cancelled_runner_fails_queued_requests(self):
+        csr = make_csr(17)
+
+        async def main():
+            server = make_server()
+            gate = EngineGate(server)
+            frame = multiply_frame(csr, make_b(csr))
+            writers, tasks = await hold_then_queue(
+                server, gate, frame, [frame] * 2
+            )
+            (runner,) = [t for t in server._tasks if t not in tasks]
+            runner.cancel()
+            done = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), 60
+            )
+            pending = server.counters()["pending_batches"]
+            gate.release()
+            await server.engine.drain()
+            return done, pending
+
+        done, pending = asyncio.run(main())
+        # no request hangs: every waiter saw the runner's cancellation
+        assert all(isinstance(r, asyncio.CancelledError) for r in done)
+        assert pending == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ concurrent mixed-tenant clients on real threads, and — for the
 ``docs/CONCURRENCY.md`` fleet runbook — worker *processes* started via
 ``python -m repro.serve.server`` over one shared sharded PlanStore,
 where the second worker warm-starts and serves with ``plans_built ==
-0``.  Acceptance criteria asserted here: same-fingerprint micro-
+0``.  Acceptance criteria asserted here: same-fingerprint dynamic
 batching is observable in ``/metrics`` (``batched_requests > 0``),
 responses are bit-for-bit equal to a direct in-process
 ``SpMMEngine.multiply``, overload produces explicit shed responses, and
@@ -24,7 +24,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,8 @@ from repro.serve.sharded import AsyncSpMMEngine
 from repro.serve.store import PlanStore
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.random import erdos_renyi
+
+from engine_gate import EngineGate, queued, wait_until
 
 
 def make_csr(seed=0, n=128, deg=6.0):
@@ -79,22 +80,6 @@ def live_server(engine_kw=None, **cfg_kw):
         assert not thread.is_alive(), "server failed to stop"
 
 
-def wait_for_open_batch(server, k: int, timeout: float = 60.0) -> bool:
-    """Poll from a client-side thread until a micro-batch still
-    collecting holds ``k`` requests; False on timeout."""
-    deadline = time.monotonic() + timeout
-    while True:
-        with server._lock:
-            largest = max(
-                (len(b.items) for b in server._batches.values()), default=0
-            )
-        if largest >= k:
-            return True
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.001)
-
-
 class TestLiveSocket:
     def test_concurrent_mixed_tenant_clients_observe_batching(self):
         """The acceptance-criteria e2e: concurrent mixed-tenant clients,
@@ -104,25 +89,21 @@ class TestLiveSocket:
         B = make_b(csr)
         ref = SpMMEngine().spmm(csr, B)
         n_clients = 8
-        barrier = threading.Barrier(n_clients)
         results: dict[int, np.ndarray] = {}
         errors: list = []
-        # the batch leader holds its window open until every request has
-        # joined (each is decoded and fingerprinted first), rather than
-        # for a fixed time that a slow host can overrun
-        gate = asyncio.Event()
 
-        async def held_sleep(_):
-            await gate.wait()
-
-        with live_server(batch_window=0.25, max_batch=16) as box:
+        with live_server(max_batch=16) as box:
             host, port = box["addr"]
-            box["server"]._sleep = held_sleep
+            server = box["server"]
+            # the first request's engine call is held until the other
+            # seven are queued behind it (each is decoded and
+            # fingerprinted first), so the batch's size does not depend
+            # on the host's speed
+            gate = EngineGate(server)
 
             def client_run(i):
                 try:
                     with SpMMClient(host, port) as c:
-                        barrier.wait(timeout=30)
                         results[i] = c.multiply(
                             csr, B, tenant=f"tenant-{i % 3}"
                         )
@@ -133,25 +114,29 @@ class TestLiveSocket:
                 threading.Thread(target=client_run, args=(i,))
                 for i in range(n_clients)
             ]
-            for t in threads:
-                t.start()
             try:
-                joined = wait_for_open_batch(box["server"], n_clients)
+                threads[0].start()
+                held = wait_until(gate.held.is_set)
+                for t in threads[1:]:
+                    t.start()
+                joined = wait_until(lambda: queued(server) == n_clients - 1)
             finally:
-                box["loop"].call_soon_threadsafe(gate.set)
+                gate.release()
             for t in threads:
                 t.join(60)
             assert not any(t.is_alive() for t in threads)
             with SpMMClient(host, port) as c:
                 metrics = c.metrics()
 
-        assert joined, "the clients' requests never shared one open batch"
+        assert held, "the first request never reached the engine"
+        assert joined, "the other clients' requests never queued behind it"
         assert not errors, errors
+        assert gate.sizes == [1, n_clients - 1]  # one multiply_many of 7
         assert len(results) == n_clients  # nothing dropped
         for C in results.values():
             assert np.array_equal(C, ref)  # bit-for-bit
         server_counters = metrics["server"]
-        assert server_counters["batched_requests"] > 0
+        assert server_counters["batched_requests"] == n_clients - 1
         assert server_counters["internal_errors"] == 0
         assert server_counters["results_sent"] == n_clients
         # every tenant's traffic was attributed at admission
@@ -242,19 +227,21 @@ def _spawn_worker(store: Path, *extra: str) -> tuple[subprocess.Popen, int]:
             break
     if port is None:
         proc.kill()
-        raise AssertionError(
-            f"worker never came up: {proc.stderr.read() if proc.stderr else ''}"
-        )
+        _, err = proc.communicate(timeout=60)  # reaps and closes the pipes
+        raise AssertionError(f"worker never came up: {err}")
     return proc, port
 
 
-def _stop_worker(proc: subprocess.Popen) -> None:
+def _stop_worker(proc: subprocess.Popen) -> str:
+    """SIGTERM the worker, reap it and close its pipes; returns the rest
+    of its stdout."""
     proc.send_signal(signal.SIGTERM)
     try:
-        proc.wait(timeout=60)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        out, _ = proc.communicate()
+    return out
 
 
 class TestFleetRunbook:
@@ -297,9 +284,9 @@ class TestFleetRunbook:
         proc, port = _spawn_worker(tmp_path / "plans")
         with SpMMClient("127.0.0.1", port) as c:
             assert c.ping()
-        _stop_worker(proc)
+        out = _stop_worker(proc)
         assert proc.returncode == 0
-        assert "draining" in proc.stdout.read()
+        assert "draining" in out
 
 
 class TestServerCLI:

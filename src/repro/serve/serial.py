@@ -18,11 +18,13 @@ Container layout (little-endian throughout)::
     ...        array payloads  raw       C-order bytes, 64-byte aligned
 
 The header's array table records ``(name, dtype, shape, offset, nbytes)``
-with offsets relative to the start of the data section, so a reader can
-either ``np.frombuffer`` an in-memory blob or ``np.memmap`` the backing
-file — the latter is how the store loads entries, letting every worker
-process share the same physical pages of a hot plan (the same page-cache
-behaviour as ``np.load(..., mmap_mode="r")``, for a multi-array file).
+with offsets relative to the start of the data section, so a reader
+takes every array out of one buffer with ``np.frombuffer``: an in-memory
+blob, or one read-only ``mmap`` of the whole backing file.  The latter is
+how the store loads entries: one mapping and one file descriptor per
+plan, and every worker process shares the same physical pages of a hot
+plan (the page-cache behaviour of ``np.load(..., mmap_mode="r")``, for a
+multi-array file).
 
 Versioning policy: :data:`PLAN_FORMAT_VERSION` is bumped whenever the
 payload schema changes.  Readers accept the closed range
@@ -47,6 +49,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import mmap
+import os
 import struct
 import time
 from dataclasses import asdict
@@ -230,7 +235,9 @@ def _normalised_table(header: dict) -> list[dict]:
             nbytes = int(entry["nbytes"])
             if offset < 0 or nbytes < 0 or any(s < 0 for s in shape):
                 raise StoreError(f"array {name!r} has negative sizes")
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            # exact Python ints: an int64 product could wrap back to a
+            # count that matches a small nbytes
+            count = math.prod(shape)
             if count * dtype.itemsize != nbytes:
                 raise StoreError(f"array {name!r} has inconsistent sizes")
             table.append(
@@ -250,16 +257,11 @@ def _normalised_table(header: dict) -> list[dict]:
     return table
 
 
-def _materialise(entry: dict, buf, data_start: int, path=None):
-    """One normalised-table array, as a frombuffer view or a file memmap."""
+def _materialise(entry: dict, buf, data_start: int):
+    """One normalised-table array, as a zero-copy view into ``buf``."""
     if entry["count"] == 0:
         return np.zeros(entry["shape"], dtype=entry["dtype"])
     lo = data_start + entry["offset"]
-    if path is not None:
-        return np.memmap(
-            path, dtype=entry["dtype"], mode="r",
-            offset=lo, shape=entry["shape"],
-        )
     if lo + entry["nbytes"] > len(buf):
         raise StoreError(f"array {entry['name']!r} extends past the payload")
     return np.frombuffer(
@@ -267,12 +269,12 @@ def _materialise(entry: dict, buf, data_start: int, path=None):
     ).reshape(entry["shape"])
 
 
-def read_header_from_file(path) -> tuple[dict, int, int]:
-    """Read and validate a container's header from a file.
+def read_header_from_file(path) -> dict:
+    """Read and validate a container's header from a file, without
+    reading or mapping its payload: the store's header-only scans.
 
-    Returns ``(header, data_start, file_size)``; shared by the full
-    loader and the store's header-only directory scan so the prefix
-    parsing (and its bounds checks) exists exactly once.
+    The declared header length is checked against the file size before
+    the header is read, so a corrupt length cannot ask for a huge read.
     """
     with open(path, "rb") as fh:
         fh.seek(0, io.SEEK_END)
@@ -287,27 +289,35 @@ def read_header_from_file(path) -> tuple[dict, int, int]:
         if hlen > size - _HEAD.size:
             raise StoreError("container truncated inside the JSON header")
         prefix += fh.read(hlen)
-    header, data_start = read_header(prefix)
-    return header, data_start, size
+    return read_header(prefix)[0]
+
+
+def _map_file(path):
+    """The whole file at ``path``, mapped read-only once.
+
+    The map keeps its own duplicate of the descriptor, so the file is
+    closed here and the mapping lives exactly as long as the arrays
+    viewing it.  ``mmap`` refuses an empty file, which is returned as
+    empty bytes for :func:`read_header` to reject like any truncation.
+    """
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 def unpack_container(data: bytes | None = None, path=None) -> tuple[dict, dict]:
     """Open a container -> ``(header, arrays)``.
 
-    Pass ``data`` for an in-memory blob (arrays are zero-copy frombuffer
-    views) or ``path`` for a file (arrays are read-only ``np.memmap``
-    views, so concurrent workers share pages).
+    Pass ``data`` for an in-memory blob or ``path`` for a file, which is
+    mapped read-only once (:func:`_map_file`).  Either way the arrays
+    are zero-copy read-only ``np.frombuffer`` views into that one
+    buffer, checked against its bounds by the same code: a loaded plan
+    holds one mapping and one descriptor, and concurrent workers share
+    its pages.
     """
     if data is None:
-        header, data_start, size = read_header_from_file(path)
-        arrays = {}
-        for entry in _normalised_table(header):
-            if data_start + entry["offset"] + entry["nbytes"] > size:
-                raise StoreError(
-                    f"array {entry['name']!r} extends past the file"
-                )
-            arrays[entry["name"]] = _materialise(entry, None, data_start, path)
-        return header, arrays
+        data = _map_file(path)
     header, data_start = read_header(data)
     arrays = {
         e["name"]: _materialise(e, data, data_start)

@@ -426,7 +426,7 @@ class ShardedSpMMEngine:
                 meta["config_fp"],
             )
             try:
-                header, _, _ = serial.read_header_from_file(
+                header = serial.read_header_from_file(
                     self.store.path_for(digest)
                 )
             except (StoreError, OSError):

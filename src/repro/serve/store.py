@@ -5,8 +5,9 @@ within one process; every *new* worker still pays full cold-start (19x
 slower than cached on DD, per ``benchmarks/results/serve_engine.txt``).
 :class:`PlanStore` closes that gap: plans are serialised once
 (:mod:`repro.serve.serial`) into one file per fingerprint under a cache
-directory, and any process can load them back with memory-mapped arrays,
-so concurrent workers share the physical pages of a hot plan.
+directory, and any process can load them back as views into one
+read-only map of the file, so concurrent workers share the physical
+pages of a hot plan.
 
 Guarantees:
 
@@ -23,7 +24,9 @@ Guarantees:
   (truncated file, bad magic, version skew, fingerprint mismatch) is
   *quarantined*: moved aside into ``quarantine/`` with a reason sidecar,
   counted, and reported as a miss.  Serving traffic never crashes on a
-  bad entry, and a bad entry is touched at most once.
+  bad entry, and a bad entry is touched at most once.  A load that fails
+  because this process ran out of memory or descriptors is a miss too,
+  but the entry stays where it is: every worker shares the store.
 * **Cost-aware admission** — each entry's header records its measured
   ``build_seconds``; :meth:`put` refuses plans cheaper to rebuild than
   ``admit_min_seconds``, and :meth:`gc` evicts cheapest-first (breaking
@@ -50,6 +53,7 @@ quarantine.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import tempfile
@@ -67,6 +71,17 @@ from repro.serve.fingerprint import (
 
 #: Environment variable overriding the default store directory.
 STORE_ENV = "REPRO_PLAN_STORE"
+
+#: ``OSError`` errnos that say the loading process ran short of a
+#: resource (descriptors, kernel file table, memory), not that the entry
+#: is bad: such a load is a miss that leaves the file in place.
+_RESOURCE_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOMEM})
+
+
+def _is_resource_failure(exc: BaseException) -> bool:
+    return isinstance(exc, MemoryError) or (
+        isinstance(exc, OSError) and exc.errno in _RESOURCE_ERRNOS
+    )
 
 
 def default_store_root() -> Path:
@@ -86,7 +101,7 @@ def _read_kind(path: Path) -> str | None:
     re-checking an entry mid-gc treat that the same as "not a delta"."""
     from repro.serve import serial
 
-    header, _, _ = serial.read_header_from_file(path)
+    header = serial.read_header_from_file(path)
     kind = header.get("kind")
     return str(kind) if kind is not None else None
 
@@ -105,6 +120,9 @@ class StoreStats:
     #: write failures (disk full, permissions) — persistence is
     #: best-effort, so these never propagate to serving traffic
     put_errors: int = 0
+    #: loads that failed for lack of memory or descriptors — served as
+    #: misses with the entry left in place, since the entry is not at fault
+    load_errors: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -114,6 +132,7 @@ class StoreStats:
             "rejected_puts": self.rejected_puts,
             "quarantined": self.quarantined,
             "put_errors": self.put_errors,
+            "load_errors": self.load_errors,
         }
 
 
@@ -202,8 +221,9 @@ class PlanStore:
         ``build_seconds`` is below it are not persisted (rebuilding them
         is cheaper than a disk round-trip is worth).  0 admits all.
     mmap:
-        Load entry arrays as read-only ``np.memmap`` views (default) so
-        concurrent workers share pages; ``False`` reads entries fully
+        Map each entry file read-only once and load its arrays as views
+        into that map (default), so concurrent workers share pages and a
+        loaded plan holds one descriptor; ``False`` reads entries fully
         into memory (use when the store directory may be deleted while
         loaded plans are still serving).
     shards:
@@ -360,8 +380,10 @@ class PlanStore:
         """The stored plan for this content, or ``None`` (miss).
 
         Never raises on a bad entry: parse/validation failures quarantine
-        the file and count as a miss.  A successful load refreshes the
-        entry's mtime (the recency signal :meth:`gc` ties on).
+        the file and count as a miss.  A load that runs out of memory or
+        descriptors is a miss too, counted in ``load_errors``, and leaves
+        the file in place.  A successful load refreshes the entry's mtime
+        (the recency signal :meth:`gc` ties on).
         """
         path = self.path_for(self.digest(fp, device, config))
         plan = self._load(path, expect_fp=fp)
@@ -386,6 +408,11 @@ class PlanStore:
         against the link's header before anything is returned — a chain
         can be slow, never wrong.  Every link touched refreshes its
         mtime, so a live chain's links age together under TTL gc.
+
+        A resource failure (``MemoryError``, or an ``OSError`` out of
+        descriptors or memory) quarantines nothing: it rises through the
+        chain's links to the outermost load, which counts one
+        ``load_errors`` and returns ``None``.
         """
         from repro.serve import serial
 
@@ -412,7 +439,12 @@ class PlanStore:
             # bad entry" guarantee: expected decode failures arrive as
             # StoreError/OSError, but a hostile or bit-rotted file must
             # not be able to crash serving traffic through any exception
-            self._quarantine(path, repr(exc))
+            if not _is_resource_failure(exc):
+                self._quarantine(path, repr(exc))
+            elif _depth:
+                raise  # a chain link is fine; its outermost load counts
+            else:
+                self._count("load_errors")
             return None
         try:
             os.utime(path)  # recency for gc; best-effort
@@ -543,7 +575,7 @@ class PlanStore:
 
         base_path = self.path_for(self.digest(base_fp, device, config))
         try:
-            header, _, _ = serial.read_header_from_file(base_path)
+            header = serial.read_header_from_file(base_path)
         except (StoreError, OSError):
             return False
         if header.get("kind") == "accdelta":
@@ -604,7 +636,7 @@ class PlanStore:
             except OSError:
                 continue  # raced with a concurrent gc/quarantine
             try:
-                header, _, _ = serial.read_header_from_file(path)
+                header = serial.read_header_from_file(path)
                 meta = header.get("meta", {})
                 kind = header.get("kind")
             except (StoreError, OSError, ValueError):
@@ -771,7 +803,7 @@ class PlanStore:
         """
         plan = self._load(path)
         if plan is None:
-            return False  # _load already quarantined the bad link
+            return False  # _load quarantined a bad link or counted a load error
         try:
             self._publish(path, plan.to_bytes())
         except (OSError, StoreError):

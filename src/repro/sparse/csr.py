@@ -71,9 +71,10 @@ class CSRMatrix:
     An input array is adopted without a copy only when it is read-only all
     the way down: not writeable, no writeable ndarray on its ``.base``
     chain, and a chain ending in a read-only buffer — ``bytes``, or the
-    read-only ``mmap`` under a plan-store memmap load.  Every other input
-    (a freshly computed array, a view of a writable buffer, an array that
-    owns its memory and could be flagged writeable again) is copied once.
+    read-only ``mmap`` a plan-store load maps an entry file into.  Every
+    other input (a freshly computed array, a view of a writable buffer, an
+    array that owns its memory and could be flagged writeable again) is
+    copied once.
     Arrays of another ``CSRMatrix`` qualify, so derived matrices share
     them.  Changing values means building a new matrix; the serving engine
     serves one with the same structure through its value-refresh path.

@@ -4,14 +4,15 @@ A ``CSRMatrix`` stores read-only arrays, so ``fingerprint()`` may hash a
 matrix object once and keep the result on it.  These tests pin down the
 two halves of that bargain: nothing can change a matrix after
 construction (so the memo never goes stale), and inputs that are
-already immutable — bytes buffers, another matrix's arrays, plan-store
-memmaps — are adopted without a copy.
+already immutable — bytes buffers, another matrix's arrays, views into
+the plan store's read-only file maps — are adopted without a copy.
 """
 
 from __future__ import annotations
 
 import copy
 import importlib
+import mmap
 import pickle
 import sys
 import threading
@@ -60,12 +61,21 @@ def digest_calls(monkeypatch):
     return calls
 
 
-def rests_on_memmap(arr) -> bool:
-    while isinstance(arr, np.ndarray):
-        if isinstance(arr, np.memmap):
-            return True
-        arr = arr.base
-    return False
+def buffer_under(arr):
+    """The object at the end of ``arr``'s ``.base`` / ``memoryview.obj``
+    chain: the buffer the array's memory belongs to."""
+    obj = arr
+    while isinstance(obj, (np.ndarray, memoryview)):
+        obj = obj.base if isinstance(obj, np.ndarray) else obj.obj
+    return obj
+
+
+def rests_on_read_only_mmap(arr) -> bool:
+    obj = buffer_under(arr)
+    if not isinstance(obj, mmap.mmap):
+        return False
+    with memoryview(obj) as view:
+        return view.readonly
 
 
 class TestReadOnly:
@@ -164,7 +174,21 @@ class TestZeroCopy:
         for name in FIELDS:
             arr = getattr(plan.csr, name)
             assert not arr.flags.writeable
-            assert rests_on_memmap(arr), name
+            assert rests_on_read_only_mmap(arr), name
+
+    def test_warm_started_plan_without_mmap_rests_on_bytes(self, tmp_path):
+        A = coo_to_csr(erdos_renyi(128, avg_degree=6.0, seed=3))
+        B = np.ones((A.n_cols, 8), dtype=np.float32)
+        repro.SpMMEngine(store=PlanStore(tmp_path)).spmm(A, B)
+
+        engine = repro.SpMMEngine(store=PlanStore(tmp_path, mmap=False))
+        assert engine.warm_start() == 1
+        plan = engine.lookup(fingerprint(A))
+        assert plan is not None
+        for name in FIELDS:
+            arr = getattr(plan.csr, name)
+            assert not arr.flags.writeable
+            assert isinstance(buffer_under(arr), bytes), name
 
 
 class TestFingerprintMemo:

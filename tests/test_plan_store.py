@@ -10,6 +10,8 @@ consistent after a failed store-load fallback.
 
 from __future__ import annotations
 
+import errno
+import gc
 import hashlib
 import json
 import os
@@ -30,12 +32,14 @@ from repro.kernels.tc_common import execute_tiled
 from repro.kernels.tcgnn import TCGNNKernel
 from repro.gpusim.specs import get_device
 from repro.serve.cache import PlanCache
+from repro.serve import serial
 from repro.serve.fingerprint import config_fingerprint, fingerprint
 from repro.serve.serial import (
     PLAN_FORMAT_VERSION,
     pack_container,
     plan_from_bytes,
     plan_to_bytes,
+    read_header,
     tcplan_from_bytes,
     tcplan_to_bytes,
     unpack_container,
@@ -224,6 +228,32 @@ class TestContainerValidation:
 # ----------------------------------------------------------------------
 # the on-disk store
 # ----------------------------------------------------------------------
+def _cut_in_array(data: bytes) -> bytes:
+    header, data_start = read_header(data)
+    big = max(header["arrays"], key=lambda e: e["nbytes"])
+    return data[: data_start + big["offset"] + big["nbytes"] // 2]
+
+
+#: ways to break a stored entry, each turning its bytes into new bytes
+BROKEN_ENTRIES = {
+    "garbage": lambda data: b"garbage" * 100,
+    "empty": lambda data: b"",
+    "cut_in_fixed_header": lambda data: data[:10],
+    "cut_in_json_header": lambda data: data[
+        : serial._HEAD.size + int.from_bytes(data[12:20], "little") // 2
+    ],
+    "cut_in_array": _cut_in_array,
+}
+
+#: what a loading process can run short of, as opposed to a bad entry
+RESOURCE_FAILURES = {
+    "MemoryError": MemoryError("simulated allocation failure"),
+    "EMFILE": OSError(errno.EMFILE, os.strerror(errno.EMFILE)),
+    "ENFILE": OSError(errno.ENFILE, os.strerror(errno.ENFILE)),
+    "ENOMEM": OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)),
+}
+
+
 class TestPlanStore:
     def test_put_get_round_trip(self, tmp_path):
         csr = make_csr(seed=11)
@@ -247,14 +277,17 @@ class TestPlanStore:
         assert store.get(fingerprint(csr), "A800", repro.AccConfig()) is None
         assert store.stats.misses == 1
 
-    def test_corrupt_entry_quarantined_once(self, tmp_path):
+    @pytest.mark.parametrize(
+        "breaker", list(BROKEN_ENTRIES.values()), ids=list(BROKEN_ENTRIES)
+    )
+    def test_corrupt_entry_quarantined_once(self, tmp_path, breaker):
         csr = make_csr(seed=13)
         p = repro.plan(csr, feature_dim=16)
         store = PlanStore(tmp_path)
         fp = fingerprint(csr)
         store.put(fp, p.device.name, p.config, p)
         path = next(tmp_path.glob("*.plan"))
-        path.write_bytes(b"garbage" * 100)
+        path.write_bytes(breaker(path.read_bytes()))
         assert store.get(fp, p.device.name, p.config) is None
         assert store.stats.quarantined == 1
         qdir = store.quarantine_dir
@@ -264,6 +297,35 @@ class TestPlanStore:
         assert store.get(fp, p.device.name, p.config) is None
         assert store.stats.quarantined == 1
         assert store.stats.misses == 2
+
+    @pytest.mark.parametrize(
+        "failure", list(RESOURCE_FAILURES.values()),
+        ids=list(RESOURCE_FAILURES),
+    )
+    def test_resource_failure_is_a_miss_not_a_quarantine(
+        self, tmp_path, monkeypatch, failure
+    ):
+        csr = make_csr(seed=14)
+        p = repro.plan(csr, feature_dim=16)
+        store = PlanStore(tmp_path)
+        fp = fingerprint(csr)
+        assert store.put(fp, p.device.name, p.config, p)
+        path = next(tmp_path.glob("*.plan"))
+
+        def short_of_resources(*args, **kwargs):
+            raise failure
+
+        with monkeypatch.context() as m:
+            m.setattr(serial, "unpack_container", short_of_resources)
+            assert store.get(fp, p.device.name, p.config) is None
+        assert path.is_file()
+        assert store.stats.quarantined == 0
+        assert store.stats.misses == 1
+        assert store.stats.load_errors == 1
+        assert not store.quarantine_dir.exists()
+        # the entry was never at fault: the next load serves it
+        assert store.get(fp, p.device.name, p.config) is not None
+        assert store.stats.hits == 1
 
     def test_malformed_array_table_quarantined(self, tmp_path):
         # valid magic/version and parseable JSON, but a garbage array
@@ -590,6 +652,85 @@ class TestCrossProcess:
         assert result["plans_built"] == 0  # planning skipped entirely
         assert result["hits"] == 1  # warm_start made it a pure hit
         assert result["sha"] == sha0  # bit-for-bit across processes
+
+
+# ----------------------------------------------------------------------
+# one map per loaded plan
+# ----------------------------------------------------------------------
+def store_plans(root, k: int) -> None:
+    """Serve ``k`` distinct small matrices through a store-backed engine,
+    so ``root`` holds ``k`` plans with their executor state (22 arrays
+    each)."""
+    engine = repro.SpMMEngine(store=PlanStore(root))
+    for seed in range(k):
+        csr = make_csr(seed=40 + seed, n=96, deg=5.0)
+        engine.spmm(csr, make_b(csr, n=8))
+    assert len(list(Path(root).glob("*.plan"))) == k
+
+
+def descriptors_under(root) -> int:
+    """This process's open descriptors on files under ``root`` (other
+    threads' files do not count)."""
+    gc.collect()
+    prefix = str(Path(root).resolve()) + os.sep
+    n = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            n += os.readlink(f"/proc/self/fd/{fd}").startswith(prefix)
+        except OSError:
+            pass  # closed since the listing
+    return n
+
+
+_LOW_NOFILE_CHILD = """
+import json, resource, sys
+limit = int(sys.argv[2])
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+import repro
+from repro.serve.store import PlanStore
+store = PlanStore(sys.argv[1])
+loaded = repro.SpMMEngine(store=store).warm_start()
+print(json.dumps({"loaded": loaded, **store.counters()}))
+"""
+
+
+class TestOneMapPerPlan:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"),
+        reason="counts descriptors in /proc/self/fd",
+    )
+    def test_warm_start_holds_one_descriptor_per_plan(self, tmp_path):
+        k = 4
+        store_plans(tmp_path, k)
+        assert descriptors_under(tmp_path) == 0
+        engine = repro.SpMMEngine(store=PlanStore(tmp_path))
+        assert engine.warm_start() == k
+        assert descriptors_under(tmp_path) <= k
+        # each map closes with the last array viewing it
+        del engine
+        assert descriptors_under(tmp_path) == 0
+
+    def test_warm_start_under_a_low_descriptor_limit(self, tmp_path):
+        pytest.importorskip("resource")
+        k, limit = 8, 64  # one descriptor per array would need 22 * k
+        store_plans(tmp_path, k)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", _LOW_NOFILE_CHILD, str(tmp_path),
+             str(limit)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        result = json.loads(out.stdout.strip().splitlines()[-1])
+        assert result["loaded"] == k
+        assert result["quarantined"] == 0
+        assert result["load_errors"] == 0
+        assert len(list(tmp_path.glob("*.plan"))) == k
 
 
 # ----------------------------------------------------------------------

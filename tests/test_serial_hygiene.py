@@ -1,14 +1,18 @@
-"""Serialisation hygiene: narrowed decode errors and the dtype gate.
+"""Serialisation hygiene: narrowed decode errors, the dtype gate and
+exact size checks.
 
-PR-6 satellites: the serial module's decode paths catch only
-``_DECODE_ERRORS`` (the exceptions malformed-but-parseable payloads can
-legitimately raise) — resource failures like ``MemoryError`` and
-control-flow exceptions like ``KeyboardInterrupt`` must *propagate*,
-never be laundered into "corrupt entry" and quarantined — and
-containers accept only plain numeric dtypes at both pack and load time.
+The serial module's decode paths catch only ``_DECODE_ERRORS`` (the
+exceptions malformed-but-parseable payloads can legitimately raise) —
+resource failures like ``MemoryError`` and control-flow exceptions like
+``KeyboardInterrupt`` must *propagate*, never be laundered into "corrupt
+entry" and quarantined — containers accept only plain numeric dtypes at
+both pack and load time, and an array table's sizes are compared in
+exact integers.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -151,3 +155,35 @@ class TestDtypeWhitelist:
         patched = blob[:20] + tampered + blob[20 + hlen :]
         with pytest.raises(StoreError):
             unpack_container(patched)
+
+
+# ----------------------------------------------------------------------
+# array-table sizes
+# ----------------------------------------------------------------------
+def _container_with_table(table: list, payload: bytes) -> bytes:
+    """A container whose header carries ``table`` verbatim."""
+    header = json.dumps({"kind": "x", "meta": {}, "arrays": table}).encode()
+    head = serial._HEAD.pack(
+        serial.MAGIC, serial.PLAN_FORMAT_VERSION, len(header)
+    ) + header
+    return head + b"\x00" * (serial._align(len(head)) - len(head)) + payload
+
+
+class TestTableSizes:
+    def test_wrapping_element_count_is_rejected(self, tmp_path):
+        # 3 * 6148914691236517206 is 2**64 + 2: in int64 arithmetic the
+        # element count wraps to 2 and matches the declared 2 bytes
+        entry = {
+            "name": "a",
+            "dtype": "|i1",
+            "shape": [3, 6148914691236517206],
+            "offset": 0,
+            "nbytes": 2,
+        }
+        blob = _container_with_table([entry], b"\x01\x02")
+        with pytest.raises(StoreError, match="inconsistent sizes"):
+            unpack_container(blob)
+        path = tmp_path / "wrapped.plan"
+        path.write_bytes(blob)
+        with pytest.raises(StoreError, match="inconsistent sizes"):
+            unpack_container(path=path)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import errno
 import os
 import threading
 
@@ -190,6 +191,34 @@ class TestStoreDeltaChains:
             assert got is not None
             B = make_b(want.csr, n=8)
             assert bits_equal(got.multiply(B), want.multiply(B))
+
+    def test_resource_failure_under_a_link_quarantines_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        # the base load runs out of descriptors: neither the base nor
+        # the link is at fault, so both stay and one load error counts
+        store = PlanStore(root=tmp_path)
+        (base_fp, _), (link_fp, want) = grow_chain(
+            store, random_csr(48, 48, seed=7), n_links=1
+        )
+        base_path = store.path_for(store.digest(base_fp, DEV, CFG))
+        real = serial.unpack_container
+
+        def short_at_base(data=None, path=None):
+            if path == base_path:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return real(data, path=path)
+
+        with monkeypatch.context() as m:
+            m.setattr(serial, "unpack_container", short_at_base)
+            assert store.get(link_fp, DEV, CFG) is None
+        assert store.stats.quarantined == 0
+        assert store.stats.load_errors == 1
+        assert len(list(tmp_path.glob("*.plan"))) == 2
+        got = store.get(link_fp, DEV, CFG)
+        assert got is not None
+        B = make_b(want.csr, n=8)
+        assert bits_equal(got.multiply(B), want.multiply(B))
 
     def test_depth_bound_rejects_overlong_chain(self, tmp_path):
         store = PlanStore(root=tmp_path)

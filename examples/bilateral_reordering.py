@@ -17,7 +17,7 @@ import numpy as np
 import repro
 from repro.kernels import reference_spmm
 from repro.kernels.accspmm import AccSpMMKernel
-from repro.numerics import relative_error
+from repro.tune.policy import relative_error
 from repro.reorder import data_affinity_reorder, reorder_bilateral
 
 

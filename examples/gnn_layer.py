@@ -18,7 +18,7 @@ import numpy as np
 
 import repro
 from repro.kernels import reference_spmm
-from repro.numerics import relative_error
+from repro.tune.policy import relative_error
 
 
 def normalize_adjacency(A: "repro.CSRMatrix") -> "repro.CSRMatrix":

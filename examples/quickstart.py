@@ -13,7 +13,7 @@ import numpy as np
 
 import repro
 from repro.kernels import reference_spmm
-from repro.numerics import relative_error
+from repro.tune.policy import relative_error
 
 
 def main() -> None:

@@ -6,6 +6,5 @@ from repro.analysis.checkers import (  # noqa: F401 - registration imports
     gpu_imports,
     guarded,
     lockorder,
-    policy,
     serialization,
 )

@@ -80,8 +80,8 @@ class DeviceBackend:
         """Run the compiled executor ``ex`` on ``B`` (host in, host out).
 
         ``B`` is ``(K, N)`` or ``(batch, K, N)`` float32; the result
-        matches the executor's documented contract — under the ``exact``
-        mode, bit-for-bit with
+        matches the executor's documented contract — at the ``exact``
+        tier, bit-for-bit with
         :func:`~repro.kernels.tc_common.execute_tiled_reference`.
         """
         raise NotImplementedError

@@ -4,7 +4,7 @@ The executor (:class:`repro.kernels.executor.TCExecPlan`) owns the
 compiled state and the per-chunk step (``_run_chunk``); this arm owns
 the loop around it — TF32 rounding of ``B``, member/chunk iteration,
 buffers and the output.  Per (member, chunk) the fp32 accumulation order
-is the reference's, so under the ``exact`` mode results are bit-for-bit
+is the reference's, so at the ``exact`` tier results are bit-for-bit
 identical to :func:`~repro.kernels.tc_common.execute_tiled_reference`.
 """
 
@@ -67,7 +67,7 @@ class CpuBackend(DeviceBackend):
                             acc.fill(0.0)
                         B_r_i = (
                             tf32_round(B[i])
-                            if ex.rounds_inputs
+                            if ex.numerics.rounds_inputs
                             else np.asarray(B[i], dtype=np.float32)
                         )
                         for cp in prog:
@@ -81,7 +81,7 @@ class CpuBackend(DeviceBackend):
                     # them across the whole batch
                     B_r = (
                         tf32_round(B)
-                        if ex.rounds_inputs
+                        if ex.numerics.rounds_inputs
                         else np.asarray(B, dtype=np.float32)
                     )
                     accs = np.zeros(

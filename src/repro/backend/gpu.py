@@ -349,7 +349,7 @@ class CupyBackend(DeviceBackend):
         # one upload per call, batch included — multiply_many maps the
         # whole stack onto a single transfer
         B_d = self._upload(np.ascontiguousarray(B, dtype=np.float32))
-        if ex.rounds_inputs:
+        if ex.numerics.rounds_inputs:
             B_d = _tf32_round_device(xp, B_d)
         wr = t.window_rows
         accs = xp.zeros((batch, t.n_windows, wr, n), dtype=np.float32)

@@ -65,7 +65,6 @@ class AccPlan:
     def prepare(
         self,
         feature_dim: int | None = None,
-        mode: str | None = None,
         max_bytes: int | None = None,
         numerics=None,
         backend=None,
@@ -73,31 +72,17 @@ class AccPlan:
         """Eagerly build a prepared executor (it is otherwise built
         lazily on the first multiply).
 
-        ``numerics`` compiles the executor serving that tier *without*
-        changing the plan's default; ``mode`` (legacy knob) changes the
-        default executor mode recorded in the plan meta — ``"exact"``
-        (bit-for-bit with the reference path; default), ``"adaptive"``
-        (dense chunks may fuse RowWindows into single GEMMs,
-        reassociating fp32 accumulation), or ``"fast"`` (fused chunks
-        and no TF32 input rounding).  ``max_bytes`` bounds dense-tile
-        materialisation; over it, the executor falls back to lazy
-        per-chunk decompression.  ``backend`` additionally warms that
-        arm — on the cupy arm this performs the one-time device upload
-        of the compiled state, so the first multiply is steady-state.
-        Returns ``self``.
+        ``numerics`` names the tier whose executor is compiled (``exact``
+        by default).  ``max_bytes`` bounds dense-tile materialisation;
+        over it, the executor falls back to lazy per-chunk
+        decompression.  ``backend`` additionally warms that arm — on the
+        cupy arm this performs the one-time device upload of the
+        compiled state, so the first multiply is steady-state.  Returns
+        ``self``.
         """
-        from repro.kernels.executor import EXEC_MODES, get_executor
+        from repro.kernels.executor import get_executor
 
         meta = self.tc_plan.meta
-        if mode is not None:
-            if mode not in EXEC_MODES:
-                raise ValidationError(
-                    f"exec mode must be one of {', '.join(EXEC_MODES)}; "
-                    f"got {mode!r}"
-                )
-            # per-mode executors coexist in the cache dict, so changing
-            # the default needs no invalidation
-            meta["exec_mode"] = mode
         if max_bytes is not None and meta.get("exec_max_bytes") != int(max_bytes):
             meta["exec_max_bytes"] = int(max_bytes)
             self.tc_plan.exec_cache = None  # budget is baked into executors
@@ -113,22 +98,16 @@ class AccPlan:
 
     @property
     def executor(self):
-        """The prepared executor serving the plan's *default* mode, or
-        ``None`` before its first multiply (other tiers' executors may
-        exist; see :meth:`executor_for`)."""
-        cache = self.tc_plan.exec_cache
-        if not cache:
-            return None
-        return cache.get(self.tc_plan.meta.get("exec_mode", "exact"))
+        """The prepared executor of the ``exact`` tier, or ``None``
+        before its first multiply (other tiers' executors may exist; see
+        :meth:`executor_for`)."""
+        return self.executor_for()
 
     def executor_for(self, numerics=None):
         """The compiled executor serving a numerics tier, or ``None``."""
-        from repro.kernels.executor import resolve_exec_mode
+        from repro.tune.policy import resolve_policy
 
-        cache = self.tc_plan.exec_cache
-        if not cache:
-            return None
-        return cache.get(resolve_exec_mode(self.tc_plan, numerics))
+        return (self.tc_plan.exec_cache or {}).get(resolve_policy(numerics).tier)
 
     # ------------------------------------------------------------------
     def to_bytes(self, include_executor: bool = True) -> bytes:
@@ -304,9 +283,7 @@ class AccPlan:
                 self.feature_dim,
                 self.device,
             )
-            # carry matrix-derived and engine-owned knobs; exec_mode is
-            # requester policy and stays scrubbed (the same split the
-            # engine's value-refresh path applies)
+            # carry the matrix-derived and engine-owned knobs
             for key in ("tuned", "exec_max_bytes", "exec_chunk_elems"):
                 if key in tc.meta:
                     new_tc.meta[key] = tc.meta[key]
@@ -326,10 +303,10 @@ class AccPlan:
 
                 cache = {}
                 donor = None
-                for mode, old_ex in tc.exec_cache.items():
-                    ex = TCExecPlan(new_tc, mode=mode, geometry_from=donor)
+                for tier, old_ex in tc.exec_cache.items():
+                    ex = TCExecPlan(new_tc, numerics=tier, geometry_from=donor)
                     ex.rebase_from(old_ex, dirty_blocks)
-                    cache[mode] = ex
+                    cache[tier] = ex
                     donor = ex
                 new_tc.exec_cache = cache
         return AccPlan(
@@ -365,7 +342,7 @@ class AccPlan:
         if ex is not None:
             out["executor"] = {
                 "materialized": ex.materialized,
-                "mode": ex.mode,
+                "numerics": ex.numerics.tier,
                 "nbytes": ex.nbytes,
                 **ex.stats.as_dict(),
             }

@@ -72,22 +72,20 @@ Each chunk program keeps a strategy label (reported in
 * ``"stepped"`` — the fold-order layout above;
 * ``"reduceat"`` — the same layout capped at one block per window (the
   probe failed);
-* ``"fused"`` — high-``MeanNNZTC`` chunks in the reassociating modes
-  (``"adaptive"``/``"fast"``) run one dense GEMM per RowWindow group
-  (blocks concatenated along K) in block order.  This reassociates the
-  fp32 accumulation, so it is *not* bit-for-bit with the reference — it
+* ``"fused"`` — high-``MeanNNZTC`` chunks in the reassociating tiers
+  (``tf32``/``fast``) run one dense GEMM per RowWindow group (blocks
+  concatenated along K) in block order.  This reassociates the fp32
+  accumulation, so it is *not* bit-for-bit with the reference — it
   stays within the documented tier error bound
   (:meth:`repro.tune.NumericsPolicy.error_bound`).
 
-Executor modes implement the numerics tiers of :mod:`repro.tune.policy`
-(callers select a tier, not a mode — see :func:`resolve_exec_mode`):
-``"exact"`` (the ``exact`` tier) restricts strategies to the bit-for-bit
-set; ``"adaptive"`` (the ``tf32`` tier) additionally fuses dense chunks;
-``"fast"`` (the ``fast`` tier) fuses *and* elides TF32 input rounding —
-``B`` and the packed A values are consumed as raw fp32, removing the
-per-call rounding pass over ``B`` entirely.  A plan can hold one
-compiled executor per mode simultaneously (``exec_cache`` is a
-mode-keyed dict), sharing the value-independent gather geometry, so
+Each executor serves one numerics tier of :mod:`repro.tune.policy`:
+``exact`` restricts strategies to the bit-for-bit set; ``tf32``
+additionally fuses dense chunks; ``fast`` fuses *and* elides TF32 input
+rounding — ``B`` and the packed A values are consumed as raw fp32,
+removing the per-call rounding pass over ``B`` entirely.  A plan can
+hold one compiled executor per tier simultaneously (``exec_cache`` is a
+tier-keyed dict), sharing the value-independent gather geometry, so
 mixed-tier traffic against one cached plan never thrashes.
 """
 
@@ -100,18 +98,14 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.gpusim.tensorcore import batched_tile_mma, tf32_round
+from repro.tune.policy import resolve_policy
 from repro.util.ragged import ragged_gather_indices
-
-#: The executor-mode vocabulary (``plan.meta["exec_mode"]`` /
-#: ``TCExecPlan.mode``); each numerics tier maps onto exactly one mode
-#: (see :mod:`repro.tune.policy`).
-EXEC_MODES = ("exact", "adaptive", "fast")
 
 #: Dense-tile materialisation budget (per plan) before the executor
 #: falls back to lazy per-chunk decompression.
 DEFAULT_MAX_MATERIALIZED_BYTES = 256 << 20
 
-#: ``MeanNNZTC`` above which the adaptive mode fuses a chunk's windows
+#: ``MeanNNZTC`` above which the reassociating tiers fuse a chunk's windows
 #: into dense GEMMs (8 of 64 slots filled — tiles are dense enough that
 #: one big GEMM beats many tiny ones plus the segmented sum).
 FUSED_DENSITY_THRESHOLD = 8.0
@@ -322,27 +316,25 @@ class TCExecPlan:
     compiled per feature-dimension class — chunk boundaries depend on N
     through the slab-size formula — and cached in ``_programs``.
 
-    Parameters come from ``plan.meta``:
+    ``numerics`` is the tier the executor serves (anything
+    :func:`~repro.tune.policy.resolve_policy` accepts; ``exact`` by
+    default): ``exact`` restricts strategies to the bit-for-bit
+    ``"direct"``/``"stepped"``/``"reduceat"`` set, ``tf32`` lets dense
+    chunks use the ``"fused"`` GEMM strategy (fp32 reassociation), and
+    ``fast`` fuses *and* skips TF32 input rounding.  Other knobs come
+    from ``plan.meta``:
 
     ``exec_max_bytes``
         Dense-tile materialisation budget (default
         :data:`DEFAULT_MAX_MATERIALIZED_BYTES`).  Over budget, tiles are
         decompressed lazily per chunk from precomputed scatter indices.
-    ``exec_mode``
-        ``"exact"`` (default): strategies restricted to the bit-for-bit
-        ``"direct"``/``"stepped"``/``"reduceat"`` set.  ``"adaptive"``:
-        dense chunks may use the ``"fused"`` GEMM strategy (fp32
-        reassociation).
-        ``"fast"``: fused chunks *and* no TF32 input rounding.  The
-        ``mode`` constructor argument overrides the meta default, which
-        is how one plan serves several numerics tiers at once.
     ``exec_chunk_elems``
         Slab-size target override (tests force multi-chunk execution on
         small matrices with it).
 
     ``geometry_from`` donates the value-independent arrays (gather
     positions, pad slots, output permutation, scatter indices) of an
-    already-built sibling executor on the *same tiling* — the per-mode
+    already-built sibling executor on the *same tiling* — the per-tier
     executors of one plan share that geometry instead of recomputing it.
     """
 
@@ -350,7 +342,7 @@ class TCExecPlan:
         self,
         plan,
         structural: tuple | None = None,
-        mode: str | None = None,
+        numerics=None,
         geometry_from: "TCExecPlan | None" = None,
     ) -> None:
         t = plan.tiling
@@ -358,15 +350,8 @@ class TCExecPlan:
         #: identity of the packed values this executor was compiled from;
         #: value refreshes swap ``vals_packed``, invalidating us
         self.vals_ref = plan.vals_packed
-        self.mode = plan.meta.get("exec_mode", "exact") if mode is None else mode
-        if self.mode not in EXEC_MODES:
-            raise ValidationError(
-                f"exec mode must be one of {', '.join(EXEC_MODES)}; "
-                f"got {self.mode!r}"
-            )
-        #: whether operands are TF32-rounded before the MMA (every mode
-        #: except ``"fast"``)
-        self.rounds_inputs = self.mode != "fast"
+        #: the :class:`~repro.tune.policy.NumericsPolicy` served
+        self.numerics = resolve_policy(numerics)
         self.max_bytes = plan.meta.get(
             "exec_max_bytes", DEFAULT_MAX_MATERIALIZED_BYTES
         )
@@ -407,12 +392,12 @@ class TCExecPlan:
             return
 
         # A-side values: TF32 rounding is value-invariant across calls,
-        # so round once here instead of once per multiply.  The fast mode
+        # so round once here instead of once per multiply.  The fast tier
         # consumes the packed fp32 values as-is (the attribute keeps its
         # name; "rounded" then means "as the MMA will see them").
         self.vals_rounded = (
             tf32_round(plan.vals_packed)
-            if self.rounds_inputs
+            if self.numerics.rounds_inputs
             else np.ascontiguousarray(plan.vals_packed, dtype=np.float32)
         )
 
@@ -532,7 +517,10 @@ class TCExecPlan:
         it is a cheap scatter, and baking values into the structural
         artifact would break value-refresh sharing.
         """
-        meta = {"mode": self.mode, "materialized": bool(self.materialized)}
+        meta = {
+            "numerics": self.numerics.tier,
+            "materialized": bool(self.materialized),
+        }
         arrays = {
             "out_rank": self.out_rank,
             "pos_all": self.pos_all,
@@ -645,7 +633,7 @@ class TCExecPlan:
         if (seg == 1).all():
             strategy = "direct"
         elif (
-            self.mode != "exact"
+            self.numerics.reassociates
             and self.materialized
             and (
                 self._fused_hint
@@ -719,7 +707,7 @@ class TCExecPlan:
         """
         t, ot = self.tiling, old.tiling
         if (
-            old.mode != self.mode
+            old.numerics != self.numerics
             or old.chunk_elems != self.chunk_elems
             or old.max_bytes != self.max_bytes
             or old.materialized != self.materialized
@@ -827,8 +815,8 @@ class TCExecPlan:
 
     def execute(self, B: np.ndarray, backend=None) -> np.ndarray:
         """SpMM over the prepared state; ``B`` is ``(K, N)`` or
-        ``(batch, K, N)``.  Bit-for-bit equal to the reference path in
-        ``"exact"`` mode.
+        ``(batch, K, N)``.  Bit-for-bit equal to the reference path at
+        the ``exact`` tier.
 
         ``backend`` selects the execution arm — ``None`` (the process
         default), ``"cpu"``, ``"cupy"``, or a
@@ -892,48 +880,38 @@ class TCExecPlan:
 
 
 # ----------------------------------------------------------------------
-def resolve_exec_mode(plan, numerics=None) -> str:
-    """The executor mode serving a request: the plan's own default
-    (``meta["exec_mode"]``, ``"exact"`` when unset) unless the caller
-    passed a ``numerics=`` tier, which is resolved through
-    :func:`repro.tune.resolve_policy` and wins."""
-    if numerics is None:
-        return plan.meta.get("exec_mode", "exact")
-    from repro.tune.policy import resolve_policy
-
-    return resolve_policy(numerics).exec_mode
-
-
 def get_executor(plan, numerics=None) -> TCExecPlan:
-    """The plan's cached executor for a numerics tier, (re)built when
-    missing or stale.
+    """The plan's cached executor for a numerics tier (``exact`` by
+    default), (re)built when missing or stale.
 
-    ``plan.exec_cache`` is a mode-keyed dict — one compiled executor per
-    executor mode — so mixed-tier traffic against a single cached plan
-    reuses, never evicts.  Sibling executors donate their
-    value-independent gather geometry to new modes.  Executors bake in
-    ``vals_packed`` (rounded values, materialised tiles), so a value
-    refresh — which swaps ``vals_packed`` on a copied plan — must not
-    reuse them; staleness is detected by array identity and stale
-    entries of *every* mode are dropped together.  A benign race may
-    build twice under concurrency; both results are correct and one wins
-    the cache slot.
+    ``plan.exec_cache`` is a tier-keyed dict — one compiled executor per
+    tier — so mixed-tier traffic against a single cached plan reuses,
+    never evicts.  Sibling executors donate their value-independent
+    gather geometry to new tiers.  Executors bake in ``vals_packed``
+    (rounded values, materialised tiles), so a value refresh — which
+    swaps ``vals_packed`` on a copied plan — must not reuse them;
+    staleness is detected by array identity and stale entries of
+    *every* tier are dropped together.  A benign race may build twice
+    under concurrency; both results are correct and one wins the cache
+    slot.
     """
-    mode = resolve_exec_mode(plan, numerics)
+    policy = resolve_policy(numerics)
     cache = getattr(plan, "exec_cache", None)
     if cache is None:
         cache = {}
         plan.exec_cache = cache
-    ex = cache.get(mode)
+    ex = cache.get(policy.tier)
     if ex is not None and ex.vals_ref is plan.vals_packed:
         return ex
-    for m, e in list(cache.items()):
+    for tier, e in list(cache.items()):
         if e.vals_ref is not plan.vals_packed:
-            cache.pop(m, None)
+            cache.pop(tier, None)
     donor = next(iter(cache.values()), None)
     structural = getattr(plan, "exec_structural", None)
-    ex = TCExecPlan(plan, structural=structural, mode=mode, geometry_from=donor)
-    cache[mode] = ex
+    ex = TCExecPlan(
+        plan, structural=structural, numerics=policy, geometry_from=donor
+    )
+    cache[policy.tier] = ex
     if structural is not None:
         plan.exec_structural = None  # consumed (or rejected) either way
     return ex

@@ -55,8 +55,8 @@ class TCPlan:
     cache_policy_control: bool
     n_rows_original: int
     meta: dict = field(default_factory=dict)
-    #: lazily-built prepared executors: an exec-mode-keyed dict
-    #: ``{mode: TCExecPlan}`` so one cached plan serves every numerics
+    #: lazily-built prepared executors: a tier-keyed dict
+    #: ``{tier: TCExecPlan}`` so one cached plan serves every numerics
     #: tier at once (see :func:`~repro.kernels.executor.get_executor`).
     #: ``init=False`` so ``dataclasses.replace`` — the value-refresh path
     #: — resets it to ``None``: executors bake in ``vals_packed`` and

@@ -182,21 +182,19 @@ class SpMMEngine:
         feature_dim: int = 128,
         device: DeviceSpec | str | None = None,
         config: AccConfig | None = None,
-        fp=None,
     ) -> AccPlan:
         """The cached plan for ``A`` on ``device``/``config`` — built,
         value-refreshed, or served straight from the cache.
 
-        ``fp`` may carry a precomputed
-        :class:`~repro.serve.fingerprint.MatrixFingerprint` of ``A`` so
-        callers that already hashed the matrix — the sharded router, the
-        async facade — do not pay for a second content hash.  It must be
-        the fingerprint of *this* ``A``; no cross-check is performed.
+        ``A`` is keyed by :func:`~repro.serve.fingerprint.fingerprint`,
+        which hashes a matrix object once and then returns the value
+        stored on it, so callers that already hashed ``A`` (the sharded
+        router, the async facade) pay nothing for the repeat.
         """
         csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
         spec = get_device(device) if device is not None else self.default_device
         cfg = config or self.default_config
-        fp = fp if fp is not None else fingerprint(csr)
+        fp = fingerprint(csr)
         key = (fp.full, spec.name, cfg)
         structural_key = (fp.structural, spec.name, cfg)
         with self._lock:
@@ -225,16 +223,11 @@ class SpMMEngine:
                     p = self.store.get(fp, spec.name, cfg)  # never raises
                     outcome = "store" if p is not None else None
                     if p is not None:
-                        # same policy as value refresh: a previous
-                        # process opting into the reassociating adaptive
-                        # strategy must not silently extend to this one;
-                        # likewise the writer's materialisation budget —
-                        # this engine re-applies its own below.  "tuned"
-                        # is deliberately NOT scrubbed: it is derived
-                        # from the matrix, not from any requester's
-                        # policy, and dropping it would waste the
-                        # amortised autotuning.
-                        p.tc_plan.meta.pop("exec_mode", None)
+                        # the writer's materialisation budget must not
+                        # leak into this engine, which re-applies its own
+                        # below.  "tuned" is deliberately NOT scrubbed:
+                        # it is derived from the matrix, and dropping it
+                        # would waste the amortised autotuning.
                         p.tc_plan.meta.pop("exec_max_bytes", None)
                 if p is None and base is not None:
                     p = self._refresh_values(base, csr)
@@ -347,11 +340,6 @@ class SpMMEngine:
         if base is None and self.store is not None:
             base = self.store.get(fp, spec.name, cfg)  # never raises
             if base is not None:
-                # same scrubbing policy as the get_plan store-hit path
-                base.tc_plan.meta.pop("exec_mode", None)
-                base.tc_plan.meta.pop("exec_max_bytes", None)
-                if self.exec_max_bytes is not None:
-                    base.tc_plan.meta["exec_max_bytes"] = self.exec_max_bytes
                 with self._lock:
                     self.cache.stats.store_hits += 1
                 self._adopt(base, fp=fp)
@@ -390,21 +378,16 @@ class SpMMEngine:
             same_layout = tc.reorder.row_perm.is_identity()
             csr_r = csr if same_layout else tc.reorder.apply(csr)
             vals_packed = csr_r.vals[tc.tiling.perm_nnz]
-            # dc_replace is shallow and meta is mutable (exec_mode /
-            # exec_max_bytes live there): give the refreshed plan its own
-            # copy so later prepare() calls cannot leak across plans, and
-            # drop any user-requested exec_mode — opting the *old* values
-            # into the reassociating adaptive strategy must not silently
-            # extend to a new matrix.  exec_max_bytes stays: the engine
-            # owns it.  exec_cache is init=False, so the stale executor —
-            # which bakes the old values in — is dropped automatically.
-            meta = dict(tc.meta)
-            meta.pop("exec_mode", None)
+            # dc_replace is shallow and meta is mutable (exec_max_bytes
+            # lives there): give the refreshed plan its own copy so later
+            # prepare() calls cannot leak across plans.  exec_cache is
+            # init=False, so the stale executor — which bakes the old
+            # values in — is dropped automatically.
             new_tc = dc_replace(
                 tc,
                 csr_reordered=csr_r,
                 vals_packed=vals_packed,
-                meta=meta,
+                meta=dict(tc.meta),
             )
         return AccPlan(
             csr=csr,
@@ -457,16 +440,16 @@ class SpMMEngine:
     def _adopt(self, plan_obj: AccPlan, fp=None) -> bool:
         """Insert a store-loaded plan into the cache (warm-start path).
 
-        Applies the same policy scrubbing as a store hit (the writer's
-        ``exec_mode``/``exec_max_bytes`` must not leak into this
-        engine), then inserts under the engine lock.  ``fp`` skips the
-        re-fingerprint when the caller (the sharded router) already
-        hashed the matrix; without it the fingerprint is recomputed,
-        which doubles as an integrity check on the mapped arrays.
+        Applies the same scrubbing as a store hit (the writer's
+        ``exec_max_bytes`` must not leak into this engine), then inserts
+        under the engine lock.  ``fp`` skips the re-fingerprint when the
+        caller holds one the store already checked against the entry's
+        header (the delta path's base); without it the fingerprint is
+        recomputed, which doubles as an integrity check on the mapped
+        arrays.
         Returns ``False`` when the content is already cached.
         """
-        # scrub requester policy, keep the matrix-derived "tuned" verdict
-        plan_obj.tc_plan.meta.pop("exec_mode", None)
+        # scrub the writer's budget, keep the matrix-derived "tuned" verdict
         plan_obj.tc_plan.meta.pop("exec_max_bytes", None)
         if self.exec_max_bytes is not None:
             plan_obj.tc_plan.meta["exec_max_bytes"] = self.exec_max_bytes
@@ -489,7 +472,6 @@ class SpMMEngine:
         B: np.ndarray,
         device: DeviceSpec | str | None = None,
         config: AccConfig | None = None,
-        fp=None,
         numerics=None,
         backend=None,
     ) -> np.ndarray:
@@ -497,37 +479,13 @@ class SpMMEngine:
 
         Zero-dimension operands (e.g. an empty mini-batch selection) are
         answered directly — their product is trivially empty and the
-        planner cannot tile them.  ``fp`` optionally carries ``A``'s
-        precomputed fingerprint (see :meth:`get_plan`).  ``numerics``
-        overrides the engine's default tier for this request only;
-        ``backend`` likewise overrides the engine's execution arm (see
-        :mod:`repro.backend`)."""
-        B = np.asarray(B)  # dtype coercion is AccPlan.multiply's job
-        csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
-        if csr.n_rows == 0 or csr.n_cols == 0:
-            if B.ndim != 2 or B.shape[0] != csr.n_cols:
-                raise ValidationError(
-                    f"B must be ({csr.n_cols}, N); got {B.shape}"
-                )
-            return np.zeros((csr.n_rows, B.shape[1]), dtype=np.float32)
-        policy = (
-            resolve_policy(numerics)
-            if numerics is not None
-            else self.default_numerics
+        planner cannot tile them.  ``numerics`` overrides the engine's
+        default tier for this request only; ``backend`` likewise
+        overrides the engine's execution arm (see :mod:`repro.backend`)."""
+        # dtype coercion is AccPlan.multiply's job
+        return self._multiply(
+            A, np.asarray(B), False, device, config, numerics, backend
         )
-        p = self.get_plan(
-            csr, feature_dim=B.shape[-1], device=device, config=config, fp=fp
-        )
-        eff_backend = backend if backend is not None else self.backend
-        was_prepared = self._is_prepared(p, B.shape[-1], policy)
-        C = p.multiply(B, numerics=policy, backend=eff_backend)
-        # only a multiply that built executor state can have grown the
-        # entry enough to matter; steady-state hits skip the re-check
-        # (and its O(entries) byte walk under the engine lock)
-        if not was_prepared:
-            with self._lock:
-                self.cache.enforce_limits()
-        return C
 
     def multiply_many(
         self,
@@ -535,7 +493,6 @@ class SpMMEngine:
         Bs,
         device: DeviceSpec | str | None = None,
         config: AccConfig | None = None,
-        fp=None,
         numerics=None,
         backend=None,
     ) -> np.ndarray:
@@ -543,22 +500,26 @@ class SpMMEngine:
 
         ``Bs`` is a ``(batch, n_cols, N)`` array or a sequence of 2-D
         matrices; the cached plan's tiles are decompressed once for the
-        whole batch (one device upload on the cupy arm).  ``fp``
-        optionally carries ``A``'s precomputed fingerprint (see
-        :meth:`get_plan`); ``numerics`` overrides the engine's default
-        tier for this request only; ``backend`` likewise overrides the
-        engine's execution arm.
+        whole batch (one device upload on the cupy arm).  ``numerics``
+        and ``backend`` override the engine's defaults as in
+        :meth:`spmm`.
         """
         if not isinstance(Bs, np.ndarray):
             Bs = np.stack([np.asarray(b) for b in Bs])
+        return self._multiply(A, Bs, True, device, config, numerics, backend)
+
+    def _multiply(self, A, B, batched, device, config, numerics, backend):
+        """The body of :meth:`spmm` (``B`` is ``(K, N)``) and
+        :meth:`multiply_many` (``B`` is ``(batch, K, N)``)."""
         csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
         if csr.n_rows == 0 or csr.n_cols == 0:
-            if Bs.ndim != 3 or Bs.shape[1] != csr.n_cols:
+            if B.ndim != 2 + batched or B.shape[-2] != csr.n_cols:
+                want = "(batch, {}, N)" if batched else "({}, N)"
                 raise ValidationError(
-                    f"Bs must be (batch, {csr.n_cols}, N); got {Bs.shape}"
+                    f"B must be {want.format(csr.n_cols)}; got {B.shape}"
                 )
             return np.zeros(
-                (Bs.shape[0], csr.n_rows, Bs.shape[2]), dtype=np.float32
+                B.shape[:-2] + (csr.n_rows, B.shape[-1]), dtype=np.float32
             )
         policy = (
             resolve_policy(numerics)
@@ -566,15 +527,19 @@ class SpMMEngine:
             else self.default_numerics
         )
         p = self.get_plan(
-            csr, feature_dim=Bs.shape[-1], device=device, config=config, fp=fp
+            csr, feature_dim=B.shape[-1], device=device, config=config
         )
         eff_backend = backend if backend is not None else self.backend
-        was_prepared = self._is_prepared(p, Bs.shape[-1], policy)
-        Cs = p.multiply_many(Bs, numerics=policy, backend=eff_backend)
+        was_prepared = self._is_prepared(p, B.shape[-1], policy)
+        run = p.multiply_many if batched else p.multiply
+        C = run(B, numerics=policy, backend=eff_backend)
+        # only a multiply that built executor state can have grown the
+        # entry enough to matter; steady-state hits skip the re-check
+        # (and its O(entries) byte walk under the engine lock)
         if not was_prepared:
             with self._lock:
                 self.cache.enforce_limits()
-        return Cs
+        return C
 
     @staticmethod
     def _is_prepared(p: AccPlan, feature_dim: int, numerics=None) -> bool:
@@ -621,8 +586,8 @@ class SpMMEngine:
             capacity = self.cache.capacity
             max_bytes = self.cache.max_bytes
             policy = self.cache.policy
-        # exec_cache is a mode-keyed dict: count plans with at least one
-        # compiled executor, sum prep accounting over every mode
+        # exec_cache is a tier-keyed dict: count plans with at least one
+        # compiled executor, sum prep accounting over every tier
         per_plan = [
             list(
                 (

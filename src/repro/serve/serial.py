@@ -28,18 +28,14 @@ multi-array file).
 
 Versioning policy: :data:`PLAN_FORMAT_VERSION` is bumped whenever the
 payload schema changes.  Readers accept the closed range
-[:data:`MIN_PLAN_FORMAT_VERSION`, :data:`PLAN_FORMAT_VERSION`] — older
-versions inside the range load with defaults for fields they predate
-(v1 containers lack the ``saved_at`` timestamp v2 added for the store's
-TTL policy; v1/v2 lack the ``tuned`` header block v3 added for the
-autotuner, and load as untuned paper-default plans; v4 added the
-``accdelta`` container *kind* for persisted delta chains — pre-v4 stores
-simply contain no chains) — and reject
-everything else with
+[:data:`MIN_PLAN_FORMAT_VERSION`, :data:`PLAN_FORMAT_VERSION`], currently
+4..4, and reject everything else with
 :class:`~repro.errors.StoreVersionError`, naming both the found and the
 supported versions (the store quarantines such entries, and the
 ``.reason`` sidecar carries that message — replanning is always safe,
-migration never attempted).
+migration never attempted).  A header that lacks the ``saved_at``
+timestamp (v2) or the ``tuned`` block (v3) still loads, falling back to
+the file's mtime and the plan meta's copy of the verdict.
 
 Serialised plans contain **no pickled objects** — only raw arrays and a
 JSON header — so loading untrusted bytes can fail but not execute code.
@@ -82,9 +78,9 @@ from repro.tune.space import TunedConfig
 PLAN_FORMAT_VERSION = 4
 
 #: Oldest version this build still reads.  Versions in
-#: [MIN_PLAN_FORMAT_VERSION, PLAN_FORMAT_VERSION] load (missing newer
-#: fields default); anything else is rejected and quarantined.
-MIN_PLAN_FORMAT_VERSION = 1
+#: [MIN_PLAN_FORMAT_VERSION, PLAN_FORMAT_VERSION] load; anything else is
+#: rejected and quarantined.
+MIN_PLAN_FORMAT_VERSION = 4
 
 MAGIC = b"ACCSPMM\x00"
 _ALIGN = 64
@@ -520,7 +516,7 @@ def plan_payload(p: AccPlan, include_executor: bool = True) -> tuple[dict, dict]
         "build_seconds": float(p.build_seconds),
         # wall-clock serialisation time (format v2): the store's initial
         # ``last_used`` recency signal for TTL gc, robust against file
-        # copies that reset mtimes.  Absent in v1 containers.
+        # copies that reset mtimes.
         "saved_at": float(_wall_clock()),
         "fingerprint": {
             "n_rows": fp.n_rows,
@@ -558,9 +554,9 @@ def plan_from_payload(meta: dict, arrays: dict) -> AccPlan:
         device = get_device(meta["device"])
         csr = _csr_from("csr", meta["tc"]["csr"], arrays)
         tc = tcplan_from_payload(meta["tc"], arrays, csr=csr)
-        # v3 header block first; tolerate its absence (v1/v2) or a
-        # malformed dict (from_meta returns None) by falling back to the
-        # copy the plan meta carries, then to the untuned default kernel
+        # v3 header block first; tolerate its absence or a malformed
+        # dict (from_meta returns None) by falling back to the copy the
+        # plan meta carries, then to the untuned default kernel
         tuned = TunedConfig.from_meta(meta.get("tuned"))
         if tuned is None:
             tuned = TunedConfig.from_meta(tc.meta.get("tuned"))

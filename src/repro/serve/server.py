@@ -238,11 +238,10 @@ class _Batch:
     """One batch key's queue: same-key multiplies waiting for the key's
     runner task; ``items`` is mutated only under the server lock."""
 
-    __slots__ = ("csr", "fp", "device", "policy", "backend", "items")
+    __slots__ = ("csr", "device", "policy", "backend", "items")
 
-    def __init__(self, csr, fp, device, policy, backend=None):
+    def __init__(self, csr, device, policy, backend=None):
         self.csr = csr
-        self.fp = fp
         self.device = device
         self.policy = policy
         self.backend = backend
@@ -699,7 +698,7 @@ class SpMMServer:
             batch = self._batches.get(key)
             idle = batch is None
             if idle:
-                batch = _Batch(csr, fp, device, policy, backend)
+                batch = _Batch(csr, device, policy, backend)
                 self._batches[key] = batch
             batch.items.append((B, tenant, fut))
         if idle:
@@ -749,7 +748,7 @@ class SpMMServer:
             B, tenant, _ = items[0]
             C = await self.engine.multiply(
                 batch.csr, B, device=batch.device, numerics=batch.policy,
-                tenant=tenant, fp=batch.fp, backend=batch.backend,
+                tenant=tenant, backend=batch.backend,
             )
             with self._lock:
                 self._counters["single_requests"] += 1
@@ -759,7 +758,7 @@ class SpMMServer:
         # tagging applies to singles only
         Cs = await self.engine.multiply_many(
             batch.csr, np.stack([b for b, _, _ in items]),
-            device=batch.device, numerics=batch.policy, fp=batch.fp,
+            device=batch.device, numerics=batch.policy,
             backend=batch.backend,
         )
         with self._lock:

@@ -51,7 +51,11 @@ from repro.core.planner import AccPlan
 from repro.errors import EngineClosedError
 from repro.gpusim.specs import DeviceSpec, get_device
 from repro.serve.engine import SpMMEngine, set_default_engine
-from repro.serve.fingerprint import MatrixFingerprint, fingerprint
+from repro.serve.fingerprint import (
+    MatrixFingerprint,
+    fingerprint,
+    stored_fingerprint,
+)
 from repro.tune.policy import resolve_policy
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
@@ -242,12 +246,6 @@ class ShardedSpMMEngine:
         with self._tenant_lock:
             return self._tenant_numerics.get(str(tenant))
 
-    def _resolve_numerics(self, numerics, tenant):
-        """Request override > tenant pin > engine default (``None``)."""
-        if numerics is not None:
-            return numerics
-        return self.tenant_numerics_for(tenant)
-
     @property
     def default_device(self):
         return self.shards[0].default_device
@@ -269,7 +267,6 @@ class ShardedSpMMEngine:
         B: np.ndarray,
         device: DeviceSpec | str | None = None,
         config: AccConfig | None = None,
-        fp: MatrixFingerprint | None = None,
         tenant=None,
         numerics=None,
         backend=None,
@@ -277,27 +274,12 @@ class ShardedSpMMEngine:
         """``C = A @ B`` through the owning shard's plan cache.
 
         Bit-for-bit identical to the same request on an unsharded
-        engine.  ``fp`` optionally skips re-fingerprinting (see
-        :meth:`SpMMEngine.get_plan`); ``tenant`` tags the request in the
-        per-tenant stats and selects the tenant's pinned numerics tier;
-        ``numerics`` overrides both the tenant pin and the engine
-        default for this request; ``backend`` overrides the fleet-wide
-        execution arm."""
-        csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
-        self._note_tenant(tenant, "requests")
-        numerics = self._resolve_numerics(numerics, tenant)
-        if csr.n_rows == 0 or csr.n_cols == 0:
-            # trivially empty; shard 0 validates and answers (no plan
-            # is built, so placement is irrelevant)
-            return self.shards[0].spmm(
-                csr, B, device=device, config=config, numerics=numerics,
-                backend=backend,
-            )
-        if fp is None:
-            fp = fingerprint(csr)
-        return self._shard_for(fp).spmm(
-            csr, B, device=device, config=config, fp=fp, numerics=numerics,
-            backend=backend,
+        engine.  ``tenant`` tags the request in the per-tenant stats and
+        selects the tenant's pinned numerics tier; ``numerics`` overrides
+        both the tenant pin and the engine default for this request;
+        ``backend`` overrides the fleet-wide execution arm."""
+        return self._routed(
+            False, A, B, device, config, tenant, numerics, backend
         )
 
     def multiply_many(
@@ -306,7 +288,6 @@ class ShardedSpMMEngine:
         Bs,
         device: DeviceSpec | str | None = None,
         config: AccConfig | None = None,
-        fp: MatrixFingerprint | None = None,
         tenant=None,
         numerics=None,
         backend=None,
@@ -316,19 +297,23 @@ class ShardedSpMMEngine:
         Numerics precedence matches :meth:`spmm`: request override >
         tenant pin > engine default; ``backend`` overrides the
         fleet-wide execution arm."""
+        self._note_tenant(tenant, "batched_requests")
+        return self._routed(
+            True, A, Bs, device, config, tenant, numerics, backend
+        )
+
+    def _routed(self, batched, A, B, device, config, tenant, numerics, backend):
+        """The body of :meth:`spmm` and :meth:`multiply_many`: route to
+        the shard owning ``A``'s structure, which also answers
+        zero-dimension operands (without a plan)."""
         csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
         self._note_tenant(tenant, "requests")
-        self._note_tenant(tenant, "batched_requests")
-        numerics = self._resolve_numerics(numerics, tenant)
-        if csr.n_rows == 0 or csr.n_cols == 0:
-            return self.shards[0].multiply_many(
-                csr, Bs, device=device, config=config, numerics=numerics,
-                backend=backend,
-            )
-        if fp is None:
-            fp = fingerprint(csr)
-        return self._shard_for(fp).multiply_many(
-            csr, Bs, device=device, config=config, fp=fp, numerics=numerics,
+        shard = self._shard_for(fingerprint(csr))
+        if numerics is None:  # request override > tenant pin > default
+            numerics = self.tenant_numerics_for(tenant)
+        run = shard.multiply_many if batched else shard.spmm
+        return run(
+            csr, B, device=device, config=config, numerics=numerics,
             backend=backend,
         )
 
@@ -338,14 +323,11 @@ class ShardedSpMMEngine:
         feature_dim: int = 128,
         device: DeviceSpec | str | None = None,
         config: AccConfig | None = None,
-        fp: MatrixFingerprint | None = None,
     ) -> AccPlan:
         """The owning shard's cached (or newly built) plan for ``A``."""
         csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
-        if fp is None:
-            fp = fingerprint(csr)
-        return self._shard_for(fp).get_plan(
-            csr, feature_dim=feature_dim, device=device, config=config, fp=fp
+        return self._shard_for(fingerprint(csr)).get_plan(
+            csr, feature_dim=feature_dim, device=device, config=config
         )
 
     def lookup(
@@ -636,14 +618,6 @@ class AsyncSpMMEngine:
         cfg = config or self.engine.default_config
         return (fp.full, spec.name, cfg)
 
-    def _resolve_numerics(self, numerics, tenant):
-        """Request override first; else the wrapped engine's tenant pin
-        (when it keeps one — plain :class:`SpMMEngine`\\ s do not)."""
-        if numerics is not None or tenant is None:
-            return numerics
-        resolver = getattr(self.engine, "tenant_numerics_for", None)
-        return resolver(tenant) if resolver is not None else None
-
     def _note(self, tenant, field: str) -> None:
         with self._lock:
             if field == "requests":
@@ -686,17 +660,24 @@ class AsyncSpMMEngine:
     # ------------------------------------------------------------------
     async def compute_fingerprint(self, csr) -> MatrixFingerprint:
         """Fingerprint ``csr`` on the pool (hashing a large matrix on
-        the event loop would block it).  The server computes the
-        fingerprint once, uses it for batch grouping, and passes it
-        back down via ``fp=`` so no request hashes twice.  Raises
+        the event loop would block it).  The fingerprint is stored on
+        ``csr``, so the server, which groups batches by it, passes the
+        same matrix on and no request hashes twice.  Raises
         :class:`~repro.errors.EngineClosedError` once :meth:`drain` has
         begun, like every other entry point."""
         self._begin()
         try:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._pool, fingerprint, csr)
+            return await self._fingerprint(csr)
         finally:
             self._end()
+
+    async def _fingerprint(self, csr) -> MatrixFingerprint:
+        """The fingerprint stored on ``csr``, else one hashed on the pool."""
+        fp = stored_fingerprint(csr)
+        if fp is None:
+            loop = asyncio.get_running_loop()
+            fp = await loop.run_in_executor(self._pool, fingerprint, csr)
+        return fp
 
     def resolve_numerics(self, numerics=None, tenant=None):
         """The effective :class:`~repro.tune.NumericsPolicy` for a
@@ -705,10 +686,13 @@ class AsyncSpMMEngine:
         fingerprint micro-batches on the resolved tier so two tenants
         pinned to different tiers never coalesce into one
         ``multiply_many``."""
-        chosen = self._resolve_numerics(numerics, tenant)
-        if chosen is None:
-            chosen = getattr(self.engine, "default_numerics", None)
-        return resolve_policy(chosen)
+        if numerics is None and tenant is not None:
+            # plain SpMMEngines keep no tenant pins
+            pinned = getattr(self.engine, "tenant_numerics_for", None)
+            numerics = pinned(tenant) if pinned is not None else None
+        if numerics is None:
+            numerics = getattr(self.engine, "default_numerics", None)
+        return resolve_policy(numerics)
 
     async def ensure_plan(
         self,
@@ -717,7 +701,6 @@ class AsyncSpMMEngine:
         device: DeviceSpec | str | None = None,
         config: AccConfig | None = None,
         tenant=None,
-        fp: MatrixFingerprint | None = None,
     ) -> MatrixFingerprint:
         """Resolve (build, store-load, or confirm) the plan for ``A``
         without multiplying — the server's ``submit`` endpoint.
@@ -730,8 +713,7 @@ class AsyncSpMMEngine:
         try:
             csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
             self._note(tenant, "requests")
-            if fp is None:
-                fp = await self.compute_fingerprint(csr)
+            fp = await self._fingerprint(csr)
             if csr.n_rows == 0 or csr.n_cols == 0:
                 return fp
             if self.engine.lookup(fp, device=device, config=config) is None:
@@ -763,20 +745,19 @@ class AsyncSpMMEngine:
             self._note(tenant, "resolutions")
             self._pool.submit(
                 self._run_resolution, key, fut, csr, feature_dim, device,
-                config, fp,
+                config,
             )
         else:
             self._note(tenant, "coalesced_waits")
         await asyncio.wrap_future(fut)
 
     def _run_resolution(
-        self, key, fut, csr, feature_dim, device, config, fp
+        self, key, fut, csr, feature_dim, device, config
     ) -> None:
         """Worker-thread half of the coalescing protocol."""
         try:
             result = self.engine.get_plan(
-                csr, feature_dim=feature_dim, device=device, config=config,
-                fp=fp,
+                csr, feature_dim=feature_dim, device=device, config=config
             )
             exc = None
         except BaseException as e:  # noqa: BLE001 - delivered to waiters
@@ -802,7 +783,6 @@ class AsyncSpMMEngine:
         config: AccConfig | None = None,
         tenant=None,
         numerics=None,
-        fp: MatrixFingerprint | None = None,
         backend=None,
     ) -> np.ndarray:
         """``C = A @ B`` without blocking the event loop.
@@ -810,40 +790,14 @@ class AsyncSpMMEngine:
         ``numerics`` overrides the numerics tier for this request; a
         tagged tenant's pinned tier applies otherwise (see
         :meth:`ShardedSpMMEngine.set_tenant_numerics`).  ``backend``
-        overrides the execution arm (see :mod:`repro.backend`).  ``fp``
-        optionally carries ``A``'s precomputed fingerprint (the server
-        passes the one it grouped batches by); it must be the
-        fingerprint of *this* ``A``.  Raises
+        overrides the execution arm (see :mod:`repro.backend`).  A
+        matrix that already carries its fingerprint (one the server
+        grouped batches by) is not hashed again.  Raises
         :class:`~repro.errors.EngineClosedError` once :meth:`drain` has
         begun."""
-        self._begin()
-        try:
-            loop = asyncio.get_running_loop()
-            csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
-            B = np.asarray(B)
-            self._note(tenant, "requests")
-            numerics = self._resolve_numerics(numerics, tenant)
-            if csr.n_rows == 0 or csr.n_cols == 0:
-                # trivial answer; engine.spmm validates without planning
-                return self.engine.spmm(
-                    csr, B, device=device, config=config, numerics=numerics,
-                    backend=backend,
-                )
-            if fp is None:
-                fp = await loop.run_in_executor(self._pool, fingerprint, csr)
-            if self.engine.lookup(fp, device=device, config=config) is None:
-                await self._ensure_plan(
-                    csr, B.shape[-1], device, config, fp, tenant
-                )
-            return await loop.run_in_executor(
-                self._pool,
-                partial(
-                    self.engine.spmm, csr, B, device=device, config=config,
-                    fp=fp, numerics=numerics, backend=backend,
-                ),
-            )
-        finally:
-            self._end()
+        return await self._multiply(
+            False, A, B, device, config, tenant, numerics, backend
+        )
 
     async def multiply_many(
         self,
@@ -853,39 +807,41 @@ class AsyncSpMMEngine:
         config: AccConfig | None = None,
         tenant=None,
         numerics=None,
-        fp: MatrixFingerprint | None = None,
         backend=None,
     ) -> np.ndarray:
         """Batched ``C[i] = A @ Bs[i]`` without blocking the event loop.
 
-        Numerics/backend precedence and the ``fp``/drain contracts match
+        Numerics/backend precedence and the drain contract match
         :meth:`multiply`."""
+        return await self._multiply(
+            True, A, Bs, device, config, tenant, numerics, backend
+        )
+
+    async def _multiply(
+        self, batched, A, B, device, config, tenant, numerics, backend
+    ) -> np.ndarray:
+        """The body of :meth:`multiply` and :meth:`multiply_many`:
+        resolve a missing plan (coalesced), then multiply on the pool."""
         self._begin()
         try:
-            loop = asyncio.get_running_loop()
             csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
-            if not isinstance(Bs, np.ndarray):
-                Bs = np.stack([np.asarray(b) for b in Bs])
+            B = np.asarray(B)
             self._note(tenant, "requests")
-            numerics = self._resolve_numerics(numerics, tenant)
+            run = partial(
+                self.engine.multiply_many if batched else self.engine.spmm,
+                csr, B, device=device, config=config,
+                numerics=self.resolve_numerics(numerics, tenant),
+                backend=backend,
+            )
             if csr.n_rows == 0 or csr.n_cols == 0:
-                return self.engine.multiply_many(
-                    csr, Bs, device=device, config=config, numerics=numerics,
-                    backend=backend,
-                )
-            if fp is None:
-                fp = await loop.run_in_executor(self._pool, fingerprint, csr)
+                return run()  # trivial answer: the engine plans nothing
+            fp = await self._fingerprint(csr)
             if self.engine.lookup(fp, device=device, config=config) is None:
                 await self._ensure_plan(
-                    csr, Bs.shape[-1], device, config, fp, tenant
+                    csr, B.shape[-1], device, config, fp, tenant
                 )
-            return await loop.run_in_executor(
-                self._pool,
-                partial(
-                    self.engine.multiply_many, csr, Bs, device=device,
-                    config=config, fp=fp, numerics=numerics, backend=backend,
-                ),
-            )
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(self._pool, run)
         finally:
             self._end()
 

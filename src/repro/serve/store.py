@@ -1,8 +1,7 @@
 """Persistent, content-addressed plan store — cross-process plan reuse.
 
 The in-memory :class:`~repro.serve.cache.PlanCache` amortises plan cost
-within one process; every *new* worker still pays full cold-start (19x
-slower than cached on DD, per ``benchmarks/results/serve_engine.txt``).
+within one process; every *new* worker still pays a full cold start.
 :class:`PlanStore` closes that gap: plans are serialised once
 (:mod:`repro.serve.serial`) into one file per fingerprint under a cache
 directory, and any process can load them back as views into one
@@ -183,8 +182,8 @@ class StoreEntry:
         Two raw signals exist: the file mtime (local filesystem clock,
         refreshed on every successful load) and the ``saved_at`` wall
         clock persisted in the v2 header (the *writer's* clock — robust
-        against tree copies that reset mtimes; absent — 0 — in v1
-        containers).  They live in different clock domains, so a signal
+        against tree copies that reset mtimes; 0 when a malformed header
+        lacks it).  They live in different clock domains, so a signal
         that runs *ahead* of :attr:`now` (scan time) is untrusted and
         discarded rather than merely clamped: a skewed writer's
         ``saved_at`` would otherwise pin idle time at zero forever,
@@ -881,8 +880,8 @@ def _cmd_inspect(store: PlanStore, args) -> int:
     for e in sorted(entries, key=lambda e: -e.build_seconds):
         meta = e.meta or {}
         fp = meta.get("fingerprint", {})
-        # v3 header block: the autotuner's verdict (absent on v1/v2
-        # entries and untuned plans)
+        # v3 header block: the autotuner's verdict (absent on untuned
+        # plans)
         tuned = meta.get("tuned")
         tuned_label = (
             f"{tuned.get('kernel', '?')}@"

@@ -2,10 +2,10 @@
 
 Two decisions used to be buried in plan metadata and benchmark scripts:
 
-* **how sloppy may the arithmetic be** — the parked fused-GEMM strategy
-  (``"adaptive"`` executor mode) is 2-3x faster on dense-ish matrices
-  but reassociates fp32 accumulation, so it could never be on by
-  default.  :mod:`repro.tune.policy` makes the trade-off explicit as a
+* **how sloppy may the arithmetic be** — the fused-GEMM strategy is
+  2-3x faster on dense-ish matrices but reassociates fp32
+  accumulation, so it could never be on by default.
+  :mod:`repro.tune.policy` makes the trade-off explicit as a
   first-class :class:`NumericsPolicy` (``exact`` | ``tf32`` | ``fast``)
   with a documented, tested error bound per tier, carried from
   :func:`repro.spmm` / engine request down to the executor.

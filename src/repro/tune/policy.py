@@ -2,8 +2,8 @@
 
 Every SpMM entry point (:func:`repro.spmm`, ``AccPlan.multiply``, the
 serving engines) accepts a ``numerics=`` argument resolved through
-:func:`resolve_policy`.  The tier decides which executor mode serves the
-request (see :mod:`repro.kernels.executor`):
+:func:`resolve_policy`.  The tier keys the compiled executor that serves
+the request (see :mod:`repro.kernels.executor`):
 
 ``exact`` (default)
     TF32-rounded inputs, fp32 accumulation in the fixed reference
@@ -33,19 +33,20 @@ summation term ``gamma_n = n*u / (1 - n*u)`` at fp32 unit roundoff
 ``u = 2**-24`` over ``depth + 2`` roundings (products, plus slack for
 the final write).  The bound is association-free, so one formula covers
 the fixed-order, fused, and mixed-strategy executions of a tier.
+:func:`relative_error` is the scalar check the tests and examples use
+beside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ValidationError
 
 #: The recognised tiers, weakest guarantee last.
 TIERS = ("exact", "tf32", "fast")
-
-#: tier -> executor mode (``plan.meta`` / ``TCExecPlan.mode`` vocabulary)
-_EXEC_MODE = {"exact": "exact", "tf32": "adaptive", "fast": "fast"}
 
 #: unit roundoff of the *input* rounding step per tier: TF32 keeps a
 #: 10-bit mantissa (round-to-nearest-even => u = 2**-11); the fast tier
@@ -76,11 +77,6 @@ class NumericsPolicy:
             )
 
     # ------------------------------------------------------------------
-    @property
-    def exec_mode(self) -> str:
-        """The executor mode implementing this tier."""
-        return _EXEC_MODE[self.tier]
-
     @property
     def rounds_inputs(self) -> bool:
         """Whether operands are rounded to TF32 before the MMA."""
@@ -149,3 +145,13 @@ def resolve_policy(numerics=None) -> NumericsPolicy:
         f"numerics must be None, a tier name, or a NumericsPolicy; "
         f"got {type(numerics).__name__}"
     )
+
+
+def relative_error(
+    approx: np.ndarray, exact: np.ndarray, floor: float = 1e-30
+) -> float:
+    """Max relative error with a denominator floor (avoids 0/0)."""
+    approx = np.asarray(approx, dtype=np.float64)
+    exact = np.asarray(exact, dtype=np.float64)
+    denom = np.maximum(np.abs(exact), max(floor, float(np.abs(exact).max()) * 1e-9))
+    return float(np.max(np.abs(approx - exact) / denom))

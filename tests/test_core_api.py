@@ -8,7 +8,7 @@ from repro.core import AccConfig, plan, spmm
 from repro.errors import ValidationError
 from repro.gpusim.pipeline import PipelineMode
 from repro.kernels import reference_spmm
-from repro.numerics import relative_error
+from repro.tune.policy import relative_error
 
 from tests.conftest import random_csr
 

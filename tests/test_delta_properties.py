@@ -210,7 +210,7 @@ def test_executor_caches_rebase_bitwise(data):
     added, removed, drop_seed, n_drop = steps[0]
     B = make_b(current.csr, n=8, seed=3)
     for tier in TIERS:
-        current.multiply(B, numerics=tier)  # warm every exec mode
+        current.multiply(B, numerics=tier)  # warm every tier's executor
     delta = GraphDelta.from_edges(
         added=added,
         removed=list(removed) + existing_edges(current.csr, drop_seed, n_drop),

@@ -178,25 +178,29 @@ class TestAdaptiveMode:
     def test_fused_close_but_reassociated(self):
         csr = random_csr(96, 96, 0.5, seed=12)  # dense tiles -> fused
         exact = plan(csr, feature_dim=16)
-        adaptive = plan(csr, feature_dim=16).prepare(mode="adaptive")
-        assert "fused" in get_executor(adaptive.tc_plan).stats.strategies
+        tf32 = plan(csr, feature_dim=16).prepare(numerics="tf32")
+        ex = get_executor(tf32.tc_plan, numerics="tf32")
+        assert "fused" in ex.stats.strategies
         B = rhs(96)
         ref = exact.multiply(B)
-        C = adaptive.multiply(B)
+        C = tf32.multiply(B, numerics="tf32")
         assert np.allclose(C, ref, rtol=1e-4, atol=1e-5)
 
     def test_sparse_chunks_stay_exact_in_adaptive(self):
         csr = random_csr(256, 256, 0.005, seed=13)  # low MeanNNZTC
-        p = plan(csr, feature_dim=16).prepare(mode="adaptive")
-        strategies = get_executor(p.tc_plan).stats.strategies
+        p = plan(csr, feature_dim=16).prepare(numerics="tf32")
+        strategies = get_executor(p.tc_plan, numerics="tf32").stats.strategies
         assert "fused" not in strategies
         B = rhs(256)
-        assert bits_equal(p.multiply(B), execute_tiled_reference(p.tc_plan, B))
+        assert bits_equal(
+            p.multiply(B, numerics="tf32"),
+            execute_tiled_reference(p.tc_plan, B),
+        )
 
     def test_invalid_mode_rejected(self):
         p = plan(random_csr(64, 64, 0.1, seed=14), feature_dim=16)
-        with pytest.raises(ValidationError, match="exec mode"):
-            p.prepare(mode="sloppy")
+        with pytest.raises(ValidationError, match="numerics tier"):
+            p.prepare(numerics="sloppy")
 
 
 class TestExecutorLifecycle:

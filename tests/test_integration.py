@@ -10,7 +10,7 @@ from repro.core import AccConfig
 from repro.gpusim import get_device
 from repro.kernels import KERNELS, reference_spmm
 from repro.kernels.accspmm import AccSpMMKernel
-from repro.numerics import relative_error
+from repro.tune.policy import relative_error
 from repro.reorder import REORDERERS
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix

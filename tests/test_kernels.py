@@ -16,7 +16,7 @@ from repro.kernels import (
     TCGNNKernel,
     reference_spmm,
 )
-from repro.numerics import relative_error
+from repro.tune.policy import EXACT, relative_error
 
 from tests.conftest import random_csr
 
@@ -69,8 +69,6 @@ class TestNumericCorrectness:
     @pytest.mark.parametrize("kcls", TC_KERNELS)
     def test_signed_data_within_tf32_error_bound(self, kcls, signed_workload):
         """With cancellation, |C - ref| must obey the forward bound."""
-        from repro.numerics import spmm_error_bound
-
         csr, B, ref = signed_workload
         res = kcls().multiply(csr, B, DEV)
         # |A| @ |B| gives the bound's abs-dot term per output element
@@ -78,8 +76,7 @@ class TestNumericCorrectness:
             csr.n_rows, csr.n_cols, csr.indptr, csr.indices, np.abs(csr.vals)
         )
         abs_dot = abs_csr.matmat(np.abs(B).astype(np.float64))
-        k = csr.row_lengths()[:, None]
-        bound = spmm_error_bound(abs_dot, np.maximum(k, 1)) * 4.0  # slack
+        bound = EXACT.error_bound(int(csr.row_lengths().max())) * abs_dot
         assert (np.abs(res.C - ref) <= bound + 1e-9).all()
 
     def test_acc_all_lb_modes_same_numeric(self, workload):

@@ -5,23 +5,10 @@ import pytest
 
 from repro.bench.reporting import format_table, geomean, to_csv
 from repro.bench.workloads import suitesparse_like_collection
-from repro.numerics import relative_error, spmm_error_bound, tf32_machine_epsilon
+from repro.tune.policy import relative_error
 
 
 class TestNumerics:
-    def test_eps_value(self):
-        assert tf32_machine_epsilon() == 2.0**-11
-
-    def test_bound_grows_with_k(self):
-        b1 = spmm_error_bound(10.0, 4)
-        b2 = spmm_error_bound(10.0, 4000)
-        assert b2 > b1
-
-    def test_bound_scales_with_magnitude(self):
-        assert spmm_error_bound(100.0, 8) == pytest.approx(
-            10 * spmm_error_bound(10.0, 8)
-        )
-
     def test_relative_error_basics(self):
         a = np.array([1.0, 2.0])
         assert relative_error(a, a) == 0.0

@@ -60,11 +60,6 @@ class TestPolicy:
         with pytest.raises(ValidationError, match="tier"):
             resolve_policy("sloppy")
 
-    def test_exec_mode_mapping(self):
-        assert EXACT.exec_mode == "exact"
-        assert TF32.exec_mode == "adaptive"
-        assert FAST.exec_mode == "fast"
-
     def test_semantics_flags(self):
         assert EXACT.rounds_inputs and not EXACT.reassociates
         assert TF32.rounds_inputs and TF32.reassociates
@@ -156,7 +151,7 @@ class TestErrorBounds:
 
 
 # ----------------------------------------------------------------------
-# per-mode executor coexistence
+# per-tier executor coexistence
 # ----------------------------------------------------------------------
 class TestPerModeExecutors:
     def test_tiers_do_not_thrash(self):
@@ -170,7 +165,7 @@ class TestPerModeExecutors:
         ex_exact, ex_fast = cache["exact"], cache["fast"]
         p.multiply(B, numerics="exact")
         assert p.tc_plan.exec_cache["exact"] is ex_exact  # no rebuild
-        # compiled geometry is shared across modes (same tiling)
+        # compiled geometry is shared across tiers (same tiling)
         assert ex_fast.out_rank is ex_exact.out_rank
         assert ex_fast.pos_all is ex_exact.pos_all
 
@@ -181,7 +176,7 @@ class TestPerModeExecutors:
         assert p.executor_for("fast") is None
         p.multiply(B, numerics="fast")
         assert p.executor_for("fast") is not None
-        assert p.executor_for("fast").mode == "fast"
+        assert p.executor_for("fast").numerics is FAST
         assert p.executor is None  # default (exact) never compiled
 
     def test_fast_promotes_fused_on_dense_blocks(self):

@@ -179,14 +179,6 @@ class TestSerialRoundTrip:
         B = make_b(csr, n=16)
         assert np.array_equal(execute_tiled(tc, B), execute_tiled(tc2, B))
 
-    def test_adaptive_mode_survives_direct_round_trip(self):
-        # to_bytes/from_bytes is full-fidelity (the *engine* store path
-        # strips exec_mode; the raw API must not)
-        csr = make_csr(seed=5)
-        p = repro.plan(csr, feature_dim=32).prepare(mode="adaptive")
-        p2 = AccPlan.from_bytes(p.to_bytes())
-        assert p2.tc_plan.meta.get("exec_mode") == "adaptive"
-
 
 class TestContainerValidation:
     def test_bad_magic(self):
@@ -570,16 +562,15 @@ class TestEngineStore:
         csr = make_csr(seed=25)
         B = make_b(csr)
         p = repro.plan(csr, feature_dim=32).prepare(
-            mode="adaptive", max_bytes=1024
+            numerics="tf32", max_bytes=1024
         )
         store = PlanStore(tmp_path)
         store.put(fingerprint(csr), p.device.name, p.config, p)
         engine = repro.SpMMEngine(store=store)
         served = engine.get_plan(csr, feature_dim=32)
         assert engine.stats["store_hits"] == 1
-        # the writer's opt-ins must not leak into this engine: neither
-        # the reassociating strategy nor its materialisation budget
-        assert "exec_mode" not in served.tc_plan.meta
+        # the writer's materialisation budget must not leak into this
+        # engine
         assert "exec_max_bytes" not in served.tc_plan.meta
         # exact-mode result == reference bit-for-bit
         assert np.array_equal(

@@ -227,8 +227,8 @@ class TestEngine:
     def test_value_refresh_does_not_inherit_adaptive_mode(self, csr, B):
         eng = SpMMEngine()
         eng.spmm(csr, B)
-        # opt the cached plan (old values) into the reassociating mode
-        eng.get_plan(csr, feature_dim=16).prepare(mode="adaptive")
+        # compile the reassociating tier on the cached plan (old values)
+        eng.get_plan(csr, feature_dim=16).prepare(numerics="tf32")
         csr2 = with_values(csr, (csr.vals * 3.0).astype(np.float32))
         C = eng.spmm(csr2, B)  # value refresh through the structural plan
         assert eng.stats["value_refreshes"] == 1

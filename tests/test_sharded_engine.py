@@ -5,7 +5,8 @@ bit-for-bit the unsharded engine's results, M simultaneous misses on one
 matrix build exactly one plan (threaded and async, asserted via stats),
 ``max_idle_seconds`` expires idle entries in both the in-memory cache
 and the on-disk store — never one used since the cutoff — and
-v1-format containers still load after the v2 container-version bump.
+containers older than the v4 floor quarantine as version errors.  Every
+engine layer answers the same inputs with the same bits.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import EngineClosedError, StoreVersionError
+from repro.errors import EngineClosedError, StoreVersionError, ValidationError
 from repro.serve import (
     AsyncSpMMEngine,
     ShardedSpMMEngine,
@@ -35,12 +36,13 @@ from repro.serve.serial import (
     MIN_PLAN_FORMAT_VERSION,
     PLAN_FORMAT_VERSION,
     plan_from_bytes,
-    read_header,
 )
 from repro.serve.store import PlanStore
-from repro.sparse.convert import coo_to_csr
+from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.random import erdos_renyi
+
+from conftest import bits_equal
 
 
 def make_csr(seed=0, n=256, deg=8.0):
@@ -115,16 +117,6 @@ class TestShardedRouting:
         ref = SpMMEngine()
         for i in range(3):
             assert np.array_equal(Cs[i], ref.spmm(A, Bs[i]))
-
-    def test_zero_dim_operands(self):
-        eng = ShardedSpMMEngine(n_shards=2)
-        empty = CSRMatrix(
-            0, 8, np.zeros(1, np.int64), np.zeros(0, np.int64),
-            np.zeros(0, np.float32),
-        )
-        C = eng.spmm(empty, np.zeros((8, 4), dtype=np.float32))
-        assert C.shape == (0, 4)
-        assert eng.stats["plans_built"] == 0
 
     def test_tenant_stats(self):
         eng = ShardedSpMMEngine(n_shards=2)
@@ -281,7 +273,7 @@ class TestAsyncEngine:
 
         async def main():
             async with AsyncSpMMEngine(n_shards=4) as eng:
-                fp = await eng.compute_fingerprint(A)
+                await eng.compute_fingerprint(A)
                 inner = eng.engine.get_plan
 
                 def gated_get_plan(*args, **kwargs):
@@ -296,12 +288,12 @@ class TestAsyncEngine:
                 eng.engine.get_plan = gated_get_plan
                 tasks = [
                     asyncio.ensure_future(
-                        eng.multiply(A, B, tenant=f"t{i % 3}", fp=fp)
+                        eng.multiply(A, B, tenant=f"t{i % 3}")
                     )
                     for i in range(M)
                 ]
-                # with fp precomputed there is no await before the
-                # coalescing registration, so one loop pass runs every
+                # A carries its fingerprint, so there is no await before
+                # the coalescing registration: one loop pass runs every
                 # task up to its wait on the shared in-flight future
                 await asyncio.sleep(0)
                 release.set()
@@ -398,19 +390,85 @@ class TestAsyncEngine:
         # timed out — and only it (otherwise this test proved nothing)
         assert timed_out
 
-    def test_zero_dim_async(self):
-        empty = CSRMatrix(
-            0, 8, np.zeros(1, np.int64), np.zeros(0, np.int64),
-            np.zeros(0, np.float32),
-        )
+    def test_fingerprinted_cached_multiply_is_one_pool_task(self):
+        # a matrix that carries its fingerprint needs no hashing hop:
+        # the multiply itself is the only work handed to the pool
+        A = make_csr(seed=17)
+        B = make_b(A)
 
         async def main():
             async with AsyncSpMMEngine(n_shards=2) as eng:
-                return await eng.multiply(
-                    empty, np.zeros((8, 4), dtype=np.float32)
-                )
+                await eng.multiply(A, B)  # builds; A keeps its fingerprint
+                submitted = []
+                submit = eng._pool.submit
 
-        assert asyncio.run(main()).shape == (0, 4)
+                def counting_submit(fn, *args, **kwargs):
+                    submitted.append(fn)
+                    return submit(fn, *args, **kwargs)
+
+                eng._pool.submit = counting_submit
+                return await eng.multiply(A, B), submitted
+
+        C, submitted = asyncio.run(main())
+        assert len(submitted) == 1
+        assert bits_equal(C, SpMMEngine().spmm(A, B))
+
+
+# ----------------------------------------------------------------------
+# every engine layer on the same inputs
+# ----------------------------------------------------------------------
+def _layer_input(kind):
+    """``(A as passed, A as CSR)`` for one input kind."""
+    if kind == "zero-rows":
+        csr = CSRMatrix(
+            0, 8, np.zeros(1, np.int64), np.zeros(0, np.int64),
+            np.zeros(0, np.float32),
+        )
+    elif kind == "zero-cols":
+        csr = CSRMatrix(
+            8, 0, np.zeros(9, np.int64), np.zeros(0, np.int64),
+            np.zeros(0, np.float32),
+        )
+    else:
+        csr = make_csr(seed=30, n=128)
+    return (csr_to_coo(csr) if kind == "coo" else csr), csr
+
+
+def _serve(layer, A, B, batched):
+    """``A @ B`` (or the batched product) through one engine layer;
+    returns the result and the layer's stats."""
+    if layer == "async":
+        async def main():
+            async with AsyncSpMMEngine(n_shards=2) as eng:
+                run = eng.multiply_many if batched else eng.multiply
+                return await run(A, B), eng.stats
+
+        return asyncio.run(main())
+    eng = SpMMEngine() if layer == "engine" else ShardedSpMMEngine(n_shards=2)
+    run = eng.multiply_many if batched else eng.spmm
+    return run(A, B), eng.stats
+
+
+class TestEveryEngineLayer:
+    @pytest.mark.parametrize("layer", ["engine", "sharded", "async"])
+    @pytest.mark.parametrize("kind", ["csr", "coo", "zero-rows", "zero-cols"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    def test_same_inputs_same_bits(self, layer, kind, batched):
+        A, csr = _layer_input(kind)
+        Bs = np.stack([make_b(csr, n=16, seed=s) for s in range(2)])
+        ref = SpMMEngine()
+        if batched:
+            B, want = Bs, np.stack([ref.spmm(csr, b) for b in Bs])
+        else:
+            B, want = Bs[0], ref.spmm(csr, Bs[0])
+        C, stats = _serve(layer, A, B, batched)
+        assert C.dtype == np.float32 and bits_equal(C, want)
+        empty = csr.n_rows == 0 or csr.n_cols == 0
+        assert stats["plans_built"] == (0 if empty else 1)
+        # a B of the wrong height is refused, planned matrix or not
+        bad = np.zeros(B.shape[:-2] + (csr.n_cols + 1, 16), np.float32)
+        with pytest.raises(ValidationError):
+            _serve(layer, A, bad, batched)
 
 
 # ----------------------------------------------------------------------
@@ -715,47 +773,19 @@ class TestStoreSharding:
 # ----------------------------------------------------------------------
 class TestVersionCompat:
     def test_current_version_is_four_reads_back_to_one(self):
+        # the floor rose from 1 to 4: v4 is the only version read
         assert PLAN_FORMAT_VERSION == 4
-        assert MIN_PLAN_FORMAT_VERSION == 1
-
-    def test_v1_container_round_trips(self):
-        # a v1 container is the v2 layout minus the saved_at header
-        # field, which readers default — rewriting the version word
-        # reproduces a pre-bump blob exactly as the parser sees it
-        A = make_csr(seed=20)
-        B = make_b(A)
-        p = repro.plan(A, feature_dim=16)
-        C0 = p.multiply(B)
-        v1 = patched_version(p.to_bytes(), 1)
-        header, _ = read_header(v1)
-        assert header["format_version"] == 1
-        p2 = plan_from_bytes(v1)
-        assert np.array_equal(C0, p2.multiply(B))
-
-    def test_v1_store_entry_still_serves(self, tmp_path):
-        store = PlanStore(tmp_path)
-        A = make_csr(seed=21)
-        B = make_b(A)
-        p = repro.plan(A, feature_dim=16)
-        fp = fingerprint(A)
-        path = store.path_for(store.digest(fp, p.device.name, p.config))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(patched_version(p.to_bytes(), 1))
-        p2 = store.get(fp, p.device.name, p.config)
-        assert p2 is not None and store.stats.quarantined == 0
-        assert np.array_equal(p.multiply(B), p2.multiply(B))
-        # v1 headers have no saved_at; recency falls back to mtime
-        (entry,) = store.entries()
-        assert entry.last_used == entry.mtime
+        assert MIN_PLAN_FORMAT_VERSION == 4
 
     def test_unknown_version_reports_found_and_expected(self):
         A = make_csr(seed=22)
-        data = patched_version(repro.plan(A, feature_dim=16).to_bytes(), 99)
-        with pytest.raises(StoreVersionError) as exc_info:
-            plan_from_bytes(data)
-        msg = str(exc_info.value)
-        assert "found plan format version 99" in msg
-        assert f"{MIN_PLAN_FORMAT_VERSION}..{PLAN_FORMAT_VERSION}" in msg
+        blob = repro.plan(A, feature_dim=16).to_bytes()
+        for version in (1, 3, 99):  # below the floor, and from the future
+            with pytest.raises(StoreVersionError) as exc_info:
+                plan_from_bytes(patched_version(blob, version))
+            msg = str(exc_info.value)
+            assert f"found plan format version {version}," in msg
+            assert "expected 4..4" in msg
 
     def test_quarantine_reason_names_both_versions(self, tmp_path):
         store = PlanStore(tmp_path)
@@ -764,13 +794,15 @@ class TestVersionCompat:
         fp = fingerprint(A)
         path = store.path_for(store.digest(fp, p.device.name, p.config))
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(patched_version(p.to_bytes(), 7))
-        assert store.get(fp, p.device.name, p.config) is None
-        reason = (
-            store.quarantine_dir / f"{path.name}.reason"
-        ).read_text()
-        assert "found plan format version 7" in reason
-        assert f"{MIN_PLAN_FORMAT_VERSION}..{PLAN_FORMAT_VERSION}" in reason
+        for n, version in enumerate((1, 3, 7), start=1):
+            path.write_bytes(patched_version(p.to_bytes(), version))
+            assert store.get(fp, p.device.name, p.config) is None
+            assert store.stats.quarantined == n
+            reason = (
+                store.quarantine_dir / f"{path.name}.reason"
+            ).read_text()
+            assert f"found plan format version {version}," in reason
+            assert "expected 4..4" in reason
 
     def test_saved_at_recorded_in_v2_headers(self, tmp_path):
         import time

@@ -5,8 +5,6 @@ Sweeps the IBD activation threshold (paper: 8) and the per-TB block cap
 operating point sits on the flat-top of the curve (near-best makespan).
 """
 
-import numpy as np
-
 from repro.balance.scheduler import balanced_schedule
 from repro.bench.reporting import format_table
 from repro.bench.workloads import cached_reorder

@@ -28,7 +28,6 @@ import time
 
 import numpy as np
 
-import repro
 from repro.core import plan
 from repro.kernels.tc_common import execute_tiled_reference
 from repro.sparse.convert import coo_to_csr

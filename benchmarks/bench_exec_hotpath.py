@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-import repro
 from repro.core import plan
 from repro.kernels.tc_common import execute_tiled_reference
 from repro.sparse.datasets import load_dataset

@@ -7,7 +7,7 @@ averaging ~2.5x over cuSPARSE with larger wins on type-2 matrices.
 import numpy as np
 
 from repro.bench.experiments import fig7
-from repro.bench.reporting import format_table, geomean
+from repro.bench.reporting import format_table
 
 from _common import dump, once
 

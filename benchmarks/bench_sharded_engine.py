@@ -41,7 +41,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-import repro
 from repro.serve import ShardedSpMMEngine, SpMMEngine
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.random import erdos_renyi, powerlaw_graph

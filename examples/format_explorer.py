@@ -16,8 +16,6 @@ Run::
 
 import sys
 
-import numpy as np
-
 import repro
 from repro.balance import IBD_THRESHOLD, imbalance_degree
 from repro.bench.reporting import format_table

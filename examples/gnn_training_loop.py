@@ -57,7 +57,7 @@ def main() -> None:
         W2 -= 1e-3 * np.sign(W2)
     t_train = time.perf_counter() - t0
     s = engine.stats
-    print(f"{epochs} epochs x 2 layers in {t_train:.2f}s  "
+    print(f"{epochs} epochs x 2 layers in {t_train:.2f}s, output {Z.shape}  "
           f"(plans_built={s['plans_built']}, hits={s['hits']})")
     assert s["plans_built"] == 1, "the adjacency must plan exactly once"
 

@@ -62,21 +62,6 @@ from repro.serve import (
     set_default_engine,
 )
 
-
-def __getattr__(name):
-    # lazy, like repro.serve's own store exports: keeps
-    # `python -m repro.serve.store` from double-importing the CLI module
-    if name == "PlanStore":
-        from repro.serve import store
-
-        return store.PlanStore
-    # autotune pulls in kernels/gpusim; resolved on first use so
-    # `import repro` stays light for policy-only callers
-    if name == "autotune":
-        from repro.tune.autotune import autotune
-
-        return autotune
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from repro.errors import (
     ConvergenceError,
     FormatError,
@@ -98,6 +83,23 @@ from repro.sparse import (
     matrix_stats,
     save_matrix_market,
 )
+
+
+def __getattr__(name):
+    # lazy, like repro.serve's own store exports: keeps
+    # `python -m repro.serve.store` from double-importing the CLI module
+    if name == "PlanStore":
+        from repro.serve import store
+
+        return store.PlanStore
+    # autotune pulls in kernels/gpusim; resolved on first use so
+    # `import repro` stays light for policy-only callers
+    if name == "autotune":
+        from repro.tune.autotune import autotune
+
+        return autotune
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "1.0.0"
 

@@ -4,7 +4,7 @@ A class declares which attributes its lock protects, either with a
 class-level registry::
 
     class SpMMEngine:
-        _GUARDED_BY_ = {"cache": "_lock", "_build_locks": "_lock"}
+        _GUARDED_BY_ = {"cache": "_lock", "_inflight": "_lock"}
 
 or with a trailing annotation comment on the attribute's assignment::
 

@@ -4,7 +4,7 @@ Every nested ``with <lock>`` acquisition contributes a directed edge
 ``outer -> inner`` to a global (cross-module) order graph; a cycle in
 that graph is a deadlock waiting for the right thread interleaving.
 Lock names are qualified by their enclosing class (``SpMMEngine._lock``,
-``SpMMEngine.build_lock``) so identically-named locks on different
+``PlanStore._stats_lock``) so identically-named locks on different
 classes stay distinct — matching the naming convention the runtime
 sanitizer's :class:`~repro.analysis.runtime.TrackedLock` uses, so a
 static edge and a dynamic edge for the same pair of locks read the same.

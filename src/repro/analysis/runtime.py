@@ -19,7 +19,7 @@ stress tests).  When enabled it returns a :class:`TrackedLock` that
   ``PlanCache._assert_owned`` and the guarded-field read audit.
 
 Lock names follow the static checker's qualification convention,
-``ClassName.lockname`` (``SpMMEngine._lock``, ``SpMMEngine.build_lock``)
+``ClassName.lockname`` (``SpMMEngine._lock``, ``PlanStore._stats_lock``)
 so a dynamic inversion report reads the same as a REP102 finding.
 
 The guarded-field audit instruments classes decorated with

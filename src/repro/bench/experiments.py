@@ -30,7 +30,7 @@ from repro.gpusim.pipeline import PipelineMode
 from repro.gpusim.specs import DEVICES, get_device
 from repro.kernels.accspmm import AccSpMMKernel
 from repro.reorder.metrics import mean_nnz_per_tc_block
-from repro.sparse.datasets import DATASETS, list_datasets
+from repro.sparse.datasets import DATASETS
 from repro.sparse.stats import matrix_stats
 from repro.util.timing import Timer
 

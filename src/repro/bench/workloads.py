@@ -16,8 +16,6 @@ dataset cache.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.reorder import REORDERERS

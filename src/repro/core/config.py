@@ -9,7 +9,7 @@ five switches (plus tuning knobs), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.balance.ibd import IBD_THRESHOLD
 from repro.balance.scheduler import MAX_BLOCKS_PER_TB

@@ -11,7 +11,7 @@ with a priority queue over SM availability times.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -32,7 +32,7 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import ValidationError
 

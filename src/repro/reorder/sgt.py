@@ -11,8 +11,6 @@ Figure 10, and it is listed here under its paper name.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.reorder.base import Permutation, ReorderResult
 from repro.sparse.csr import CSRMatrix
 

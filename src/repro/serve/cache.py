@@ -63,6 +63,9 @@ class CacheStats:
     #: entries expired by the TTL policy (``max_idle_seconds``) — kept
     #: separate from ``evictions``, which counts capacity/byte pressure
     expirations: int = 0
+    #: misses that waited on another request's in-flight resolution of
+    #: the same key instead of resolving the plan themselves
+    coalesced_waits: int = 0
 
     @property
     def requests(self) -> int:
@@ -84,6 +87,7 @@ class CacheStats:
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
             "expirations": self.expirations,
+            "coalesced_waits": self.coalesced_waits,
             "hit_rate": round(self.hit_rate, 4),
         }
 

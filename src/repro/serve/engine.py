@@ -24,6 +24,7 @@ feature dimensions: the numeric result of
 
 from __future__ import annotations
 
+import concurrent.futures as cf
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -117,17 +118,18 @@ class SpMMEngine:
 
     Thread safety: one engine serves concurrent threads.  Cache state is
     guarded by one internal lock, held only for dict-sized operations —
-    never across a plan build or a multiply; per-key build locks
-    serialise concurrent misses on the *same* content so exactly one
-    thread builds while same-key requests wait and different-key traffic
-    proceeds.  For many cores, shard engines across
-    :class:`~repro.serve.sharded.ShardedSpMMEngine` so unrelated tenants
-    do not share this lock (see ``docs/CONCURRENCY.md``).
+    never across a plan build or a multiply.  :meth:`get_plan` is the
+    one place that coalesces misses: concurrent misses on the *same*
+    content run one resolution while the others wait for its plan or
+    exception, and different-key traffic proceeds.  For many cores,
+    shard engines across :class:`~repro.serve.sharded.ShardedSpMMEngine`
+    so unrelated tenants do not share this lock (see
+    ``docs/CONCURRENCY.md``).
     """
 
     #: lock discipline, enforced statically (REP101) and — under
     #: REPRO_LOCK_SANITIZER=1 — dynamically (repro.analysis.runtime)
-    _GUARDED_BY_ = {"cache": "_lock", "_build_locks": "_lock"}
+    _GUARDED_BY_ = {"cache": "_lock", "_inflight": "_lock"}
 
     def __init__(
         self,
@@ -172,8 +174,8 @@ class SpMMEngine:
         validate_backend(backend)
         self.backend = backend
         self.autotune = bool(autotune)
-        #: per-key locks so a slow plan build only blocks same-key requests
-        self._build_locks: dict = {}
+        #: plan key -> the future of its one in-flight resolution
+        self._inflight: dict[tuple, cf.Future] = {}
 
     # ------------------------------------------------------------------
     def get_plan(
@@ -189,89 +191,108 @@ class SpMMEngine:
         ``A`` is keyed by :func:`~repro.serve.fingerprint.fingerprint`,
         which hashes a matrix object once and then returns the value
         stored on it, so callers that already hashed ``A`` (the sharded
-        router, the async facade) pay nothing for the repeat.
+        router, the server) pay nothing for the repeat.
+
+        Single flight: the first miss on a key resolves the plan outside
+        the engine lock, and every miss on that key that arrives
+        meanwhile waits for the same plan or exception (counted in
+        ``stats["coalesced_waits"]``).  A failure is not remembered: the
+        next request starts a fresh resolution.
         """
         csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
         spec = get_device(device) if device is not None else self.default_device
         cfg = config or self.default_config
         fp = fingerprint(csr)
         key = (fp.full, spec.name, cfg)
-        structural_key = (fp.structural, spec.name, cfg)
         with self._lock:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-            build_lock = self._build_locks.setdefault(
-                key, create_lock("SpMMEngine.build_lock")
+            fut = self._inflight.get(key)
+            owner = fut is None
+            if owner:
+                fut = self._inflight[key] = cf.Future()
+            else:
+                self.cache.stats.coalesced_waits += 1
+        if not owner:
+            return fut.result()
+        try:
+            p = self._resolve(csr, fp, key, feature_dim, spec, cfg)
+        except BaseException as exc:
+            with self._lock:
+                # _resolve retires the key before the store write, which
+                # can still raise (MemoryError in to_bytes); by then the
+                # key may belong to a later owner, so remove only ours
+                if self._inflight.get(key) is fut:
+                    del self._inflight[key]
+            fut.set_exception(exc)
+            raise
+        fut.set_result(p)
+        return p
+
+    def _resolve(self, csr, fp, key, feature_dim, spec, cfg) -> AccPlan:
+        """The owner's half of :meth:`get_plan`: resolve a missing plan,
+        insert it and retire ``key`` from the in-flight map in one hold
+        of the engine lock, so no request finds the key neither cached
+        nor in flight; then persist a full build."""
+        structural_key = (fp.structural, spec.name, cfg)
+        with self._lock:
+            base = self.cache.peek_structural(structural_key)
+        # resolution order: in-memory structural repack is the cheapest
+        # miss path, then the on-disk store (mmap load, no replan), then
+        # a full build.  Store I/O and plan builds run outside the lock.
+        p = None
+        outcome = "refresh" if base is not None else None
+        if base is None and self.store is not None:
+            p = self.store.get(fp, spec.name, cfg)  # never raises
+            outcome = "store" if p is not None else None
+            if p is not None:
+                # the writer's materialisation budget must not leak into
+                # this engine, which re-applies its own below.  "tuned"
+                # is deliberately NOT scrubbed: it is derived from the
+                # matrix, and dropping it would waste the amortised
+                # autotuning.
+                p.tc_plan.meta.pop("exec_max_bytes", None)
+        if p is None and base is not None:
+            p = self._refresh_values(base, csr)
+        if p is None:
+            p = build_plan(
+                csr,
+                feature_dim=feature_dim,
+                device=spec,
+                config=cfg,
+                autotune=self.autotune,
             )
-        # build outside the engine lock: a slow plan build must not stall
-        # cache hits on other matrices; same-key requests queue here
-        with build_lock:
-            try:
-                with self._lock:
-                    cached = self.cache.peek(key)  # built while we waited?
-                    if cached is not None:
-                        return cached
-                    base = self.cache.peek_structural(structural_key)
-                # resolution order: in-memory structural repack is the
-                # cheapest miss path, then the on-disk store (mmap load,
-                # no replan), then a full build.  Store I/O and plan
-                # builds run outside the engine lock.
-                p = None
-                outcome = "refresh" if base is not None else None
-                if base is None and self.store is not None:
-                    p = self.store.get(fp, spec.name, cfg)  # never raises
-                    outcome = "store" if p is not None else None
-                    if p is not None:
-                        # the writer's materialisation budget must not
-                        # leak into this engine, which re-applies its own
-                        # below.  "tuned" is deliberately NOT scrubbed:
-                        # it is derived from the matrix, and dropping it
-                        # would waste the amortised autotuning.
-                        p.tc_plan.meta.pop("exec_max_bytes", None)
-                if p is None and base is not None:
-                    p = self._refresh_values(base, csr)
-                if p is None:
-                    p = build_plan(
-                        csr,
-                        feature_dim=feature_dim,
-                        device=spec,
-                        config=cfg,
-                        autotune=self.autotune,
-                    )
-                    outcome = "build"
-                if self.exec_max_bytes is not None:
-                    p.tc_plan.meta["exec_max_bytes"] = self.exec_max_bytes
-                if outcome == "build" and self.store is not None:
-                    # compile the executor now, before persisting, so the
-                    # stored entry carries the exec structural payload —
-                    # without this the engine always wrote plans before
-                    # any executor existed and warm-started workers
-                    # re-derived exec preparation from scratch
-                    p.prepare(feature_dim)
-                with self._lock:
-                    stats = self.cache.stats
-                    if outcome == "refresh":
-                        stats.value_refreshes += 1
-                    elif outcome == "store":
-                        stats.store_hits += 1
-                    else:
-                        stats.plans_built += 1
-                        if self.store is not None:
-                            stats.store_misses += 1
-                    self.cache.put(key, p, structural_key=structural_key)
-                if outcome == "build" and self.store is not None:
-                    # best-effort persistence (atomic write-then-rename);
-                    # failures are counted on the store, never raised.
-                    # Only full builds are persisted: value refreshes
-                    # under training traffic would write one multi-MB
-                    # entry per weight update, keyed by values digests
-                    # that never recur
-                    self.store.put(fp, spec.name, cfg, p)
-                return p
-            finally:
-                with self._lock:
-                    self._build_locks.pop(key, None)
+            outcome = "build"
+        if self.exec_max_bytes is not None:
+            p.tc_plan.meta["exec_max_bytes"] = self.exec_max_bytes
+        if outcome == "build" and self.store is not None:
+            # compile the executor now, before persisting, so the stored
+            # entry carries the exec structural payload — without this
+            # the engine always wrote plans before any executor existed
+            # and warm-started workers re-derived exec preparation from
+            # scratch
+            p.prepare(feature_dim)
+        with self._lock:
+            stats = self.cache.stats
+            if outcome == "refresh":
+                stats.value_refreshes += 1
+            elif outcome == "store":
+                stats.store_hits += 1
+            else:
+                stats.plans_built += 1
+                if self.store is not None:
+                    stats.store_misses += 1
+            self.cache.put(key, p, structural_key=structural_key)
+            del self._inflight[key]
+        if outcome == "build" and self.store is not None:
+            # best-effort persistence (atomic write-then-rename); failures
+            # are counted on the store, never raised.  Only full builds
+            # are persisted: value refreshes under training traffic would
+            # write one multi-MB entry per weight update, keyed by values
+            # digests that never recur
+            self.store.put(fp, spec.name, cfg, p)
+        return p
 
     def lookup(
         self,
@@ -282,11 +303,9 @@ class SpMMEngine:
         """Cache-only probe by fingerprint: the plan, or ``None``.
 
         Count-free: neither outcome touches the hit/miss counters, LRU
-        order, or TTL recency — the follow-up :meth:`spmm`/:meth:`get_plan`
-        that acts on the answer counts the request exactly once.  Never
-        builds, never touches the store: this is the non-blocking fast
-        path the async facade probes before deciding to coalesce a
-        resolution (see :class:`~repro.serve.sharded.AsyncSpMMEngine`).
+        order, or TTL recency, so tools and benchmarks can read a cached
+        plan without skewing the request statistics.  Never builds,
+        never touches the store, never waits on an in-flight resolution.
         """
         spec = get_device(device) if device is not None else self.default_device
         cfg = config or self.default_config
@@ -319,8 +338,8 @@ class SpMMEngine:
         link (:meth:`~repro.serve.store.PlanStore.put_delta`), falling
         back to a full plan write when the chain would grow past the
         store's depth bound.  ``apply_delta`` is pure on the base plan,
-        so concurrent deltas on one base need no per-key build lock —
-        last insert wins under the engine lock.
+        so concurrent deltas on one base are not coalesced — last insert
+        wins under the engine lock.
         """
         from repro.sparse.delta import GraphDelta
 
@@ -618,11 +637,12 @@ class SpMMEngine:
         return out
 
     def clear(self) -> None:
-        """Drop every cached plan and reset the counters."""
+        """Drop every cached plan and reset the counters.  Resolutions
+        in flight are left to finish; their plans land in the emptied
+        cache."""
         with self._lock:
             self.cache.clear()
             self.cache.reset_stats()
-            self._build_locks.clear()
 
 
 # ----------------------------------------------------------------------

@@ -77,12 +77,6 @@ def fingerprint(csr: CSRMatrix) -> MatrixFingerprint:
     return fp
 
 
-def stored_fingerprint(csr: CSRMatrix) -> MatrixFingerprint | None:
-    """The fingerprint :func:`fingerprint` stored on ``csr``, or ``None``
-    before the first call; never reads the arrays."""
-    return csr._fingerprint
-
-
 def config_fingerprint(config) -> str:
     """Stable content hash of a pipeline configuration.
 

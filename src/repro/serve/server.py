@@ -591,17 +591,10 @@ class SpMMServer:
         policy = self.engine.resolve_numerics(meta.get("numerics"), tenant)
         backend = meta.get("backend")
         validate_backend(backend)  # reject unknown arm names up front
-        if csr.n_rows == 0 or csr.n_cols == 0:
-            C = await self.engine.multiply(
-                csr, B, device=device, numerics=policy, tenant=tenant,
-                backend=backend,
-            )
-            batched = False
-        else:
-            fp = await self.engine.compute_fingerprint(csr)
-            C, batched = await self._batched_multiply(
-                csr, fp, B, device, policy, tenant, backend
-            )
+        fp = await self.engine.compute_fingerprint(csr)
+        C, batched = await self._batched_multiply(
+            csr, fp, B, device, policy, tenant, backend
+        )
         with self._lock:
             self._counters["results_sent"] += 1
         await write_frame(

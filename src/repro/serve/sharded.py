@@ -18,11 +18,11 @@ the serving layer out:
   computes).
 
 * :class:`AsyncSpMMEngine` is the asyncio facade: ``await
-  engine.multiply(A, B)`` keeps the event loop free while the
-  numpy-bound kernels run on a thread pool, and **coalesces** concurrent
-  misses — M simultaneous first-requests for one matrix dispatch exactly
-  one plan resolution, with the other M-1 awaiting the same future
-  (``stats["async"]["coalesced_waits"]``).
+  engine.multiply(A, B)`` keeps the event loop free while the wrapped
+  engine's own call runs as one task on a thread pool.  Concurrent
+  misses coalesce where they do for threads, in
+  :meth:`SpMMEngine.get_plan`: M simultaneous first-requests for one
+  matrix run one plan resolution (``stats["async"]["coalesced_waits"]``).
 
 Both track per-tenant request counters when callers tag requests with
 ``tenant=``, and both speak the :mod:`repro.tune` numerics tiers: a
@@ -49,13 +49,9 @@ from repro.analysis.runtime import audit_guarded, create_lock
 from repro.core.config import AccConfig
 from repro.core.planner import AccPlan
 from repro.errors import EngineClosedError
-from repro.gpusim.specs import DeviceSpec, get_device
+from repro.gpusim.specs import DeviceSpec
 from repro.serve.engine import SpMMEngine, set_default_engine
-from repro.serve.fingerprint import (
-    MatrixFingerprint,
-    fingerprint,
-    stored_fingerprint,
-)
+from repro.serve.fingerprint import MatrixFingerprint, fingerprint
 from repro.tune.policy import resolve_policy
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
@@ -537,25 +533,21 @@ class ShardedSpMMEngine:
 class AsyncSpMMEngine:
     """``await``-able serving front over a (sharded) engine.
 
-    The numpy-bound work — fingerprinting, plan resolution, the multiply
-    itself — runs on an internal thread pool, so an asyncio server can
-    serve SpMM traffic without blocking its event loop::
+    Each request is one task on an internal thread pool that runs the
+    wrapped engine's own call — fingerprint, plan resolution and
+    multiply alike — so an asyncio server can serve SpMM traffic without
+    blocking its event loop::
 
         engine = AsyncSpMMEngine(n_shards=4)
         C = await engine.multiply(A, B, tenant="alice")
         ...
         engine.close()
 
-    Concurrent misses on one matrix are **coalesced**: the first request
-    dispatches the plan resolution, the other M-1 await the same future,
-    and exactly one plan is built (asserted in
-    ``tests/test_sharded_engine.py``).  A failed resolution propagates
-    its exception to every coalesced waiter, and the next request starts
-    a fresh attempt.  Cache *hits* are never coalesced — each request
-    counts exactly one hit (the probe that finds the plan is
-    count-free; the execution counts), keeping the cost-aware policy's
-    popularity signal per request.  A resolved miss contributes the
-    resolution's miss plus its own execution hit to the cache counters.
+    Concurrent misses on one matrix coalesce in the wrapped engine's
+    :meth:`~repro.serve.engine.SpMMEngine.get_plan`: one pool task
+    resolves the plan and the other M-1 wait on their pool threads for
+    its plan or exception (``stats["async"]["coalesced_waits"]``).  Each
+    request counts one cache lookup, as on the synchronous engines.
 
     Parameters: pass a ready ``engine`` (any
     :class:`~repro.serve.engine.SpMMEngine`-shaped object), or keyword
@@ -564,19 +556,16 @@ class AsyncSpMMEngine:
     ``max_workers`` sizes the thread pool (default: Python's
     ``ThreadPoolExecutor`` heuristic).
 
-    The event-loop thread only ever takes dict-sized locks
-    (coalescing map, shard routing, tenant counters) — all blocking work
-    is on the pool.  One instance serves one event loop at a time;
-    worker threads themselves are loop-agnostic.
+    The event-loop thread only takes this engine's dict-sized lock (the
+    drain protocol and request counters); all engine work is on the
+    pool.  One instance serves one event loop at a time; worker threads
+    themselves are loop-agnostic.
     """
 
     #: lock discipline, enforced statically (REP101) and — under
     #: REPRO_LOCK_SANITIZER=1 — dynamically (repro.analysis.runtime)
     _GUARDED_BY_ = {
-        "_inflight": "_lock",
         "_requests": "_lock",
-        "_resolutions": "_lock",
-        "_coalesced_waits": "_lock",
         "_tenants": "_lock",
         "_closing": "_lock",
         "_active": "_lock",
@@ -596,11 +585,7 @@ class AsyncSpMMEngine:
             max_workers=max_workers, thread_name_prefix="accspmm-async"
         )
         self._lock = create_lock("AsyncSpMMEngine._lock")
-        #: plan key -> in-flight plan resolution (the coalescing map)
-        self._inflight: dict[tuple, cf.Future] = {}
         self._requests = 0
-        self._resolutions = 0
-        self._coalesced_waits = 0
         self._tenants: dict[str, dict] = {}
         #: drain protocol: once _closing is set, _begin() rejects new
         #: requests; _active counts requests between _begin and _end,
@@ -610,41 +595,24 @@ class AsyncSpMMEngine:
         self._drain_event: asyncio.Event | None = None
 
     # ------------------------------------------------------------------
-    def _resolve_key(self, fp, device, config) -> tuple:
-        spec = (
-            get_device(device) if device is not None
-            else self.engine.default_device
-        )
-        cfg = config or self.engine.default_config
-        return (fp.full, spec.name, cfg)
+    def _begin(self, counted: bool, tenant) -> None:
+        """Admit one call, or reject it when the engine is draining; a
+        ``counted`` call is a request in ``stats["async"]``.
 
-    def _note(self, tenant, field: str) -> None:
-        with self._lock:
-            if field == "requests":
-                self._requests += 1
-            elif field == "coalesced_waits":
-                self._coalesced_waits += 1
-            elif field == "resolutions":
-                self._resolutions += 1
-            if tenant is not None:
-                t = self._tenants.setdefault(
-                    str(tenant),
-                    {"requests": 0, "resolutions": 0, "coalesced_waits": 0},
-                )
-                t[field] += 1
-
-    def _begin(self) -> None:
-        """Admit one request, or reject it when the engine is draining.
-
-        Every public request path brackets its work in
+        Every public entry point brackets its work in
         ``_begin()``/``_end()`` so :meth:`drain` can wait for exactly
-        the requests admitted before it was called."""
+        the calls admitted before it was called."""
         with self._lock:
             if self._closing:
                 raise EngineClosedError(
                     "engine is draining; new submissions are rejected"
                 )
             self._active += 1
+            if counted:
+                self._requests += 1
+                if tenant is not None:
+                    t = self._tenants.setdefault(str(tenant), {"requests": 0})
+                    t["requests"] += 1
 
     def _end(self) -> None:
         ev = None
@@ -654,6 +622,15 @@ class AsyncSpMMEngine:
                 ev = self._drain_event
         if ev is not None:
             ev.set()
+
+    async def _on_pool(self, call, tenant=None, counted: bool = True):
+        """Admit ``call`` and run it as one task on the pool."""
+        self._begin(counted, tenant)
+        try:
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(self._pool, call)
+        finally:
+            self._end()
 
     # ------------------------------------------------------------------
     # hooks for the network front (repro.serve.server)
@@ -665,19 +642,7 @@ class AsyncSpMMEngine:
         same matrix on and no request hashes twice.  Raises
         :class:`~repro.errors.EngineClosedError` once :meth:`drain` has
         begun, like every other entry point."""
-        self._begin()
-        try:
-            return await self._fingerprint(csr)
-        finally:
-            self._end()
-
-    async def _fingerprint(self, csr) -> MatrixFingerprint:
-        """The fingerprint stored on ``csr``, else one hashed on the pool."""
-        fp = stored_fingerprint(csr)
-        if fp is None:
-            loop = asyncio.get_running_loop()
-            fp = await loop.run_in_executor(self._pool, fingerprint, csr)
-        return fp
+        return await self._on_pool(partial(fingerprint, csr), counted=False)
 
     def resolve_numerics(self, numerics=None, tenant=None):
         """The effective :class:`~repro.tune.NumericsPolicy` for a
@@ -705,74 +670,23 @@ class AsyncSpMMEngine:
         """Resolve (build, store-load, or confirm) the plan for ``A``
         without multiplying — the server's ``submit`` endpoint.
 
-        Coalesces with concurrent misses exactly like
-        :meth:`multiply`; returns the matrix fingerprint so the caller
-        can report it.  Zero-dimension matrices have no plan and return
-        their fingerprint unchanged."""
-        self._begin()
-        try:
-            csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
-            self._note(tenant, "requests")
-            fp = await self._fingerprint(csr)
-            if csr.n_rows == 0 or csr.n_cols == 0:
-                return fp
-            if self.engine.lookup(fp, device=device, config=config) is None:
-                await self._ensure_plan(
-                    csr, feature_dim, device, config, fp, tenant
-                )
-            return fp
-        finally:
-            self._end()
+        One pool task running the wrapped engine's ``get_plan``, which
+        coalesces concurrent misses; returns the matrix fingerprint so
+        the caller can report it.  Zero-dimension matrices have no plan
+        and return their fingerprint unchanged."""
+        return await self._on_pool(
+            partial(self._planned_fingerprint, A, feature_dim, device, config),
+            tenant,
+        )
 
-    async def _ensure_plan(
-        self, csr, feature_dim, device, config, fp, tenant
-    ) -> None:
-        """Resolve a missing plan exactly once per key, however many
-        requests arrive while it is in flight."""
-        key = self._resolve_key(fp, device, config)
-        with self._lock:
-            fut = self._inflight.get(key)
-            owner = fut is None
-            if owner:
-                fut = cf.Future()
-                # mark RUNNING so no waiter can cancel() the shared
-                # future: a timed-out waiter (asyncio.wait_for) must
-                # cancel only itself, not poison the other coalesced
-                # waiters or the resolver's set_result
-                fut.set_running_or_notify_cancel()
-                self._inflight[key] = fut
-        if owner:
-            self._note(tenant, "resolutions")
-            self._pool.submit(
-                self._run_resolution, key, fut, csr, feature_dim, device,
-                config,
-            )
-        else:
-            self._note(tenant, "coalesced_waits")
-        await asyncio.wrap_future(fut)
-
-    def _run_resolution(
-        self, key, fut, csr, feature_dim, device, config
-    ) -> None:
-        """Worker-thread half of the coalescing protocol."""
-        try:
-            result = self.engine.get_plan(
+    def _planned_fingerprint(self, A, feature_dim, device, config):
+        """Pool half of :meth:`ensure_plan`."""
+        csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
+        if csr.n_rows and csr.n_cols:
+            self.engine.get_plan(
                 csr, feature_dim=feature_dim, device=device, config=config
             )
-            exc = None
-        except BaseException as e:  # noqa: BLE001 - delivered to waiters
-            result, exc = None, e
-        # retire the in-flight entry *before* waking the waiters: on
-        # success the plan is already in the cache, so a new request can
-        # only hit; on failure the next request starts a fresh attempt.
-        # The reverse order let a waiter observe stats (or a stale
-        # future) between set_result and the pop.
-        with self._lock:
-            self._inflight.pop(key, None)
-        if exc is None:
-            fut.set_result(result)
-        else:
-            fut.set_exception(exc)
+        return fingerprint(csr)
 
     # ------------------------------------------------------------------
     async def multiply(
@@ -785,18 +699,22 @@ class AsyncSpMMEngine:
         numerics=None,
         backend=None,
     ) -> np.ndarray:
-        """``C = A @ B`` without blocking the event loop.
+        """``C = A @ B`` without blocking the event loop: the wrapped
+        engine's ``spmm`` as one pool task.
 
         ``numerics`` overrides the numerics tier for this request; a
         tagged tenant's pinned tier applies otherwise (see
         :meth:`ShardedSpMMEngine.set_tenant_numerics`).  ``backend``
-        overrides the execution arm (see :mod:`repro.backend`).  A
-        matrix that already carries its fingerprint (one the server
-        grouped batches by) is not hashed again.  Raises
+        overrides the execution arm (see :mod:`repro.backend`).  Raises
         :class:`~repro.errors.EngineClosedError` once :meth:`drain` has
         begun."""
-        return await self._multiply(
-            False, A, B, device, config, tenant, numerics, backend
+        return await self._on_pool(
+            partial(
+                self.engine.spmm, A, B, device=device, config=config,
+                numerics=self.resolve_numerics(numerics, tenant),
+                backend=backend,
+            ),
+            tenant,
         )
 
     async def multiply_many(
@@ -813,37 +731,15 @@ class AsyncSpMMEngine:
 
         Numerics/backend precedence and the drain contract match
         :meth:`multiply`."""
-        return await self._multiply(
-            True, A, Bs, device, config, tenant, numerics, backend
-        )
-
-    async def _multiply(
-        self, batched, A, B, device, config, tenant, numerics, backend
-    ) -> np.ndarray:
-        """The body of :meth:`multiply` and :meth:`multiply_many`:
-        resolve a missing plan (coalesced), then multiply on the pool."""
-        self._begin()
-        try:
-            csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
-            B = np.asarray(B)
-            self._note(tenant, "requests")
-            run = partial(
-                self.engine.multiply_many if batched else self.engine.spmm,
-                csr, B, device=device, config=config,
+        return await self._on_pool(
+            partial(
+                self.engine.multiply_many, A, Bs, device=device,
+                config=config,
                 numerics=self.resolve_numerics(numerics, tenant),
                 backend=backend,
-            )
-            if csr.n_rows == 0 or csr.n_cols == 0:
-                return run()  # trivial answer: the engine plans nothing
-            fp = await self._fingerprint(csr)
-            if self.engine.lookup(fp, device=device, config=config) is None:
-                await self._ensure_plan(
-                    csr, B.shape[-1], device, config, fp, tenant
-                )
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._pool, run)
-        finally:
-            self._end()
+            ),
+            tenant,
+        )
 
     async def apply_delta(
         self,
@@ -862,45 +758,32 @@ class AsyncSpMMEngine:
         not coalesced — each request is one patch; streaming callers
         serialise edits per matrix themselves, since two deltas against
         one base fingerprint are independent edits, not duplicates."""
-        self._begin()
-        try:
-            self._note(tenant, "requests")
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._pool,
-                partial(
-                    self.engine.apply_delta, fp, added=added,
-                    removed=removed, device=device, config=config,
-                ),
-            )
-        finally:
-            self._end()
+        return await self._on_pool(
+            partial(
+                self.engine.apply_delta, fp, added=added, removed=removed,
+                device=device, config=config,
+            ),
+            tenant,
+        )
 
     async def warm_start(self, limit: int | None = None) -> int:
         """Preload persisted plans on the pool (see
         :meth:`SpMMEngine.warm_start`)."""
-        self._begin()
-        try:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._pool, self.engine.warm_start, limit
-            )
-        finally:
-            self._end()
+        return await self._on_pool(
+            partial(self.engine.warm_start, limit), counted=False
+        )
 
     # ------------------------------------------------------------------
     @property
     def stats(self) -> dict:
-        """The wrapped engine's stats plus an ``"async"`` sub-dict:
-        request/resolution/coalescing counters, the current in-flight
-        count, and per-tenant breakdowns for tagged traffic."""
+        """The wrapped engine's stats plus an ``"async"`` sub-dict: the
+        request count, the engine's ``coalesced_waits``, the drain
+        state, and per-tenant request counts for tagged traffic."""
         out = self.engine.stats
         with self._lock:
             out["async"] = {
                 "requests": self._requests,
-                "resolutions": self._resolutions,
-                "coalesced_waits": self._coalesced_waits,
-                "inflight": len(self._inflight),
+                "coalesced_waits": out["coalesced_waits"],
                 "active": self._active,
                 "draining": self._closing,
                 "tenants": {t: dict(c) for t, c in self._tenants.items()},
@@ -913,8 +796,6 @@ class AsyncSpMMEngine:
         self.engine.clear()
         with self._lock:
             self._requests = 0
-            self._resolutions = 0
-            self._coalesced_waits = 0
             self._tenants.clear()
 
     async def drain(self) -> None:

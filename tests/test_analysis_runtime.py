@@ -112,8 +112,8 @@ class TestLockOrderInversion:
         assert [k for k, _ in rt.violations()] == ["lock-order"]
 
     def test_same_name_nesting_is_reported(self, sanitizer):
-        l1 = rt.create_lock("SpMMEngine.build_lock")
-        l2 = rt.create_lock("SpMMEngine.build_lock")
+        l1 = rt.create_lock("SpMMEngine._lock")  # e.g. two shards' locks
+        l2 = rt.create_lock("SpMMEngine._lock")
         with l1:
             with l2:
                 pass

@@ -4,7 +4,6 @@ The heavy figure drivers are exercised by ``benchmarks/``; here we cover
 the registry, the CLI dispatch, and the cheap drivers end to end.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS, main, table2, table3

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import FormatError
 from repro.formats import BitTCF, MeTCF, TCF, build_tiling, format_footprint
-from repro.sparse.convert import coo_to_csr
-from repro.sparse.coo import COOMatrix
 from repro.util.bitops import popcount64
 
 from tests.conftest import random_csr

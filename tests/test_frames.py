@@ -21,7 +21,6 @@ import pytest
 from repro.errors import ProtocolError
 from repro.serve.frames import (
     FRAME_FORMAT_VERSION,
-    MAGIC,
     MAX_HEADER_BYTES,
     Frame,
     decode_frame,

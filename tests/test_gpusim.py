@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError, ValidationError
+from repro.errors import ValidationError
 from repro.gpusim import (
     A800,
     DEVICES,

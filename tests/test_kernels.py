@@ -135,7 +135,6 @@ class TestTimingSanity:
 
     def test_acc_pipeline_beats_dtc_pipeline(self, workload):
         csr, B, _ = workload
-        n = B.shape[1]
         t_acc = AccSpMMKernel(pipeline=PipelineMode.ACC).multiply(
             csr, B, DEV, execute=False).profile.time_s
         t_dtc = AccSpMMKernel(pipeline=PipelineMode.DTC).multiply(

@@ -27,7 +27,7 @@ from repro.core.planner import AccPlan
 from repro.errors import StoreError, StoreVersionError
 from repro.kernels.accspmm import AccSpMMKernel
 from repro.kernels.dtc import DTCKernel
-from repro.kernels.executor import TCExecPlan, get_executor
+from repro.kernels.executor import TCExecPlan
 from repro.kernels.tc_common import execute_tiled
 from repro.kernels.tcgnn import TCGNNKernel
 from repro.gpusim.specs import get_device
@@ -38,7 +38,6 @@ from repro.serve.serial import (
     PLAN_FORMAT_VERSION,
     pack_container,
     plan_from_bytes,
-    plan_to_bytes,
     read_header,
     tcplan_from_bytes,
     tcplan_to_bytes,
@@ -388,7 +387,6 @@ class TestPlanStore:
             plans.append((cost, p))
         sizes = {e.digest: e.nbytes for e in store.entries()}
         total = sum(sizes.values())
-        biggest = max(sizes.values())
         evicted = store.gc(max_bytes=total - 1)
         assert evicted and evicted[0].build_seconds == pytest.approx(0.001)
         remaining = {e.build_seconds for e in store.entries()}

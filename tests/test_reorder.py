@@ -13,7 +13,6 @@ from repro.reorder import (
     degree_reorder,
     dtc_lsh_reorder,
     identity_reorder,
-    louvain_reorder,
     lsh64_reorder,
     mean_nnz_per_tc_block,
     metis_reorder,

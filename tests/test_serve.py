@@ -1,5 +1,9 @@
 """Tests for the plan-reuse serving layer (fingerprint, cache, engine)."""
 
+import threading
+import unittest.mock as mock
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from repro.sparse.convert import csr_to_coo
 from repro.sparse.csr import CSRMatrix
 
 from tests.conftest import random_csr
+from tests.engine_gate import wait_until
 
 
 def rebuilt(csr: CSRMatrix) -> CSRMatrix:
@@ -299,20 +304,60 @@ class TestEngine:
                           use_cache=False).shape == (0, 8)
 
     def test_failed_build_releases_build_lock(self, csr, B):
+        # concurrent misses share one failing build: it runs once, every
+        # request raises its error, and its in-flight entry is released
         eng = SpMMEngine()
         with pytest.raises(ValidationError):
             eng.spmm(csr, B[:-1])  # fails inside multiply, after planning
         bad = random_csr(96, 80, 0.12, seed=62)
-        import unittest.mock as mock
+        M = 6
+
+        def failing_build(*args, **kwargs):
+            # fail only once every other request waits on this build
+            assert wait_until(lambda: eng.stats["coalesced_waits"] == M - 1)
+            raise RuntimeError("boom")
+
+        def request(_):
+            with pytest.raises(RuntimeError, match="boom"):
+                eng.spmm(bad, B)
 
         with mock.patch(
-            "repro.serve.engine.build_plan", side_effect=RuntimeError("boom")
-        ):
-            with pytest.raises(RuntimeError):
-                eng.spmm(bad, B)
-        assert not eng._build_locks, "failed build leaked its per-key lock"
-        # and the key is still buildable afterwards
+            "repro.serve.engine.build_plan", side_effect=failing_build
+        ) as build:
+            with ThreadPoolExecutor(M) as pool:
+                list(pool.map(request, range(M)))
+        assert build.call_count == 1
+        with eng._lock:
+            assert not eng._inflight, "failed build leaked its in-flight entry"
+        # and the next request starts a fresh build
         assert eng.spmm(bad, B).shape == (96, 16)
+        assert eng.stats["plans_built"] == 2
+
+    def test_held_build_does_not_block_other_keys(self, csr, B):
+        eng = SpMMEngine()
+        want = eng.spmm(csr, B)  # cached before the held build starts
+        other = random_csr(96, 80, 0.12, seed=63)
+        held, release = threading.Event(), threading.Event()
+
+        def held_build(*args, **kwargs):
+            held.set()
+            assert release.wait(60)
+            return plan(*args, **kwargs)
+
+        with mock.patch(
+            "repro.serve.engine.build_plan", side_effect=held_build
+        ), ThreadPoolExecutor(2) as pool:
+            building = pool.submit(eng.spmm, other, B)
+            try:
+                assert held.wait(60)
+                C = pool.submit(eng.spmm, csr, B).result(timeout=60)
+                still_building = not building.done()
+            finally:
+                release.set()
+            building.result(timeout=60)
+        assert still_building
+        assert np.array_equal(C, want)
+        assert eng.stats["plans_built"] == 2
 
 
 class TestMultiplyMany:

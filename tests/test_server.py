@@ -39,6 +39,7 @@ from repro.serve.server import (
 )
 from repro.serve.sharded import AsyncSpMMEngine
 from repro.sparse.convert import coo_to_csr
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.random import erdos_renyi
 
 from engine_gate import EngineGate, queued, until
@@ -144,6 +145,41 @@ class TestDispatch:
         assert counters["results_sent"] == 1
         assert counters["internal_errors"] == 0
         assert counters["open_connections"] == 0
+
+    def test_zero_dimension_matrices_answered_without_planning(self):
+        # every multiply takes the fingerprint-and-batch path; the shard
+        # answers a zero-dimension product without building a plan
+        zero_rows = CSRMatrix(
+            0, 8, np.zeros(1, np.int64), np.zeros(0, np.int64),
+            np.zeros(0, np.float32),
+        )
+        zero_cols = CSRMatrix(
+            8, 0, np.zeros(9, np.int64), np.zeros(0, np.int64),
+            np.zeros(0, np.float32),
+        )
+        n = 4
+
+        async def main():
+            server = make_server()
+            w = await run_connection(
+                server,
+                multiply_frame(zero_rows, np.ones((8, n), np.float32)),
+                multiply_frame(zero_cols, np.ones((0, n), np.float32)),
+                multiply_frame(zero_rows, np.ones((9, n), np.float32)),
+                multiply_frame(zero_cols, np.ones((1, n), np.float32)),
+            )
+            stats = server.engine.stats
+            await server.engine.drain()
+            return w.frames(), server.counters(), stats
+
+        frames, counters, stats = asyncio.run(main())
+        assert [f.kind for f in frames] == ["result", "result", "error", "error"]
+        assert frames[0].arrays["c"].shape == (0, n)
+        assert frames[1].arrays["c"].shape == (8, n)
+        assert not frames[1].arrays["c"].any()
+        assert [f.meta["code"] for f in frames[2:]] == ["bad_request"] * 2
+        assert stats["plans_built"] == 0
+        assert counters["internal_errors"] == 0
 
     def test_ping_stats_and_warm_start(self):
         async def main():

@@ -14,12 +14,14 @@ from __future__ import annotations
 import asyncio
 import struct
 import threading
+import unittest.mock as mock
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core.planner import plan as build_plan
 from repro.errors import EngineClosedError, StoreVersionError, ValidationError
 from repro.serve import (
     AsyncSpMMEngine,
@@ -43,6 +45,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.random import erdos_renyi
 
 from conftest import bits_equal
+from engine_gate import until, wait_until
 
 
 def make_csr(seed=0, n=256, deg=8.0):
@@ -269,48 +272,75 @@ class TestAsyncEngine:
         B = make_b(A)
         ref = SpMMEngine().spmm(A, B)
         M = 12
-        release = threading.Event()
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=4) as eng:
-                await eng.compute_fingerprint(A)
-                inner = eng.engine.get_plan
+            # M workers: every request reaches get_plan at once
+            async with AsyncSpMMEngine(n_shards=4, max_workers=M) as eng:
 
-                def gated_get_plan(*args, **kwargs):
-                    # hold the build until every request has joined the
-                    # coalescer — otherwise a straggler whose turn comes
-                    # after the build completes is a plain warm hit and
-                    # coalesced_waits undercounts (a real race this test
-                    # used to lose ~10% of the time)
-                    assert release.wait(30)
-                    return inner(*args, **kwargs)
-
-                eng.engine.get_plan = gated_get_plan
-                tasks = [
-                    asyncio.ensure_future(
-                        eng.multiply(A, B, tenant=f"t{i % 3}")
+                def held_build(*args, **kwargs):
+                    # hold the build until every other request waits on
+                    # it; a straggler arriving after the build would be
+                    # a plain hit and coalesced_waits would undercount
+                    assert wait_until(
+                        lambda: eng.stats["coalesced_waits"] == M - 1
                     )
-                    for i in range(M)
-                ]
-                # A carries its fingerprint, so there is no await before
-                # the coalescing registration: one loop pass runs every
-                # task up to its wait on the shared in-flight future
-                await asyncio.sleep(0)
-                release.set()
-                outs = await asyncio.gather(*tasks)
+                    return build_plan(*args, **kwargs)
+
+                with mock.patch(
+                    "repro.serve.engine.build_plan", side_effect=held_build
+                ):
+                    outs = await asyncio.gather(
+                        *[
+                            eng.multiply(A, B, tenant=f"t{i % 3}")
+                            for i in range(M)
+                        ]
+                    )
                 return outs, eng.stats
 
         outs, stats = asyncio.run(main())
         for C in outs:
             assert np.array_equal(C, ref)
         assert stats["plans_built"] == 1
+        assert stats["coalesced_waits"] == M - 1
         a = stats["async"]
         assert a["requests"] == M
-        assert a["resolutions"] == 1
         assert a["coalesced_waits"] == M - 1
-        assert a["inflight"] == 0
         assert sum(t["requests"] for t in a["tenants"].values()) == M
-        assert sum(t["resolutions"] for t in a["tenants"].values()) == 1
+
+    def test_held_build_does_not_block_cached_traffic(self):
+        # one shared engine lock: matrix X's build is held while a
+        # cached multiply on matrix Y runs on the second pool worker
+        X, Y = make_csr(seed=18), make_csr(seed=19)
+        B = make_b(X)
+        held, release = threading.Event(), threading.Event()
+
+        def held_build(*args, **kwargs):
+            held.set()
+            assert release.wait(60)
+            return build_plan(*args, **kwargs)
+
+        async def main():
+            async with AsyncSpMMEngine(
+                engine=SpMMEngine(), max_workers=2
+            ) as eng:
+                want = await eng.multiply(Y, B)
+                with mock.patch(
+                    "repro.serve.engine.build_plan", side_effect=held_build
+                ):
+                    building = asyncio.ensure_future(eng.multiply(X, B))
+                    try:
+                        await until(held.is_set)
+                        C = await asyncio.wait_for(eng.multiply(Y, B), 60)
+                        still_building = not building.done()
+                    finally:
+                        release.set()
+                    await asyncio.wait_for(building, 60)
+                return want, C, still_building, eng.stats
+
+        want, C, still_building, stats = asyncio.run(main())
+        assert still_building
+        assert bits_equal(C, want)
+        assert stats["plans_built"] == 2
 
     def test_async_multiply_many_and_warm_hits(self):
         A = make_csr(seed=11)
@@ -328,7 +358,6 @@ class TestAsyncEngine:
         assert np.array_equal(Cs[1], ref.spmm(A, Bs[1]))
         assert np.array_equal(C0, Cs[0])
         assert stats["plans_built"] == 1
-        assert stats["async"]["resolutions"] == 1
 
     def test_wraps_an_existing_engine(self):
         inner = SpMMEngine()
@@ -358,11 +387,10 @@ class TestAsyncEngine:
                 return eng.stats
 
         stats = asyncio.run(main())
-        # request 1: resolution miss + execution hit; requests 2-3: one
-        # hit each (the count-free probe never double-counts)
+        # one cache lookup per request: a miss, then two hits
         assert stats["misses"] == 1
-        assert stats["hits"] == 3
-        assert stats["requests"] == 4
+        assert stats["hits"] == 2
+        assert stats["requests"] == 3
 
     def test_cancelled_waiter_does_not_poison_coalesced_peers(self):
         A = make_csr(seed=16)
@@ -412,6 +440,38 @@ class TestAsyncEngine:
         C, submitted = asyncio.run(main())
         assert len(submitted) == 1
         assert bits_equal(C, SpMMEngine().spmm(A, B))
+
+    def test_a_miss_is_one_pool_task(self):
+        # fresh matrices (no stored fingerprint), uncached plans: each
+        # request still hands the pool exactly one task
+        mats = [make_csr(seed=s) for s in (20, 21, 22)]
+        B = make_b(mats[0])
+
+        async def main():
+            async with AsyncSpMMEngine(n_shards=2) as eng:
+                submitted = []
+                submit = eng._pool.submit
+
+                def counting_submit(fn, *args, **kwargs):
+                    submitted.append(fn)
+                    return submit(fn, *args, **kwargs)
+
+                eng._pool.submit = counting_submit
+                counts = []
+                for call in (
+                    lambda: eng.ensure_plan(mats[0]),
+                    lambda: eng.multiply(mats[1], B),
+                    lambda: eng.multiply_many(mats[2], B[None]),
+                ):
+                    before = len(submitted)
+                    await call()
+                    counts.append(len(submitted) - before)
+                return counts, eng.stats
+
+        counts, stats = asyncio.run(main())
+        assert counts == [1, 1, 1]
+        assert stats["plans_built"] == 3
+        assert stats["requests"] == 3 and stats["misses"] == 3
 
 
 # ----------------------------------------------------------------------

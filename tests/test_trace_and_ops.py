@@ -57,8 +57,8 @@ class TestTrace:
             mmas = [e for e in evs if e.lane == "TCMMA"]
             loads = [e for e in evs if e.lane == "GToReg_B"]
             return any(
-                l.start < m.end and m.start < l.end
-                for m in mmas for l in loads
+                ld.start < m.end and m.start < ld.end
+                for m in mmas for ld in loads
             )
         assert overlaps(acc)
         assert not overlaps(dtc)  # B loads fully serialized before MMA

@@ -176,6 +176,9 @@ class SpMMEngine:
         self.autotune = bool(autotune)
         #: plan key -> the future of its one in-flight resolution
         self._inflight: dict[tuple, cf.Future] = {}
+        #: a weak proxy of the ShardedSpMMEngine this engine is a shard
+        #: of (set by the router), ``None`` on a plain engine
+        self._router = None
 
     # ------------------------------------------------------------------
     def get_plan(
@@ -332,7 +335,10 @@ class SpMMEngine:
         ``(new_fingerprint, new_plan)``; the derived plan is inserted
         under its own content key, so follow-up :meth:`spmm` traffic on
         the edited matrix is a pure cache hit, and chained deltas can
-        name ``new_fingerprint`` as their base.
+        name ``new_fingerprint`` as their base.  On a shard of a
+        :class:`~repro.serve.sharded.ShardedSpMMEngine` the insert goes
+        to the shard ``new_fingerprint`` routes to, which need not be
+        this one: the edit changed the structure hash.
 
         With a store attached, the delta itself is persisted as a chain
         link (:meth:`~repro.serve.store.PlanStore.put_delta`), falling
@@ -373,9 +379,13 @@ class SpMMEngine:
         new_fp = fingerprint(new_plan.csr)
         new_key = (new_fp.full, spec.name, cfg)
         new_structural = (new_fp.structural, spec.name, cfg)
-        with self._lock:
-            self.cache.stats.delta_patches += 1
-            self.cache.put(new_key, new_plan, structural_key=new_structural)
+        try:
+            home = self if self._router is None else self._router._shard_for(new_fp)
+        except ReferenceError:  # the router was freed: this engine stands alone
+            home = self
+        with home._lock:
+            home.cache.stats.delta_patches += 1
+            home.cache.put(new_key, new_plan, structural_key=new_structural)
         if self.store is not None:
             # best-effort persistence: a chain link when the base is on
             # disk and the chain stays within depth, else a full plan

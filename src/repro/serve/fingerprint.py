@@ -13,9 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
+import re
 from dataclasses import asdict, dataclass
 
+from repro.errors import ValidationError
 from repro.sparse.csr import CSRMatrix
+
+#: a digest field of a fingerprint record: blake2b-128 as lowercase hex
+_DIGEST_RE = re.compile(r"[0-9a-f]{32}")
 
 
 def _digest(*chunks: bytes) -> str:
@@ -50,6 +56,49 @@ class MatrixFingerprint:
     def structural(self) -> tuple:
         """Hashable key identifying the structure only."""
         return (self.n_rows, self.n_cols, self.nnz, self.structure)
+
+    def record(self) -> dict:
+        """The JSON-encodable record of this fingerprint: what wire
+        responses report, ``delta`` requests name their base with, and
+        store headers carry (``fingerprint``, ``base_fingerprint``)."""
+        return {
+            "structure": self.structure,
+            "values": self.values,
+            "n_rows": self.n_rows,
+            "n_cols": self.n_cols,
+            "nnz": self.nnz,
+        }
+
+    @classmethod
+    def from_record(cls, obj) -> "MatrixFingerprint":
+        """Inverse of :meth:`record`; raises
+        :class:`~repro.errors.ValidationError` unless ``obj`` is a dict
+        with integer ``n_rows``/``n_cols``/``nnz`` and both digests as
+        32 lowercase hex characters."""
+        if not isinstance(obj, dict):
+            raise ValidationError(
+                "a fingerprint record is a dict of "
+                "structure/values/n_rows/n_cols/nnz"
+            )
+        try:
+            fp = cls(
+                n_rows=operator.index(obj["n_rows"]),
+                n_cols=operator.index(obj["n_cols"]),
+                nnz=operator.index(obj["nnz"]),
+                structure=obj["structure"],
+                values=obj["values"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(
+                f"malformed fingerprint record: {exc!r}"
+            ) from exc
+        for digest in (fp.structure, fp.values):
+            if not isinstance(digest, str) or not _DIGEST_RE.fullmatch(digest):
+                raise ValidationError(
+                    f"fingerprint digest {digest!r} is not 32 lowercase "
+                    "hex characters"
+                )
+        return fp
 
 
 def fingerprint(csr: CSRMatrix) -> MatrixFingerprint:

@@ -518,13 +518,7 @@ def plan_payload(p: AccPlan, include_executor: bool = True) -> tuple[dict, dict]
         # ``last_used`` recency signal for TTL gc, robust against file
         # copies that reset mtimes.
         "saved_at": float(_wall_clock()),
-        "fingerprint": {
-            "n_rows": fp.n_rows,
-            "n_cols": fp.n_cols,
-            "nnz": fp.nnz,
-            "structure": fp.structure,
-            "values": fp.values,
-        },
+        "fingerprint": fp.record(),
     }
     # format v3: the autotuner's verdict, promoted from the plan meta to
     # the header so the store's header-only scan (and `store inspect`)
@@ -610,8 +604,8 @@ def delta_payload(
 
     The header carries the **edited** matrix's fingerprint under the
     same ``fingerprint`` key accplan containers use (so the store's
-    integrity checks and :func:`expected_fingerprint` are uniform across
-    kinds), plus ``base_fingerprint`` — the lineage pointer the loader
+    integrity checks are uniform across kinds), plus
+    ``base_fingerprint`` — the lineage pointer the loader
     follows to the parent entry — ``depth`` (links between this entry
     and the full plan at the chain root, used by the store's compaction
     policy), and the device/config pair that locates the parent under
@@ -624,20 +618,8 @@ def delta_payload(
         "build_seconds": float(build_seconds),
         "depth": int(depth),
         "saved_at": float(_wall_clock()),
-        "fingerprint": {
-            "n_rows": new_fp.n_rows,
-            "n_cols": new_fp.n_cols,
-            "nnz": new_fp.nnz,
-            "structure": new_fp.structure,
-            "values": new_fp.values,
-        },
-        "base_fingerprint": {
-            "n_rows": base_fp.n_rows,
-            "n_cols": base_fp.n_cols,
-            "nnz": base_fp.nnz,
-            "structure": base_fp.structure,
-            "values": base_fp.values,
-        },
+        "fingerprint": new_fp.record(),
+        "base_fingerprint": base_fp.record(),
     }
     return meta, delta.as_arrays()
 
@@ -660,8 +642,10 @@ def delta_to_bytes(
 
 def delta_from_payload(meta: dict, arrays: dict):
     """Rebuild the :class:`~repro.sparse.delta.GraphDelta` of an
-    ``accdelta`` container; pair with :func:`base_fingerprint` and
-    :func:`expected_fingerprint` for the lineage endpoints."""
+    ``accdelta`` container; its header's ``fingerprint`` and
+    ``base_fingerprint`` records
+    (:meth:`~repro.serve.fingerprint.MatrixFingerprint.from_record`)
+    name the lineage endpoints."""
     from repro.sparse.delta import GraphDelta
 
     try:
@@ -670,35 +654,3 @@ def delta_from_payload(meta: dict, arrays: dict):
         raise
     except _DECODE_ERRORS as exc:
         raise StoreError(f"invalid GraphDelta payload: {exc}") from exc
-
-
-def base_fingerprint(header: dict) -> MatrixFingerprint:
-    """The parent-matrix fingerprint an accdelta header points at."""
-    try:
-        f = header["meta"]["base_fingerprint"]
-        return MatrixFingerprint(
-            n_rows=int(f["n_rows"]),
-            n_cols=int(f["n_cols"]),
-            nnz=int(f["nnz"]),
-            structure=str(f["structure"]),
-            values=str(f["values"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(
-            f"container header missing base fingerprint: {exc}"
-        ) from exc
-
-
-def expected_fingerprint(header: dict) -> MatrixFingerprint:
-    """The matrix fingerprint recorded in an accplan container header."""
-    try:
-        f = header["meta"]["fingerprint"]
-        return MatrixFingerprint(
-            n_rows=int(f["n_rows"]),
-            n_cols=int(f["n_cols"]),
-            nnz=int(f["nnz"]),
-            structure=str(f["structure"]),
-            values=str(f["values"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"container header missing fingerprint: {exc}") from exc

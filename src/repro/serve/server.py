@@ -128,41 +128,6 @@ def payload_to_csr(meta: dict, arrays: dict) -> CSRMatrix:
     )
 
 
-def fingerprint_record(fp: MatrixFingerprint) -> dict:
-    """JSON-encodable record of a fingerprint — the wire shape ``submit``
-    and ``delta`` responses report and ``delta`` requests name their
-    base with."""
-    return {
-        "structure": fp.structure,
-        "values": fp.values,
-        "n_rows": fp.n_rows,
-        "n_cols": fp.n_cols,
-        "nnz": fp.nnz,
-    }
-
-
-def record_to_fingerprint(record) -> MatrixFingerprint:
-    """Inverse of :func:`fingerprint_record`; raises
-    :class:`~repro.errors.ValidationError` on a malformed record."""
-    if not isinstance(record, dict):
-        raise ValidationError(
-            "base_fingerprint must be a fingerprint record dict "
-            "(structure/values/n_rows/n_cols/nnz)"
-        )
-    try:
-        return MatrixFingerprint(
-            n_rows=int(record["n_rows"]),
-            n_cols=int(record["n_cols"]),
-            nnz=int(record["nnz"]),
-            structure=str(record["structure"]),
-            values=str(record["values"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"malformed base_fingerprint record: {exc!r}"
-        ) from exc
-
-
 def _json_safe(obj):
     """Recursively coerce a stats structure into JSON-encodable types
     (anything exotic is stringified — metrics must never 500)."""
@@ -245,7 +210,7 @@ class _Batch:
         self.device = device
         self.policy = policy
         self.backend = backend
-        self.items: list = []  # (B, tenant, future)
+        self.items: list = []  # (B, future)
 
 
 @audit_guarded
@@ -307,10 +272,10 @@ class SpMMServer:
         self._lock = create_lock("SpMMServer._lock")
         self._inflight_count = 0
         self._buckets: dict = {}
-        #: tenant -> data-plane request counters.  Tracked here (not
-        #: only in the engine) because a mixed-tenant batch
-        #: reaches the engine as one untagged ``multiply_many`` —
-        #: admission is where per-tenant attribution is exact.
+        #: tenant -> data-plane request counters: the ledger of served
+        #: traffic.  A mixed-tenant batch reaches the engine as one
+        #: ``multiply_many``, so admission is where per-tenant
+        #: attribution is exact.
         self._tenants: dict = {}
         #: batch key -> its _Batch queue, present while the key's runner
         #: task executes or has requests queued
@@ -506,7 +471,7 @@ class SpMMServer:
                 elif frame.kind == "delta":
                     await self._handle_delta(frame, meta, tenant, writer)
                 else:
-                    await self._handle_submit(frame, meta, tenant, writer)
+                    await self._handle_submit(frame, meta, writer)
             finally:
                 with self._lock:
                     self._inflight_count -= 1
@@ -593,7 +558,7 @@ class SpMMServer:
         validate_backend(backend)  # reject unknown arm names up front
         fp = await self.engine.compute_fingerprint(csr)
         C, batched = await self._batched_multiply(
-            csr, fp, B, device, policy, tenant, backend
+            csr, fp, B, device, policy, backend
         )
         with self._lock:
             self._counters["results_sent"] += 1
@@ -602,7 +567,7 @@ class SpMMServer:
             {"c": C},
         )
 
-    async def _handle_submit(self, frame, meta, tenant, writer) -> None:
+    async def _handle_submit(self, frame, meta, writer) -> None:
         with self._lock:
             self._counters["submits"] += 1
         csr = payload_to_csr(meta, frame.arrays)
@@ -612,12 +577,9 @@ class SpMMServer:
                 f"feature_dim must be a positive int; got {feature_dim!r}"
             )
         fp = await self.engine.ensure_plan(
-            csr, feature_dim=feature_dim, device=meta.get("device"),
-            tenant=tenant,
+            csr, feature_dim=feature_dim, device=meta.get("device")
         )
-        await write_frame(
-            writer, "submitted", {"fingerprint": fingerprint_record(fp)}
-        )
+        await write_frame(writer, "submitted", {"fingerprint": fp.record()})
 
     async def _handle_delta(self, frame, meta, tenant, writer) -> None:
         """Patch a cached plan with a structural edit — the streaming
@@ -633,7 +595,7 @@ class SpMMServer:
         traffic coalesces exactly like ``multiply`` traffic."""
         with self._lock:
             self._counters["deltas"] += 1
-        base_fp = record_to_fingerprint(meta.get("base_fingerprint"))
+        base_fp = MatrixFingerprint.from_record(meta.get("base_fingerprint"))
         try:
             delta = GraphDelta.from_arrays(frame.arrays)
         except KeyError as exc:
@@ -644,13 +606,12 @@ class SpMMServer:
         backend = meta.get("backend")
         validate_backend(backend)
         new_fp, new_plan = await self.engine.apply_delta(
-            base_fp, delta, device=device, tenant=tenant
+            base_fp, delta, device=device
         )
         B = frame.arrays.get("b")
         if B is None:
             await write_frame(
-                writer, "delta_applied",
-                {"fingerprint": fingerprint_record(new_fp)},
+                writer, "delta_applied", {"fingerprint": new_fp.record()}
             )
             return
         if B.ndim != 2:
@@ -659,7 +620,7 @@ class SpMMServer:
             )
         policy = self.engine.resolve_numerics(meta.get("numerics"), tenant)
         C, batched = await self._batched_multiply(
-            new_plan.csr, new_fp, B, device, policy, tenant, backend
+            new_plan.csr, new_fp, B, device, policy, backend
         )
         with self._lock:
             self._counters["results_sent"] += 1
@@ -668,7 +629,7 @@ class SpMMServer:
             {
                 "batched": batched,
                 "numerics": policy.tier,
-                "fingerprint": fingerprint_record(new_fp),
+                "fingerprint": new_fp.record(),
             },
             {"c": C},
         )
@@ -677,7 +638,7 @@ class SpMMServer:
     # dynamic batching
     # ------------------------------------------------------------------
     async def _batched_multiply(
-        self, csr, fp, B, device, policy, tenant, backend=None
+        self, csr, fp, B, device, policy, backend=None
     ) -> tuple:
         """Queue this request on its batch key and await the result.
         The key is everything that must agree for two requests to share
@@ -693,7 +654,7 @@ class SpMMServer:
             if idle:
                 batch = _Batch(csr, device, policy, backend)
                 self._batches[key] = batch
-            batch.items.append((B, tenant, fut))
+            batch.items.append((B, fut))
         if idle:
             self._spawn(self._run_batches(key, batch))
         return await fut
@@ -715,11 +676,11 @@ class SpMMServer:
                 try:
                     results = await self._execute_batch(batch, items)
                 except Exception as exc:  # noqa: BLE001 - the batch's error
-                    for _, _, fut in items:
+                    for _, fut in items:
                         if not fut.done():
                             fut.set_exception(exc)
                     continue
-                for (_, _, fut), result in zip(items, results):
+                for (_, fut), result in zip(items, results):
                     if not fut.done():
                         fut.set_result(result)
         except BaseException as exc:
@@ -728,29 +689,27 @@ class SpMMServer:
                 batch.items.clear()
                 if self._batches.get(key) is batch:
                     del self._batches[key]
-            for _, _, fut in items:
+            for _, fut in items:
                 if not fut.done():
                     fut.set_exception(exc)
             raise
 
     async def _execute_batch(self, batch, items) -> list:
         """One engine call for ``items``: a lone request runs as a
-        tenant-tagged ``multiply``, several as one ``multiply_many``.
-        Returns each request's ``(C, batched)``."""
+        ``multiply``, several as one ``multiply_many``, both at the
+        tier the server resolved.  Returns each request's
+        ``(C, batched)``."""
         if len(items) == 1:
-            B, tenant, _ = items[0]
+            B, _ = items[0]
             C = await self.engine.multiply(
                 batch.csr, B, device=batch.device, numerics=batch.policy,
-                tenant=tenant, backend=batch.backend,
+                backend=batch.backend,
             )
             with self._lock:
                 self._counters["single_requests"] += 1
             return [(C, False)]
-        # a mixed-tenant batch is attributed per-tenant at the server
-        # (admission already counted each request); engine tenant
-        # tagging applies to singles only
         Cs = await self.engine.multiply_many(
-            batch.csr, np.stack([b for b, _, _ in items]),
+            batch.csr, np.stack([b for b, _ in items]),
             device=batch.device, numerics=batch.policy,
             backend=batch.backend,
         )
@@ -883,9 +842,9 @@ class SpMMClient:
         ``B``, returns the *new* fingerprint record for the edited
         matrix; with a dense ``B``, the server multiplies against the
         edited matrix in the same round trip and this returns
-        ``(C, fingerprint_record)``."""
+        ``(C, new_fingerprint_record)``."""
         if isinstance(base_fingerprint, MatrixFingerprint):
-            base_fingerprint = fingerprint_record(base_fingerprint)
+            base_fingerprint = base_fingerprint.record()
         if isinstance(added, GraphDelta):
             if removed is not None:
                 raise ValidationError(

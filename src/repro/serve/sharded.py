@@ -6,11 +6,12 @@ others at the lock and can evict their hot plans.  This module scales
 the serving layer out:
 
 * :class:`ShardedSpMMEngine` partitions the plan-cache *keyspace* across
-  N per-shard :class:`~repro.serve.engine.SpMMEngine`\\ s.  Requests are
-  routed by a hash of the matrix's **structural** fingerprint — so a
-  value-only update of a matrix lands on the shard that holds its
-  structural plan and is served by repack, exactly as in the unsharded
-  engine — and each shard has its own lock, LRU order, and byte budget:
+  N per-shard :class:`~repro.serve.engine.SpMMEngine`\\ s.  Every plan,
+  a delta-derived one included, lives on the shard its matrix's
+  **structural** fingerprint hashes to — so a value-only update of a
+  matrix lands on the shard that holds its structural plan and is
+  served by repack, exactly as in the unsharded engine — and each
+  shard has its own lock, LRU order, and byte budget:
   concurrent tenants touching different matrices almost never contend on
   a lock, and one tenant's evictions are confined to the shards its
   matrices hash to.  Results are bit-for-bit identical to the unsharded
@@ -24,8 +25,8 @@ the serving layer out:
   :meth:`SpMMEngine.get_plan`: M simultaneous first-requests for one
   matrix run one plan resolution (``stats["async"]["coalesced_waits"]``).
 
-Both track per-tenant request counters when callers tag requests with
-``tenant=``, and both speak the :mod:`repro.tune` numerics tiers: a
+The sharded engine counts requests per tenant when callers tag them
+with ``tenant=``, and both speak the :mod:`repro.tune` numerics tiers: a
 fleet-wide default (``numerics=`` at construction), a per-tenant tier
 (:meth:`ShardedSpMMEngine.set_tenant_numerics`), and a per-request
 override — request beats tenant beats engine default.
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures as cf
-from collections import OrderedDict
+import weakref
 from functools import partial
 
 import numpy as np
@@ -104,13 +105,7 @@ class ShardedSpMMEngine:
     _GUARDED_BY_ = {
         "_tenants": "_tenant_lock",
         "_tenant_numerics": "_tenant_lock",
-        "_lineage": "_lineage_lock",
     }
-
-    #: bound on the delta-lineage pin map; evicting a pin only degrades
-    #: routing back to the structural hash (a cache miss the shared
-    #: store absorbs), never correctness
-    _LINEAGE_CAP = 4096
 
     def __init__(
         self,
@@ -156,50 +151,31 @@ class ShardedSpMMEngine:
             )
             for _ in range(self.n_shards)
         ]
+        # a shard's apply_delta caches the derived plan on the shard the
+        # new fingerprint routes to; a proxy, not a reference, so the
+        # router and its shards form no cycle and free at once on del
+        for shard in self.shards:
+            shard._router = weakref.proxy(self)
         self._tenant_lock = create_lock("ShardedSpMMEngine._tenant_lock")
         self._tenants: dict[str, dict] = {}
         #: tenant -> NumericsPolicy served when the request itself does
         #: not pass ``numerics=`` (request override always wins)
         self._tenant_numerics: dict[str, object] = {}
-        self._lineage_lock = create_lock("ShardedSpMMEngine._lineage_lock")
-        #: structure digest of a delta-derived matrix -> the shard that
-        #: holds its base plan (insertion-ordered; oldest pins evicted
-        #: past ``_LINEAGE_CAP``).  Keeps a delta chain co-resident with
-        #: its base even though the edit changed the structural hash the
-        #: router would otherwise use.
-        self._lineage: "OrderedDict[str, int]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     def shard_index(self, fp: MatrixFingerprint) -> int:
-        """The shard a fingerprint routes to (stable across processes).
+        """The shard a fingerprint routes to: a hash of its structure
+        alone, the same in every process.
 
         Keyed on the **structural** hash so the full-key plan and any
         value-refreshed successors of the same sparsity pattern live on
         one shard — the structural repack path needs them co-resident.
-
-        Delta-derived matrices are the exception: a structural edit
-        changes the hash, so :meth:`apply_delta` pins the new structure
-        to the *base's* shard in the lineage map, and pinned structures
-        route there — the chain stays co-resident with its base.  A pin
-        evicted past ``_LINEAGE_CAP`` (or absent in a fresh process)
-        degrades to hash routing: a memory miss the shared store
-        resolves, never a wrong answer.
+        A delta-derived plan follows the same rule under its own
+        fingerprint, so any process finds it where it hashes.
         """
-        with self._lineage_lock:
-            pinned = self._lineage.get(fp.structure)
-        if pinned is not None:
-            return pinned
         return int(fp.structure[:8], 16) % self.n_shards
-
-    def _pin_lineage(self, structure: str, idx: int) -> None:
-        """Record (move-to-newest) a derived structure's owning shard."""
-        with self._lineage_lock:
-            self._lineage[structure] = idx
-            self._lineage.move_to_end(structure)
-            while len(self._lineage) > self._LINEAGE_CAP:
-                self._lineage.popitem(last=False)
 
     def _shard_for(self, fp: MatrixFingerprint) -> SpMMEngine:
         return self.shards[self.shard_index(fp)]
@@ -345,82 +321,39 @@ class ShardedSpMMEngine:
         config: AccConfig | None = None,
         tenant=None,
     ):
-        """Patch the base plan on its owning shard; pin the result there.
+        """Patch the base plan through the shard ``fp`` routes to.
 
-        Routes by the *base* fingerprint (which itself may be a pinned
-        delta descendant, so chains of edits stay on one shard), calls
-        the shard's :meth:`SpMMEngine.apply_delta`, then records the
-        derived structure in the lineage map so follow-up :meth:`spmm`
-        traffic and further deltas on the new fingerprint route to the
-        shard that holds the plan.  Returns ``(new_fingerprint,
+        That shard's :meth:`SpMMEngine.apply_delta` resolves the base
+        and caches the derived plan on the shard the *new* fingerprint
+        routes to, like any plan, so follow-up :meth:`spmm` traffic and
+        further deltas find it by the plain hash.  ``tenant`` tags the
+        request in the per-tenant stats.  Returns ``(new_fingerprint,
         new_plan)``."""
         self._note_tenant(tenant, "requests")
-        idx = self.shard_index(fp)
-        new_fp, new_plan = self.shards[idx].apply_delta(
+        return self._shard_for(fp).apply_delta(
             fp, added=added, removed=removed, device=device, config=config
         )
-        self._pin_lineage(new_fp.structure, idx)
-        return new_fp, new_plan
 
     # ------------------------------------------------------------------
     def _entry_shard(self, entry) -> int | None:
-        """Route a store entry from its *header* fingerprint, before any
-        payload is deserialised; ``None`` when the header is unreadable
-        (the load itself would quarantine such an entry anyway).
-
-        Delta entries route by their chain *root's* structure — walked
-        through base headers, payloads untouched — so a warm-started
-        chain lands on the shard its base hashes to, matching the
-        placement :meth:`apply_delta` maintains for live traffic."""
+        """Route a store entry by the fingerprint in its own header,
+        before any payload is deserialised; ``None`` when the header is
+        unreadable (the load itself would quarantine such an entry)."""
         try:
-            structure = self._route_structure(entry)
-            if structure is None:
-                return None
-            return int(str(structure)[:8], 16) % self.n_shards
+            return self.shard_index(
+                MatrixFingerprint.from_record(entry.meta["fingerprint"])
+            )
         except (TypeError, KeyError, ValueError):
             return None
-
-    def _route_structure(self, entry) -> str | None:
-        """The structure digest that decides ``entry``'s shard: its own
-        for a full plan, the chain root's for a delta entry."""
-        if not getattr(entry, "is_delta", False) or self.store is None:
-            return entry.meta["fingerprint"]["structure"]
-        from repro.errors import StoreError
-        from repro.serve import serial
-        from repro.serve.store import PlanStore
-
-        meta = entry.meta
-        # bounded walk through base headers to the chain root
-        for _ in range(PlanStore.MAX_CHAIN_DEPTH):
-            base = meta.get("base_fingerprint")
-            if not isinstance(base, dict):
-                return None
-            digest = PlanStore._digest_parts(
-                (
-                    base["n_rows"], base["n_cols"], base["nnz"],
-                    base["structure"], base["values"],
-                ),
-                meta["device"],
-                meta["config_fp"],
-            )
-            try:
-                header = serial.read_header_from_file(
-                    self.store.path_for(digest)
-                )
-            except (StoreError, OSError):
-                return None
-            if header.get("kind") != "accdelta":
-                return base["structure"]
-            meta = header["meta"]
-        return None
 
     def warm_start(self, limit: int | None = None) -> int:
         """Preload persisted plans, each into its *owning* shard.
 
-        One pass over the shared store: entries are routed to their
-        shard from the header fingerprint (no payload deserialised for
-        routing), selected most-expensive-to-rebuild first *globally* —
-        ``limit`` (default: the summed shard capacities) is spent on the
+        One pass over the shared store: every entry, delta links
+        included, is routed to its shard from its own header fingerprint
+        (no payload deserialised for routing), selected
+        most-expensive-to-rebuild first *globally* — ``limit``
+        (default: the summed shard capacities) is spent on the
         fleet's priciest plans wherever they hash, subject to each
         shard's own capacity, so skewed routing never loads a plan just
         to have per-shard eviction discard it — and each shard inserts
@@ -448,16 +381,6 @@ class ShardedSpMMEngine:
                 continue
             buckets[idx].append(entry)
             remaining -= 1
-            if getattr(entry, "is_delta", False):
-                # keep post-warm-start routing consistent with the
-                # adopted placement (a lying header wastes the pin, the
-                # shared store still resolves the miss)
-                try:
-                    self._pin_lineage(
-                        str(entry.meta["fingerprint"]["structure"]), idx
-                    )
-                except (TypeError, KeyError):
-                    pass
         return sum(
             shard._warm_from(self.store, bucket, len(bucket))
             for shard, bucket in zip(self.shards, buckets)
@@ -478,8 +401,6 @@ class ShardedSpMMEngine:
             shard.clear()
         with self._tenant_lock:
             self._tenants.clear()
-        with self._lineage_lock:
-            self._lineage.clear()
 
     # ------------------------------------------------------------------
     @property
@@ -557,7 +478,7 @@ class AsyncSpMMEngine:
     ``ThreadPoolExecutor`` heuristic).
 
     The event-loop thread only takes this engine's dict-sized lock (the
-    drain protocol and request counters); all engine work is on the
+    drain protocol and the request counter); all engine work is on the
     pool.  One instance serves one event loop at a time; worker threads
     themselves are loop-agnostic.
     """
@@ -566,7 +487,6 @@ class AsyncSpMMEngine:
     #: REPRO_LOCK_SANITIZER=1 — dynamically (repro.analysis.runtime)
     _GUARDED_BY_ = {
         "_requests": "_lock",
-        "_tenants": "_lock",
         "_closing": "_lock",
         "_active": "_lock",
         "_drain_event": "_lock",
@@ -586,7 +506,6 @@ class AsyncSpMMEngine:
         )
         self._lock = create_lock("AsyncSpMMEngine._lock")
         self._requests = 0
-        self._tenants: dict[str, dict] = {}
         #: drain protocol: once _closing is set, _begin() rejects new
         #: requests; _active counts requests between _begin and _end,
         #: and the drainer awaits _drain_event until it reaches zero
@@ -595,7 +514,7 @@ class AsyncSpMMEngine:
         self._drain_event: asyncio.Event | None = None
 
     # ------------------------------------------------------------------
-    def _begin(self, counted: bool, tenant) -> None:
+    def _begin(self, counted: bool) -> None:
         """Admit one call, or reject it when the engine is draining; a
         ``counted`` call is a request in ``stats["async"]``.
 
@@ -610,9 +529,6 @@ class AsyncSpMMEngine:
             self._active += 1
             if counted:
                 self._requests += 1
-                if tenant is not None:
-                    t = self._tenants.setdefault(str(tenant), {"requests": 0})
-                    t["requests"] += 1
 
     def _end(self) -> None:
         ev = None
@@ -623,9 +539,9 @@ class AsyncSpMMEngine:
         if ev is not None:
             ev.set()
 
-    async def _on_pool(self, call, tenant=None, counted: bool = True):
+    async def _on_pool(self, call, counted: bool = True):
         """Admit ``call`` and run it as one task on the pool."""
-        self._begin(counted, tenant)
+        self._begin(counted)
         try:
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(self._pool, call)
@@ -665,7 +581,6 @@ class AsyncSpMMEngine:
         feature_dim: int = 128,
         device: DeviceSpec | str | None = None,
         config: AccConfig | None = None,
-        tenant=None,
     ) -> MatrixFingerprint:
         """Resolve (build, store-load, or confirm) the plan for ``A``
         without multiplying — the server's ``submit`` endpoint.
@@ -675,8 +590,7 @@ class AsyncSpMMEngine:
         the caller can report it.  Zero-dimension matrices have no plan
         and return their fingerprint unchanged."""
         return await self._on_pool(
-            partial(self._planned_fingerprint, A, feature_dim, device, config),
-            tenant,
+            partial(self._planned_fingerprint, A, feature_dim, device, config)
         )
 
     def _planned_fingerprint(self, A, feature_dim, device, config):
@@ -713,8 +627,7 @@ class AsyncSpMMEngine:
                 self.engine.spmm, A, B, device=device, config=config,
                 numerics=self.resolve_numerics(numerics, tenant),
                 backend=backend,
-            ),
-            tenant,
+            )
         )
 
     async def multiply_many(
@@ -737,8 +650,7 @@ class AsyncSpMMEngine:
                 config=config,
                 numerics=self.resolve_numerics(numerics, tenant),
                 backend=backend,
-            ),
-            tenant,
+            )
         )
 
     async def apply_delta(
@@ -748,22 +660,22 @@ class AsyncSpMMEngine:
         removed=None,
         device: DeviceSpec | str | None = None,
         config: AccConfig | None = None,
-        tenant=None,
     ):
         """Patch a cached plan with a structural delta on the pool.
 
         Wraps the engine's ``apply_delta`` (see
-        :meth:`SpMMEngine.apply_delta`): returns ``(new_fingerprint,
-        new_plan)``, rejects once :meth:`drain` has begun.  Deltas are
-        not coalesced — each request is one patch; streaming callers
-        serialise edits per matrix themselves, since two deltas against
-        one base fingerprint are independent edits, not duplicates."""
+        :meth:`SpMMEngine.apply_delta` and
+        :meth:`ShardedSpMMEngine.apply_delta`): returns
+        ``(new_fingerprint, new_plan)``, rejects once :meth:`drain` has
+        begun.  Deltas are not coalesced — each request is one patch;
+        streaming callers serialise edits per matrix themselves, since
+        two deltas against one base fingerprint are independent edits,
+        not duplicates."""
         return await self._on_pool(
             partial(
                 self.engine.apply_delta, fp, added=added, removed=removed,
                 device=device, config=config,
-            ),
-            tenant,
+            )
         )
 
     async def warm_start(self, limit: int | None = None) -> int:
@@ -777,8 +689,11 @@ class AsyncSpMMEngine:
     @property
     def stats(self) -> dict:
         """The wrapped engine's stats plus an ``"async"`` sub-dict: the
-        request count, the engine's ``coalesced_waits``, the drain
-        state, and per-tenant request counts for tagged traffic."""
+        request count, the engine's ``coalesced_waits`` and the drain
+        state.  Per-tenant request counts live in a wrapped
+        :class:`ShardedSpMMEngine`'s ``stats["tenants"]`` (its own
+        calls) and in the server's ``server.tenants`` (served
+        traffic)."""
         out = self.engine.stats
         with self._lock:
             out["async"] = {
@@ -786,7 +701,6 @@ class AsyncSpMMEngine:
                 "coalesced_waits": out["coalesced_waits"],
                 "active": self._active,
                 "draining": self._closing,
-                "tenants": {t: dict(c) for t, c in self._tenants.items()},
             }
         return out
 
@@ -796,7 +710,6 @@ class AsyncSpMMEngine:
         self.engine.clear()
         with self._lock:
             self._requests = 0
-            self._tenants.clear()
 
     async def drain(self) -> None:
         """Stop gracefully: reject new submissions, let in-flight

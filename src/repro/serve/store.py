@@ -330,16 +330,9 @@ class PlanStore:
         """The digest an accdelta header's *base* resolves to, or
         ``None`` when the header lacks the lineage fields."""
         try:
-            bf = meta["base_fingerprint"]
-            parts = (
-                int(bf["n_rows"]),
-                int(bf["n_cols"]),
-                int(bf["nnz"]),
-                str(bf["structure"]),
-                str(bf["values"]),
-            )
+            base_fp = MatrixFingerprint.from_record(meta["base_fingerprint"])
             return PlanStore._digest_parts(
-                parts, str(meta["device"]), str(meta["config_fp"])
+                base_fp.full, str(meta["device"]), str(meta["config_fp"])
             )
         except (KeyError, TypeError, ValueError):
             return None
@@ -429,7 +422,9 @@ class PlanStore:
             else:
                 raise StoreError(f"store entry is a {kind!r} container")
             if expect_fp is not None:
-                stored = serial.expected_fingerprint(header)
+                stored = MatrixFingerprint.from_record(
+                    header["meta"]["fingerprint"]
+                )
                 if stored != expect_fp:
                     raise StoreError(
                         "fingerprint mismatch (stale or colliding entry)"
@@ -470,7 +465,7 @@ class PlanStore:
         base_digest = self._header_digest(meta)
         if base_digest is None:
             raise StoreError("accdelta header missing lineage fields")
-        base_fp = serial.base_fingerprint(header)
+        base_fp = MatrixFingerprint.from_record(meta["base_fingerprint"])
         base = self._load(
             self.path_for(base_digest), expect_fp=base_fp, _depth=depth + 1
         )
@@ -480,7 +475,7 @@ class PlanStore:
             )
         delta = serial.delta_from_payload(meta, arrays)
         plan = base.apply_delta(delta)
-        stored = serial.expected_fingerprint(header)
+        stored = MatrixFingerprint.from_record(meta["fingerprint"])
         if fingerprint(plan.csr) != stored:
             raise StoreError(
                 "delta replay produced a different matrix than this "

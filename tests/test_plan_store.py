@@ -657,10 +657,12 @@ def store_plans(root, k: int) -> None:
     assert len(list(Path(root).glob("*.plan"))) == k
 
 
-def descriptors_under(root) -> int:
+def descriptors_under(root, collect: bool = True) -> int:
     """This process's open descriptors on files under ``root`` (other
-    threads' files do not count)."""
-    gc.collect()
+    threads' files do not count); ``collect`` runs the cycle collector
+    first."""
+    if collect:
+        gc.collect()
     prefix = str(Path(root).resolve()) + os.sep
     n = 0
     for fd in os.listdir("/proc/self/fd"):
@@ -701,6 +703,27 @@ class TestOneMapPerPlan:
         # each map closes with the last array viewing it
         del engine
         assert descriptors_under(tmp_path) == 0
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"),
+        reason="counts descriptors in /proc/self/fd",
+    )
+    def test_sharded_engine_frees_its_maps_without_the_collector(
+        self, tmp_path
+    ):
+        k = 4
+        store_plans(tmp_path, k)
+        engine = repro.ShardedSpMMEngine(n_shards=4, store=PlanStore(tmp_path))
+        assert engine.warm_start() == k
+        assert 0 < descriptors_under(tmp_path) <= k
+        gc.disable()
+        try:
+            # a reference cycle between the router and its shards would
+            # hold every map open until the cycle collector ran
+            del engine
+            assert descriptors_under(tmp_path, collect=False) == 0
+        finally:
+            gc.enable()
 
     def test_warm_start_under_a_low_descriptor_limit(self, tmp_path):
         pytest.importorskip("resource")

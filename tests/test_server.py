@@ -40,6 +40,7 @@ from repro.serve.server import (
 from repro.serve.sharded import AsyncSpMMEngine
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.delta import GraphDelta
 from repro.sparse.random import erdos_renyi
 
 from engine_gate import EngineGate, queued, until
@@ -359,6 +360,35 @@ class TestFaults:
         frames = asyncio.run(main())
         assert frames[0].meta["code"] == "bad_request"
         assert "n_rows" in frames[0].meta["message"]
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ["not", "a", "dict"],
+            {"structure": "0" * 32, "values": "1" * 32, "n_rows": 8,
+             "n_cols": 8},
+            {"structure": "0" * 32, "values": "1" * 32, "n_rows": "eight",
+             "n_cols": 8, "nnz": 4},
+            {"structure": "zz", "values": "1" * 32, "n_rows": 8,
+             "n_cols": 8, "nnz": 4},
+        ],
+        ids=["not-a-dict", "missing-nnz", "non-integer-n_rows", "non-hex-structure"],
+    )
+    def test_malformed_delta_base_fingerprint_is_bad_request(self, record):
+        edits = GraphDelta.from_edges(added=[(0, 0, 1.0)]).as_arrays()
+
+        async def main():
+            server = make_server()
+            w = await run_connection(
+                server,
+                encode_frame("delta", {"base_fingerprint": record}, edits),
+            )
+            await server.engine.drain()
+            return w.frames(), server.counters()
+
+        frames, counters = asyncio.run(main())
+        assert [f.meta["code"] for f in frames] == ["bad_request"]
+        assert counters["internal_errors"] == 0
 
     def test_missing_b_operand_is_bad_request(self):
         csr = make_csr()

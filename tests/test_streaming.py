@@ -14,10 +14,10 @@ Three families of behaviour, matching ``docs/STREAMING.md``:
   ``get``, are depth-bounded, compact during gc, and are never orphaned
   by base eviction;
 * **serving** — ``apply_delta`` on the engines derives/caches/persists
-  patched plans, the sharded router keeps delta lineages co-resident
-  with their base plan (including across warm starts), and the server's
-  ``delta`` endpoint patches plans over the wire with results identical
-  to shipping the edited matrix whole.
+  patched plans, the sharded router places each derived plan on the
+  shard its own fingerprint hashes to (also after a warm start), and
+  the server's ``delta`` endpoint patches plans over the wire with
+  results identical to shipping the edited matrix whole.
 """
 
 from __future__ import annotations
@@ -298,6 +298,13 @@ class TestEngineDelta:
         assert eng.stats["misses"] == misses_before  # no rebuild
         assert bits_equal(C, new_plan.multiply(B))
 
+    def test_a_shard_outliving_its_router_keeps_its_derived_plans(self):
+        shard = ShardedSpMMEngine(n_shards=2).shards[0]  # router freed
+        csr = random_csr(32, 32, seed=18)
+        shard.spmm(csr, make_b(csr, n=8))
+        new_fp, _ = shard.apply_delta(fingerprint(csr), added=[(0, 0, 1.0)])
+        assert shard.lookup(new_fp) is not None
+
     def test_chain_restored_by_a_fresh_engine(self, tmp_path):
         store_root = tmp_path / "store"
         eng = SpMMEngine(store=PlanStore(root=store_root))
@@ -315,52 +322,61 @@ class TestEngineDelta:
 
 
 class TestShardedLineage:
-    def test_delta_descendants_stay_on_the_base_shard(self):
-        eng = ShardedSpMMEngine(n_shards=4)
-        csr = random_csr(48, 48, seed=11)
-        B = make_b(csr, n=16)
+    """One rule places every plan: on the shard its own structure
+    hashes to, delta-derived plans included, in the process that applied
+    the delta and after a fresh fleet's warm start."""
+
+    N_SHARDS = 4
+
+    def hashed(self, fp):
+        return int(fp.structure[:8], 16) % self.N_SHARDS
+
+    def delta_chain(self, eng, csr, B, edits):
+        """Serve ``csr``, then apply ``edits`` one delta at a time;
+        returns the derived ``(fingerprint, plan)`` pairs."""
         eng.spmm(csr, B)
-        fp0 = fingerprint(csr)
-        home = eng.shard_index(fp0)
-        fp, plan_obj = fp0, None
-        for step in range(3):
-            fp, plan_obj = eng.apply_delta(
-                fp, added=[(step, step, 1.0 + step)]
-            )
-            assert eng.shard_index(fp) == home  # pinned, not hashed
-        # follow-up traffic on the leaf is a hit on the home shard
-        misses = eng.shards[home].stats["misses"]
+        chain = [(fingerprint(csr), None)]
+        for added in edits:
+            chain.append(eng.apply_delta(chain[-1][0], added=[added]))
+        # the edits move the structure hash off the base's shard, so
+        # placement by lineage and placement by hash disagree here
+        assert any(
+            self.hashed(fp) != self.hashed(chain[0][0]) for fp, _ in chain[1:]
+        )
+        return chain[1:]
+
+    def assert_hit_on_hash_shard(self, eng, fp, plan_obj, B):
+        shard = eng.shards[self.hashed(fp)]
+        assert eng.shard_index(fp) == self.hashed(fp)
+        assert shard.lookup(fp) is not None
+        hits, misses = shard.stats["hits"], shard.stats["misses"]
         C = eng.spmm(plan_obj.csr, B)
-        assert eng.shards[home].stats["misses"] == misses
+        assert (shard.stats["hits"], shard.stats["misses"]) == (hits + 1, misses)
         assert bits_equal(C, plan_obj.multiply(B))
 
-    def test_clear_drops_lineage_pins(self):
-        eng = ShardedSpMMEngine(n_shards=4)
-        csr = random_csr(32, 32, seed=12)
-        eng.spmm(csr, make_b(csr, n=8))
-        fp, _ = eng.apply_delta(fingerprint(csr), added=[(0, 0, 1.0)])
-        eng.clear()
-        # back to pure hash routing
-        assert eng.shard_index(fp) == int(fp.structure[:8], 16) % 4
+    def test_derived_plans_sit_on_their_own_hash_shard(self):
+        eng = ShardedSpMMEngine(n_shards=self.N_SHARDS)
+        csr = random_csr(48, 48, seed=11)
+        B = make_b(csr, n=16)
+        edits = [(step, step, 1.0 + step) for step in range(3)]
+        for fp, plan_obj in self.delta_chain(eng, csr, B, edits):
+            self.assert_hit_on_hash_shard(eng, fp, plan_obj, B)
+        assert eng.stats["delta_patches"] == 3
+        assert eng.stats["plans_built"] == 1
 
-    def test_warm_start_routes_chains_to_the_base_shard(self, tmp_path):
+    def test_warm_start_places_chain_links_by_their_own_hash(self, tmp_path):
         store_root = tmp_path / "store"
-        eng = ShardedSpMMEngine(n_shards=4, store=store_root)
+        eng = ShardedSpMMEngine(n_shards=self.N_SHARDS, store=store_root)
         csr = random_csr(48, 48, seed=13)
         B = make_b(csr, n=16)
-        eng.spmm(csr, B)
-        fp1, p1 = eng.apply_delta(fingerprint(csr), added=[(7, 7, 0.5)])
-        fp2, p2 = eng.apply_delta(fp1, added=[(9, 1, 0.25)])
+        edits = [(7, 7, 0.5), (9, 1, 0.25), (30, 2, 1.5)]
+        chain = self.delta_chain(eng, csr, B, edits)
         # a fresh engine fleet warm-starts the whole chain from disk
-        eng2 = ShardedSpMMEngine(n_shards=4, store=store_root)
-        assert eng2.warm_start() == 3
-        home = eng2.shard_index(fingerprint(csr))
-        for fp, want in ((fp1, p1), (fp2, p2)):
-            assert eng2.shard_index(fp) == home
-            misses = eng2.shards[home].stats["misses"]
-            C = eng2.spmm(want.csr, B)
-            assert eng2.shards[home].stats["misses"] == misses  # warm hit
-            assert bits_equal(C, want.multiply(B))
+        eng2 = ShardedSpMMEngine(n_shards=self.N_SHARDS, store=store_root)
+        assert eng2.warm_start() == 1 + len(edits)
+        for fp, plan_obj in chain:
+            self.assert_hit_on_hash_shard(eng2, fp, plan_obj, B)
+        assert eng2.stats["plans_built"] == 0
 
     def test_async_facade_applies_deltas(self):
         async def run():
@@ -370,7 +386,7 @@ class TestShardedLineage:
                 await eng.multiply(csr, B)
                 fp = await eng.compute_fingerprint(csr)
                 new_fp, new_plan = await eng.apply_delta(
-                    fp, added=[(3, 3, 1.0)], tenant="t0"
+                    fp, added=[(3, 3, 1.0)]
                 )
                 C = await eng.multiply(new_plan.csr, B)
                 assert bits_equal(C, new_plan.multiply(B))

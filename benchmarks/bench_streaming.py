@@ -8,16 +8,27 @@ global nnz sort that dominate plan cost — while staying **bit-for-bit**
 identical to a fresh plan built with the base plan's reordering pinned
 (same tiling arrays, packed values, TB schedule, and multiply bits).
 
+A store arm measures what persisting derived plans costs and buys,
+through the public API alone (``SpMMEngine(store=)``, ``apply_delta``,
+``PlanStore``): an engine persists a base plan and 5 successive 8-edit
+derived plans, the arm records each derived entry's write time and
+bytes, and a new ``PlanStore`` handle then times loads of the base and
+of the depth-5 plan (median of 7, after one untimed load each).  The
+depth-5 plan must multiply bit-for-bit and load within 3x of the base.
+
 Two entry points:
 
 * the pytest-benchmark experiment (DD dataset, edit batches of several
-  sizes) dumps the full table to ``results/streaming.txt``;
+  sizes, then the store arm) dumps the full tables to
+  ``results/streaming.txt``;
 * ``python bench_streaming.py --smoke`` is the CI guard: a power-law
   synthetic, one small edit batch, asserting the >= 5x floor and exact
-  equality.
+  equality, then the store arm and its 3x load ceiling.
 """
 
+import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -33,6 +44,12 @@ from _common import dump, once
 
 FEATURE_DIM = 64
 SPEEDUP_FLOOR = 5.0
+#: the store arm: successive derived plans, edits per delta, timed loads
+STORE_DEPTH = 5
+STORE_EDITS = 8
+LOAD_REPEATS = 7
+#: the deepest derived plan must load within this factor of its base
+LOAD_RATIO_CEILING = 3.0
 
 
 def _b_for(A, seed=23):
@@ -101,6 +118,89 @@ def patch_vs_replan(A, delta, B):
     return t_patch, t_replan
 
 
+class _TimedWrites:
+    """A plan-store handle that adds up the time of every ``put*`` call
+    made through it, so the arm times persistence apart from the
+    patch."""
+
+    def __init__(self, store):
+        self._store = store
+        self.seconds = 0.0
+
+    def __getattr__(self, name):
+        attr = getattr(self._store, name)
+        if not name.startswith("put"):
+            return attr
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return attr(*args, **kwargs)
+            finally:
+                self.seconds += time.perf_counter() - t0
+
+        return timed
+
+
+def _median_load_s(store, fp, device, config):
+    """Median time of ``store.get`` after one untimed load; returns
+    ``(seconds, plan)``."""
+    assert store.get(fp, device, config) is not None
+    times = []
+    for _ in range(LOAD_REPEATS):
+        t0 = time.perf_counter()
+        loaded = store.get(fp, device, config)
+        times.append(time.perf_counter() - t0)
+        assert loaded is not None
+    return statistics.median(times), loaded
+
+
+def store_arm(name, A, B):
+    """Persist a base and ``STORE_DEPTH`` successive derived plans, then
+    load the base and the deepest plan through a new store handle."""
+    with tempfile.TemporaryDirectory(prefix="bench-streaming-") as root:
+        writes = _TimedWrites(repro.PlanStore(root))
+        eng = repro.SpMMEngine(store=writes)
+        eng.spmm(A, B)  # builds and persists the base
+        device, config = eng.default_device.name, eng.default_config
+        base_fp = repro.fingerprint(A)
+        fp, cur, puts = base_fp, A, []
+        for depth in range(1, STORE_DEPTH + 1):
+            before = writes.seconds
+            fp, derived = eng.apply_delta(
+                fp, small_edits(cur, STORE_EDITS, seed=depth)
+            )
+            path = writes.path_for(writes.digest(fp, device, config))
+            puts.append({
+                "depth": depth,
+                "put_s": writes.seconds - before,
+                "bytes": path.stat().st_size,
+            })
+            cur = derived.csr
+        fresh = repro.PlanStore(root)
+        base_s, _ = _median_load_s(fresh, base_fp, device, config)
+        tip_s, tip = _median_load_s(fresh, fp, device, config)
+        assert np.array_equal(
+            tip.multiply(B).view(np.uint32),
+            derived.multiply(B).view(np.uint32),
+        ), "the stored depth-5 plan diverged from the one patched in memory"
+    return {
+        "matrix": name,
+        "puts": puts,
+        "base_load_s": base_s,
+        "tip_load_s": tip_s,
+        "ratio": tip_s / base_s,
+    }
+
+
+def check_store_arm(store):
+    assert store["ratio"] <= LOAD_RATIO_CEILING, (
+        f"depth-{STORE_DEPTH} plan loads in {store['tip_load_s']*1e3:.2f} ms, "
+        f"{store['ratio']:.1f}x its base's {store['base_load_s']*1e3:.2f} ms "
+        f"(need <= {LOAD_RATIO_CEILING}x)"
+    )
+
+
 def full_run():
     A = load_dataset("DD")
     B = _b_for(A)
@@ -114,7 +214,30 @@ def full_run():
             "replan_s": t_replan,
             "speedup": t_replan / t_patch,
         })
-    return rows
+    return rows, store_arm("DD", A, B)
+
+
+def render_store(store):
+    out = [
+        f"Plan store: a base and {STORE_DEPTH} successive {STORE_EDITS}-edit "
+        "derived plans through SpMMEngine(store=...); loads through a new "
+        f"PlanStore handle (median of {LOAD_REPEATS} after one untimed load)",
+        f"{'matrix':>8} {'depth':>6} {'put ms':>10} {'bytes':>10}",
+    ]
+    for r in store["puts"]:
+        out.append(
+            f"{store['matrix']:>8} {r['depth']:>6} {r['put_s']*1e3:>10.2f} "
+            f"{r['bytes']:>10}"
+        )
+    out.append(
+        f"{'matrix':>8} {'base load ms':>13} "
+        f"{f'depth-{STORE_DEPTH} load ms':>16} {'ratio':>7}"
+    )
+    out.append(
+        f"{store['matrix']:>8} {store['base_load_s']*1e3:>13.2f} "
+        f"{store['tip_load_s']*1e3:>16.2f} {store['ratio']:>6.2f}x"
+    )
+    return "\n".join(out) + "\n"
 
 
 def render(rows):
@@ -134,13 +257,14 @@ def render(rows):
 
 
 def test_streaming_delta_speedup(benchmark):
-    rows = once(benchmark, full_run)
+    rows, store = once(benchmark, full_run)
     for r in rows:
         assert r["speedup"] >= SPEEDUP_FLOOR, (
             f"{r['n_edits']}-edit patch only {r['speedup']:.1f}x over "
             f"full replan (need >= {SPEEDUP_FLOOR}x)"
         )
-    dump("streaming", render(rows))
+    check_store_arm(store)
+    dump("streaming", render(rows) + "\n" + render_store(store))
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +283,9 @@ def smoke():
         f"delta patch only {speedup:.1f}x over full replan "
         f"(need >= {SPEEDUP_FLOOR}x)"
     )
+    store = store_arm("powerlaw", A, B)
+    print(render_store(store), end="")
+    check_store_arm(store)
     print("streaming smoke: OK")
 
 
@@ -166,6 +293,8 @@ if __name__ == "__main__":
     if "--smoke" in sys.argv:
         smoke()
     else:
-        rows = full_run()
-        print(render(rows))
-        dump("streaming", render(rows))
+        rows, store = full_run()
+        text = render(rows) + "\n" + render_store(store)
+        print(text)
+        check_store_arm(store)
+        dump("streaming", text)

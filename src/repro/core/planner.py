@@ -235,6 +235,11 @@ class AccPlan:
         tiling arrays, packed values, TB schedule, and multiply output —
         while skipping the reordering pass and the global nnz sort that
         dominate full-plan cost.  ``self`` is not modified.
+
+        The new plan's ``build_seconds`` is this plan's plus the patch's
+        own time: what a worker without the derived plan pays to rebuild
+        it, which is what the plan store's admission and cheapest-first
+        gc rank it by.
         """
         from repro.formats.tiling import retile_windows
         from repro.sparse.delta import GraphDelta
@@ -315,7 +320,7 @@ class AccPlan:
             device=self.device,
             feature_dim=self.feature_dim,
             tc_plan=new_tc,
-            build_seconds=timer.elapsed,
+            build_seconds=self.build_seconds + timer.elapsed,
             kernel=self.kernel,
         )
 

@@ -340,12 +340,14 @@ class SpMMEngine:
         to the shard ``new_fingerprint`` routes to, which need not be
         this one: the edit changed the structure hash.
 
-        With a store attached, the delta itself is persisted as a chain
-        link (:meth:`~repro.serve.store.PlanStore.put_delta`), falling
-        back to a full plan write when the chain would grow past the
-        store's depth bound.  ``apply_delta`` is pure on the base plan,
-        so concurrent deltas on one base are not coalesced — last insert
-        wins under the engine lock.
+        With a store attached, the derived plan is persisted whole under
+        ``new_fingerprint`` (:meth:`~repro.serve.store.PlanStore.put`),
+        like a fresh build, so any worker loads it with one map of one
+        file; its ``build_seconds`` counts the base's build, so the
+        store's admission and gc price it as a rebuild would cost.
+        ``apply_delta`` is pure on the base plan, so concurrent deltas
+        on one base are not coalesced — last insert wins under the
+        engine lock.
         """
         from repro.sparse.delta import GraphDelta
 
@@ -387,14 +389,7 @@ class SpMMEngine:
             home.cache.stats.delta_patches += 1
             home.cache.put(new_key, new_plan, structural_key=new_structural)
         if self.store is not None:
-            # best-effort persistence: a chain link when the base is on
-            # disk and the chain stays within depth, else a full plan
-            stored = self.store.put_delta(
-                fp, new_fp, spec.name, cfg, delta,
-                build_seconds=new_plan.build_seconds,
-            )
-            if not stored:
-                self.store.put(new_fp, spec.name, cfg, new_plan)
+            self.store.put(new_fp, spec.name, cfg, new_plan)  # best-effort
         return new_fp, new_plan
 
     @staticmethod

@@ -63,7 +63,7 @@ from repro.gpusim.pipeline import PipelineMode
 from repro.gpusim.specs import get_device
 from repro.kernels.tc_common import TCPlan
 from repro.reorder.base import Permutation, ReorderResult
-from repro.serve.fingerprint import MatrixFingerprint, config_fingerprint
+from repro.serve.fingerprint import config_fingerprint
 from repro.sparse.csr import CSRMatrix
 from repro.tune.space import TunedConfig
 
@@ -72,9 +72,10 @@ from repro.tune.space import TunedConfig
 #: feeds the store's TTL/staleness policy; v3 added the ``tuned`` header
 #: block recording the autotuner's verdict (kernel, tile shape, fused
 #: hint) so a warm-started worker rebuilds the exact tuned kernel; v4
-#: added the ``accdelta`` container kind — a structural edit batch plus
-#: lineage headers — so the store can persist plan + delta chains
-#: instead of full replans for streaming graphs.
+#: added an ``accdelta`` container kind for delta-chain links.  The
+#: store no longer writes or reads that kind: it keeps every plan whole
+#: as an ``accplan`` and quarantines an ``accdelta`` left by an older
+#: store, so ``accplan`` bytes are unchanged and v4 stays current.
 PLAN_FORMAT_VERSION = 4
 
 #: Oldest version this build still reads.  Versions in
@@ -208,17 +209,31 @@ def read_header(data: bytes) -> tuple[dict, int]:
     return header, _align(_HEAD.size + hlen)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass, so exclude it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _normalised_table(header: dict) -> list[dict]:
     """The header's array table with every field type-checked.
 
-    A header whose JSON parsed but whose table is malformed (wrong
-    nesting, missing keys, bad dtypes) must surface as :class:`StoreError`
-    — the store quarantines on it — never as a stray ``TypeError``.
+    Names are distinct strings, and every shape element, ``offset`` and
+    ``nbytes`` is an integer that is not a bool: a float, a string or a
+    bool is refused, never coerced.  A header whose JSON parsed but
+    whose table is malformed (wrong nesting, missing keys, bad dtypes)
+    must surface as :class:`StoreError` — the store quarantines on it —
+    never as a stray ``TypeError``.
     """
     table = []
+    seen: set[str] = set()
     try:
         for entry in header["arrays"]:
-            name = str(entry["name"])
+            name = entry["name"]
+            if not isinstance(name, str) or name in seen:
+                raise StoreError(
+                    f"array table has a bad or duplicate name: {name!r}"
+                )
+            seen.add(name)
             dtype = np.dtype(entry["dtype"])
             if dtype.kind not in _ALLOWED_DTYPE_KINDS:
                 raise StoreError(
@@ -226,9 +241,20 @@ def _normalised_table(header: dict) -> list[dict]:
                     f"containers carry only plain numeric dtypes (kinds "
                     f"{''.join(sorted(_ALLOWED_DTYPE_KINDS))})"
                 )
-            shape = tuple(int(s) for s in entry["shape"])
-            offset = int(entry["offset"])
-            nbytes = int(entry["nbytes"])
+            shape, offset, nbytes = (
+                entry["shape"], entry["offset"], entry["nbytes"]
+            )
+            if not (
+                isinstance(shape, list)
+                and all(_is_int(s) for s in shape)
+                and _is_int(offset)
+                and _is_int(nbytes)
+            ):
+                raise StoreError(
+                    f"array {name!r} has a non-integer shape, offset or "
+                    f"nbytes: {shape!r}, {offset!r}, {nbytes!r}"
+                )
+            shape = tuple(shape)
             if offset < 0 or nbytes < 0 or any(s < 0 for s in shape):
                 raise StoreError(f"array {name!r} has negative sizes")
             # exact Python ints: an int64 product could wrap back to a
@@ -586,71 +612,3 @@ def plan_from_bytes(data: bytes) -> AccPlan:
             f"expected an accplan container, got {header.get('kind')!r}"
         )
     return plan_from_payload(header["meta"], arrays)
-
-
-# ----------------------------------------------------------------------
-# GraphDelta (format v4: one link of a persisted delta chain)
-# ----------------------------------------------------------------------
-def delta_payload(
-    delta,
-    base_fp: MatrixFingerprint,
-    new_fp: MatrixFingerprint,
-    device: str,
-    config,
-    build_seconds: float,
-    depth: int,
-) -> tuple[dict, dict]:
-    """``(meta, arrays)`` for one persisted delta-chain link.
-
-    The header carries the **edited** matrix's fingerprint under the
-    same ``fingerprint`` key accplan containers use (so the store's
-    integrity checks are uniform across kinds), plus
-    ``base_fingerprint`` — the lineage pointer the loader
-    follows to the parent entry — ``depth`` (links between this entry
-    and the full plan at the chain root, used by the store's compaction
-    policy), and the device/config pair that locates the parent under
-    the store's digest scheme.
-    """
-    meta = {
-        "config": asdict(config),
-        "config_fp": config_fingerprint(config),
-        "device": str(device),
-        "build_seconds": float(build_seconds),
-        "depth": int(depth),
-        "saved_at": float(_wall_clock()),
-        "fingerprint": new_fp.record(),
-        "base_fingerprint": base_fp.record(),
-    }
-    return meta, delta.as_arrays()
-
-
-def delta_to_bytes(
-    delta,
-    base_fp: MatrixFingerprint,
-    new_fp: MatrixFingerprint,
-    device: str,
-    config,
-    build_seconds: float,
-    depth: int,
-) -> bytes:
-    """Serialise one delta-chain link to an ``accdelta`` container."""
-    meta, arrays = delta_payload(
-        delta, base_fp, new_fp, device, config, build_seconds, depth
-    )
-    return pack_container("accdelta", meta, arrays)
-
-
-def delta_from_payload(meta: dict, arrays: dict):
-    """Rebuild the :class:`~repro.sparse.delta.GraphDelta` of an
-    ``accdelta`` container; its header's ``fingerprint`` and
-    ``base_fingerprint`` records
-    (:meth:`~repro.serve.fingerprint.MatrixFingerprint.from_record`)
-    name the lineage endpoints."""
-    from repro.sparse.delta import GraphDelta
-
-    try:
-        return GraphDelta.from_arrays(arrays)
-    except StoreError:
-        raise
-    except _DECODE_ERRORS as exc:
-        raise StoreError(f"invalid GraphDelta payload: {exc}") from exc

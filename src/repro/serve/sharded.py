@@ -78,8 +78,7 @@ class ShardedSpMMEngine:
     store:
         Shared cross-process persistence: a
         :class:`~repro.serve.store.PlanStore` used by every shard, or a
-        directory path — which builds one with ``shards=n_shards``
-        directory sharding, the layout a multi-host fleet wants.
+        directory path, which opens ``PlanStore(root=path)``.
     exec_max_bytes, policy, max_idle_seconds, device, config:
         Forwarded to every shard engine (see
         :class:`~repro.serve.engine.SpMMEngine`).
@@ -128,7 +127,7 @@ class ShardedSpMMEngine:
         if store is not None and not hasattr(store, "get"):
             from repro.serve.store import PlanStore
 
-            store = PlanStore(root=store, shards=self.n_shards)
+            store = PlanStore(root=store)
         self.store = store
         per_capacity = max(1, -(-int(capacity) // self.n_shards))
         per_bytes = (
@@ -349,7 +348,7 @@ class ShardedSpMMEngine:
     def warm_start(self, limit: int | None = None) -> int:
         """Preload persisted plans, each into its *owning* shard.
 
-        One pass over the shared store: every entry, delta links
+        One pass over the shared store: every entry, delta-derived plans
         included, is routed to its shard from its own header fingerprint
         (no payload deserialised for routing), selected
         most-expensive-to-rebuild first *globally* — ``limit``

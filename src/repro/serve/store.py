@@ -36,12 +36,10 @@ Guarantees:
   the ``saved_at`` wall clock persisted in the v2 container header);
   :meth:`gc` with ``max_idle_seconds`` drops entries whose matrices have
   stopped arriving, and never one used since the cutoff.
-* **Directory sharding** — with ``shards=N`` entries are spread across
-  ``shard-00/…shard-NN/`` subdirectories (addressed by digest, so every
-  worker agrees), keeping per-directory entry counts and rename traffic
-  low when many hosts serve from one shared tree.  Maintenance
-  (``entries``/``gc``/``inspect``) always scans both layouts, so a tree
-  can be inspected or migrated regardless of the opener's shard count.
+* **One kind of entry** — every entry is a whole ``accplan`` container
+  in one flat directory, a delta-derived plan included: a worker loads
+  any plan with one map of one file, never by replaying edits.  Any
+  other container kind is quarantined on first contact.
 
 CLI (``python -m repro.serve.store --help``): ``inspect`` lists entries,
 ``prewarm`` builds and persists plans for named datasets ahead of
@@ -93,18 +91,6 @@ def default_store_root() -> Path:
     return Path(base).expanduser() / "accspmm" / "plans"
 
 
-def _read_kind(path: Path) -> str | None:
-    """Container kind of the file at ``path`` (header-only read).
-
-    Raises :class:`StoreError` for unreadable containers; callers
-    re-checking an entry mid-gc treat that the same as "not a delta"."""
-    from repro.serve import serial
-
-    header = serial.read_header_from_file(path)
-    kind = header.get("kind")
-    return str(kind) if kind is not None else None
-
-
 @dataclass
 class StoreStats:
     """Counters for one :class:`PlanStore` lifetime (this process)."""
@@ -146,9 +132,6 @@ class StoreEntry:
     #: decoded header metadata (fingerprint, device, config, build cost);
     #: ``None`` when the header itself is unreadable
     meta: dict | None = field(default=None)
-    #: container kind (``"accplan"`` or ``"accdelta"``); ``None`` when
-    #: the header is unreadable
-    kind: str | None = field(default=None)
     #: the reader's clock at scan time, stamped by
     #: :meth:`PlanStore.entries` — the upper clamp for :attr:`last_used`
     now: float | None = field(default=None)
@@ -158,21 +141,6 @@ class StoreEntry:
         if self.meta is None:
             return 0.0
         return float(self.meta.get("build_seconds", 0.0))
-
-    @property
-    def is_delta(self) -> bool:
-        return self.kind == "accdelta"
-
-    @property
-    def chain_depth(self) -> int:
-        """Links between this entry and the full plan at its chain root
-        (0 for full plans and unreadable headers)."""
-        if self.meta is None:
-            return 0
-        try:
-            return int(self.meta.get("depth", 0))
-        except (TypeError, ValueError):
-            return 0
 
     @property
     def last_used(self) -> float:
@@ -207,6 +175,11 @@ class StoreEntry:
 class PlanStore:
     """A directory of serialised plans, one file per fingerprint.
 
+    Every entry is a whole plan, loaded as views into one read-only map
+    of its file, so concurrent workers share pages and a loaded plan
+    holds one descriptor.  The map keeps the file's inode, so a loaded
+    plan keeps serving even if its entry is deleted.
+
     Parameters
     ----------
     root:
@@ -219,29 +192,11 @@ class PlanStore:
         Cost-aware admission threshold: plans whose recorded
         ``build_seconds`` is below it are not persisted (rebuilding them
         is cheaper than a disk round-trip is worth).  0 admits all.
-    mmap:
-        Map each entry file read-only once and load its arrays as views
-        into that map (default), so concurrent workers share pages and a
-        loaded plan holds one descriptor; ``False`` reads entries fully
-        into memory (use when the store directory may be deleted while
-        loaded plans are still serving).
-    shards:
-        Optional directory sharding: entries are spread across
-        ``shard-00/…`` subdirectories addressed by digest, so many hosts
-        writing one shared tree do not contend on a single directory's
-        rename traffic.  Every opener of a tree must use the same shard
-        count for :meth:`get`/:meth:`put` to resolve the same paths
-        (maintenance scans both layouts regardless).  ``None`` keeps the
-        flat single-directory layout.
     max_idle_seconds:
         Optional TTL: :meth:`gc` (run after every :meth:`put` when any
         budget is configured) drops entries idle longer than this —
         idleness measured on :attr:`StoreEntry.last_used`, so an entry
         loaded (or written) since the cutoff is never dropped.
-    compact_depth:
-        Delta chains this long or longer are rewritten as full plans
-        during :meth:`gc` (``None`` disables compaction there; the
-        depth cap on :meth:`put_delta` still applies).
     clock:
         The wall clock (``time.time``-compatible) used for TTL
         reference times and temp-file reaping.  Injectable so tests can
@@ -258,37 +213,21 @@ class PlanStore:
     #: temp files older than this are considered crashed-writer litter
     #: and reaped by :meth:`gc`; younger ones may be mid-write
     TMP_REAP_SECONDS = 3600.0
-    #: :meth:`put_delta` refuses links that would make a chain longer
-    #: than this — load cost grows with depth, so past it the caller
-    #: falls back to persisting a full plan (resetting the chain)
-    MAX_CHAIN_DEPTH = 8
 
     def __init__(
         self,
         root: str | Path | None = None,
         max_bytes: int | None = None,
         admit_min_seconds: float = 0.0,
-        mmap: bool = True,
-        shards: int | None = None,
         max_idle_seconds: float | None = None,
-        compact_depth: int | None = 4,
         clock=time.time,
     ) -> None:
-        if shards is not None and not 1 <= int(shards) <= 4096:
-            raise ValueError(f"store shards must be in 1..4096; got {shards}")
         if max_idle_seconds is not None and max_idle_seconds <= 0:
             raise ValueError("store max_idle_seconds must be > 0 (or None)")
-        if compact_depth is not None and compact_depth < 1:
-            raise ValueError("store compact_depth must be >= 1 (or None)")
         self.root = Path(root) if root is not None else default_store_root()
         self.max_bytes = max_bytes
         self.admit_min_seconds = float(admit_min_seconds)
-        self.mmap = mmap
-        self.shards = int(shards) if shards is not None else None
         self.max_idle_seconds = max_idle_seconds
-        self.compact_depth = (
-            int(compact_depth) if compact_depth is not None else None
-        )
         self.clock = clock
         self._stats_lock = create_lock("PlanStore._stats_lock")
         self.stats = StoreStats()  #: guarded_by: _stats_lock
@@ -310,56 +249,11 @@ class PlanStore:
         version check on load, and are quarantined on first contact —
         rather than lingering invisibly at version-tagged paths forever.
         """
-        return PlanStore._digest_parts(
-            fp.full, device, config_fingerprint(config)
-        )
-
-    @staticmethod
-    def _digest_parts(fp_parts, device: str, config_fp: str) -> str:
-        """:meth:`digest` from pre-computed parts — what chain
-        resolution uses, since an accdelta header stores the base's
-        fingerprint fields and the config *fingerprint* (not the
-        config object) and must resolve the identical path."""
-        tag = "|".join(
-            [*(str(part) for part in fp_parts), str(device), str(config_fp)]
-        )
-        return _digest(tag.encode())
-
-    @staticmethod
-    def _header_digest(meta: dict) -> str | None:
-        """The digest an accdelta header's *base* resolves to, or
-        ``None`` when the header lacks the lineage fields."""
-        try:
-            base_fp = MatrixFingerprint.from_record(meta["base_fingerprint"])
-            return PlanStore._digest_parts(
-                base_fp.full, str(meta["device"]), str(meta["config_fp"])
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def _dir_for(self, digest: str) -> Path:
-        """The directory an entry lives in (a ``shard-NN/`` when sharded).
-
-        Addressed by digest so every worker — on any host — agrees on
-        the placement without coordination."""
-        if self.shards is None:
-            return self.root
-        index = int(digest[:8], 16) % self.shards
-        return self.root / f"shard-{index:02d}"
+        parts = [*fp.full, device, config_fingerprint(config)]
+        return _digest("|".join(str(part) for part in parts).encode())
 
     def path_for(self, digest: str) -> Path:
-        return self._dir_for(digest) / f"{digest}{self.SUFFIX}"
-
-    def _entry_dirs(self) -> list[Path]:
-        """Every directory that may hold entries: the flat root plus any
-        ``shard-*/`` subdirectories that exist on disk — *not* just the
-        configured layout, so maintenance sees a mixed or foreign tree."""
-        dirs = [self.root] if self.root.is_dir() else []
-        if self.root.is_dir():
-            dirs += sorted(
-                p for p in self.root.glob("shard-*") if p.is_dir()
-            )
-        return dirs
+        return self.root / f"{digest}{self.SUFFIX}"
 
     @property
     def quarantine_dir(self) -> Path:
@@ -385,42 +279,28 @@ class PlanStore:
         self._count("hits")
         return plan
 
-    def _load(
-        self,
-        path: Path,
-        expect_fp: MatrixFingerprint | None = None,
-        _depth: int = 0,
-    ):
+    def _load(self, path: Path, expect_fp: MatrixFingerprint | None = None):
         """Load one entry file; quarantine and return ``None`` on failure.
 
-        An ``accdelta`` entry resolves its whole chain: the base entry
-        loads recursively (each link a plan or a further delta),
-        :meth:`~repro.core.planner.AccPlan.apply_delta` replays the
-        edits, and the resulting matrix's fingerprint is verified
-        against the link's header before anything is returned — a chain
-        can be slow, never wrong.  Every link touched refreshes its
-        mtime, so a live chain's links age together under TTL gc.
-
-        A resource failure (``MemoryError``, or an ``OSError`` out of
-        descriptors or memory) quarantines nothing: it rises through the
-        chain's links to the outermost load, which counts one
-        ``load_errors`` and returns ``None``.
+        The file is mapped read-only once
+        (:func:`~repro.serve.serial.unpack_container`) and must be an
+        ``accplan`` container: any other kind (such as an ``accdelta``
+        link an older store wrote) is quarantined like any other entry
+        the reader does not accept.  A resource failure
+        (``MemoryError``, or an ``OSError`` out of descriptors or
+        memory) quarantines nothing: it counts one ``load_errors`` and
+        returns ``None``.
         """
         from repro.serve import serial
 
         if not path.is_file():
             return None
         try:
-            header, arrays = serial.unpack_container(
-                path=path
-            ) if self.mmap else serial.unpack_container(path.read_bytes())
+            header, arrays = serial.unpack_container(path=path)
             kind = header.get("kind")
-            if kind == "accdelta":
-                plan = self._resolve_delta(path, header, arrays, _depth)
-            elif kind == "accplan":
-                plan = serial.plan_from_payload(header["meta"], arrays)
-            else:
+            if kind != "accplan":
                 raise StoreError(f"store entry is a {kind!r} container")
+            plan = serial.plan_from_payload(header["meta"], arrays)
             if expect_fp is not None:
                 stored = MatrixFingerprint.from_record(
                     header["meta"]["fingerprint"]
@@ -433,54 +313,15 @@ class PlanStore:
             # bad entry" guarantee: expected decode failures arrive as
             # StoreError/OSError, but a hostile or bit-rotted file must
             # not be able to crash serving traffic through any exception
-            if not _is_resource_failure(exc):
-                self._quarantine(path, repr(exc))
-            elif _depth:
-                raise  # a chain link is fine; its outermost load counts
-            else:
+            if _is_resource_failure(exc):
                 self._count("load_errors")
+            else:
+                self._quarantine(path, repr(exc))
             return None
         try:
             os.utime(path)  # recency for gc; best-effort
         except OSError:
             pass
-        return plan
-
-    def _resolve_delta(self, path: Path, header: dict, arrays: dict, depth: int):
-        """Materialise the plan an accdelta entry describes (one link).
-
-        Raises :class:`StoreError` — the caller quarantines — when the
-        chain is too deep, the base is missing/bad, or the replayed
-        matrix does not hash to the fingerprint this link recorded.
-        """
-        from repro.serve import serial
-        from repro.serve.fingerprint import fingerprint
-
-        if depth >= self.MAX_CHAIN_DEPTH:
-            raise StoreError(
-                f"delta chain deeper than MAX_CHAIN_DEPTH="
-                f"{self.MAX_CHAIN_DEPTH} (cycle or unbounded lineage)"
-            )
-        meta = header["meta"]
-        base_digest = self._header_digest(meta)
-        if base_digest is None:
-            raise StoreError("accdelta header missing lineage fields")
-        base_fp = MatrixFingerprint.from_record(meta["base_fingerprint"])
-        base = self._load(
-            self.path_for(base_digest), expect_fp=base_fp, _depth=depth + 1
-        )
-        if base is None:
-            raise StoreError(
-                f"delta chain base {base_digest[:12]} missing or invalid"
-            )
-        delta = serial.delta_from_payload(meta, arrays)
-        plan = base.apply_delta(delta)
-        stored = MatrixFingerprint.from_record(meta["fingerprint"])
-        if fingerprint(plan.csr) != stored:
-            raise StoreError(
-                "delta replay produced a different matrix than this "
-                "link recorded (corrupt chain)"
-            )
         return plan
 
     def _quarantine(self, path: Path, reason: str) -> None:
@@ -527,8 +368,8 @@ class PlanStore:
     def _publish(self, path: Path, data: bytes) -> None:
         """Atomically write one entry file (write-temp-then-rename)."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        # temp file in the *entry's own* directory: os.replace stays
-        # same-directory (atomic, no cross-shard rename traffic)
+        # temp file in the store directory itself: os.replace stays
+        # same-directory, so publication is atomic
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=self.SUFFIX
         )
@@ -545,65 +386,6 @@ class PlanStore:
                 pass
             raise
 
-    def put_delta(
-        self,
-        base_fp: MatrixFingerprint,
-        new_fp: MatrixFingerprint,
-        device: str,
-        config,
-        delta,
-        build_seconds: float = 0.0,
-    ) -> bool:
-        """Persist one delta-chain link; ``True`` if stored.
-
-        The link lives at the *edited* matrix's content address — a
-        reader asking :meth:`get` for the new fingerprint resolves the
-        chain transparently.  Returns ``False`` (so callers fall back
-        to a full :meth:`put`, resetting the chain) when the base entry
-        is absent or unreadable, the chain would exceed
-        :data:`MAX_CHAIN_DEPTH`, or the write fails.  Admission is not
-        cost-gated like :meth:`put`: a link is small and only ever
-        written for plans whose base was already worth persisting.
-        """
-        from repro.serve import serial
-
-        base_path = self.path_for(self.digest(base_fp, device, config))
-        try:
-            header = serial.read_header_from_file(base_path)
-        except (StoreError, OSError):
-            return False
-        if header.get("kind") == "accdelta":
-            try:
-                depth = int(header["meta"].get("depth", 0)) + 1
-            except (KeyError, TypeError, ValueError):
-                return False
-        elif header.get("kind") == "accplan":
-            depth = 1
-        else:
-            return False
-        if depth > self.MAX_CHAIN_DEPTH:
-            return False
-        try:
-            data = serial.delta_to_bytes(
-                delta,
-                base_fp,
-                new_fp,
-                str(device),
-                config,
-                float(build_seconds),
-                depth,
-            )
-            self._publish(
-                self.path_for(self.digest(new_fp, device, config)), data
-            )
-        except (OSError, StoreError):
-            self._count("put_errors")
-            return False
-        self._count("puts")
-        if self.max_bytes is not None or self.max_idle_seconds is not None:
-            self.gc(self.max_bytes)
-        return True
-
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
@@ -617,12 +399,7 @@ class PlanStore:
 
         now = float(self.clock()) if now is None else float(now)
         out = []
-        paths = sorted(
-            path
-            for d in self._entry_dirs()
-            for path in d.glob(f"*{self.SUFFIX}")
-        )
-        for path in paths:
+        for path in sorted(self.root.glob(f"*{self.SUFFIX}")):
             if path.name.startswith(".tmp-"):
                 continue
             try:
@@ -630,12 +407,9 @@ class PlanStore:
             except OSError:
                 continue  # raced with a concurrent gc/quarantine
             try:
-                header = serial.read_header_from_file(path)
-                meta = header.get("meta", {})
-                kind = header.get("kind")
+                meta = serial.read_header_from_file(path).get("meta", {})
             except (StoreError, OSError, ValueError):
                 meta = None
-                kind = None
             out.append(
                 StoreEntry(
                     digest=path.stem,
@@ -643,7 +417,6 @@ class PlanStore:
                     nbytes=st.st_size,
                     mtime=st.st_mtime,
                     meta=meta,
-                    kind=kind,
                     now=now,
                 )
             )
@@ -657,30 +430,20 @@ class PlanStore:
         max_bytes: int | None = None,
         max_idle_seconds: float | None = None,
         now: float | None = None,
-        compact_depth: int | None = None,
     ) -> list[StoreEntry]:
         """Drop stale entries, then evict down to ``max_bytes``; returns
         everything removed.
 
-        Three passes over one directory scan:
+        Two passes over one directory scan:
 
-        1. **Chain compaction** — delta chains of ``compact_depth`` or
-           more links are rewritten in place as full plans (load cost
-           grows with depth; compaction also severs the entry's
-           dependence on its base, freeing the base for eviction).
-        2. **TTL** — entries whose :attr:`StoreEntry.last_used` is older
+        1. **TTL** — entries whose :attr:`StoreEntry.last_used` is older
            than ``max_idle_seconds`` (their matrices stopped arriving)
            are dropped regardless of the byte budget.  An entry loaded
            or written since the cutoff is never touched by this pass.
-        3. **Byte budget** — cost-aware: survivors are ranked by recorded
+        2. **Byte budget** — cost-aware: survivors are ranked by recorded
            ``build_seconds`` ascending (cheapest to rebuild goes first),
            ties — and unreadable headers, which rank cheapest — broken
            towards the oldest ``last_used``.
-
-        The eviction passes never orphan a chain: before removing an
-        entry that surviving deltas use as their base, those direct
-        dependents are compacted to full plans; if that fails the base
-        is kept.
 
         ``None`` arguments fall back to the store's configured budgets;
         with neither budget, gc only removes leftover temp files.
@@ -693,57 +456,20 @@ class PlanStore:
             self.max_idle_seconds if max_idle_seconds is None
             else max_idle_seconds
         )
-        min_depth = (
-            self.compact_depth if compact_depth is None else compact_depth
-        )
         now = float(self.clock()) if now is None else float(now)
         # reap temp files from *crashed* writers only: an age threshold
         # keeps gc (possibly run by another worker's put) from deleting
         # a temp file a live writer is between mkstemp and os.replace on
         cutoff = float(self.clock()) - self.TMP_REAP_SECONDS
-        for d in self._entry_dirs():
-            for tmp in d.glob(f".tmp-*{self.SUFFIX}"):
-                try:
-                    if tmp.stat().st_mtime < cutoff:
-                        tmp.unlink()
-                except OSError:
-                    pass
-        entries = self.entries(now=now)
-        if min_depth is not None:
-            compacted = False
-            for entry in entries:
-                if entry.is_delta and entry.chain_depth >= min_depth:
-                    compacted |= self._compact_entry(entry.path)
-            if compacted:
-                entries = self.entries(now=now)  # sizes/kinds changed
+        for tmp in self.root.glob(f".tmp-*{self.SUFFIX}"):
+            try:
+                if tmp.stat().st_mtime < cutoff:
+                    tmp.unlink()
+            except OSError:
+                pass
         if budget is None and max_idle is None:
             return []
-        # base digest -> direct dependents still on disk; consulted (and
-        # maintained) by both eviction passes so no chain is orphaned
-        dependents: dict[str, list[StoreEntry]] = {}
-        for entry in entries:
-            if entry.is_delta and entry.meta is not None:
-                base_digest = self._header_digest(entry.meta)
-                if base_digest is not None:
-                    dependents.setdefault(base_digest, []).append(entry)
-
-        def release(entry: StoreEntry) -> bool:
-            """Sever any surviving dependents of ``entry`` (compacting
-            them to full plans); False keeps the entry on disk.
-
-            A compacted dependent grows on disk without adjusting the
-            byte pass's running total — the next gc sees true sizes.
-            """
-            for dep in dependents.get(entry.digest, []):
-                if dep.path.is_file() and dep.kind == "accdelta":
-                    try:
-                        still_delta = _read_kind(dep.path) == "accdelta"
-                    except (StoreError, OSError):
-                        still_delta = False
-                    if still_delta and not self._compact_entry(dep.path):
-                        return False
-            return True
-
+        entries = self.entries(now=now)
         evicted: list[StoreEntry] = []
         if max_idle is not None:
             idle_cutoff = now - max_idle
@@ -751,9 +477,6 @@ class PlanStore:
             for entry in entries:
                 if entry.last_used >= idle_cutoff:
                     fresh.append(entry)
-                    continue
-                if not release(entry):
-                    fresh.append(entry)  # keep: a dependent needs it
                     continue
                 try:
                     entry.path.unlink()
@@ -771,8 +494,6 @@ class PlanStore:
             ):
                 if total <= budget:
                     break
-                if not release(entry):
-                    continue
                 try:
                     entry.path.unlink()
                 except FileNotFoundError:
@@ -787,23 +508,6 @@ class PlanStore:
                 total -= entry.nbytes
                 evicted.append(entry)
         return evicted
-
-    def _compact_entry(self, path: Path) -> bool:
-        """Rewrite one accdelta entry in place as a full accplan.
-
-        Resolves the chain (with full fingerprint verification), then
-        atomically replaces the link file; the entry keeps its content
-        address, so readers and deeper dependents are unaffected.
-        """
-        plan = self._load(path)
-        if plan is None:
-            return False  # _load quarantined a bad link or counted a load error
-        try:
-            self._publish(path, plan.to_bytes())
-        except (OSError, StoreError):
-            self._count("put_errors")
-            return False
-        return True
 
     def clear_quarantine(self) -> int:
         """Delete quarantined files; returns how many were removed."""
@@ -830,7 +534,6 @@ class PlanStore:
             "root": str(self.root),
             "max_bytes": self.max_bytes,
             "max_idle_seconds": self.max_idle_seconds,
-            "shards": self.shards,
             **counters,
         }
 
@@ -853,7 +556,6 @@ class PlanStore:
             "stored_bytes": sum(e.nbytes for e in entries),
             "max_bytes": self.max_bytes,
             "max_idle_seconds": self.max_idle_seconds,
-            "shards": self.shards,
             "quarantined_files": quarantined_files,
             **counters,
         }
@@ -951,15 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"store directory (default: ${STORE_ENV} or ~/.cache/accspmm/plans)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "directory shard count (shard-00/..); must match the serving "
-            "fleet's setting for prewarm to write where workers read"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("inspect", help="list entries with cost and size")
@@ -1009,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    store = PlanStore(root=args.root, shards=args.shards)
+    store = PlanStore(root=args.root)
     if args.command == "inspect":
         return _cmd_inspect(store, args)
     if args.command == "prewarm":

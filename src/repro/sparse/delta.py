@@ -4,8 +4,8 @@ A :class:`GraphDelta` is a batch of edge insertions/updates and removals
 against one sparse matrix.  It is the unit the streaming path moves
 around: :meth:`repro.core.planner.AccPlan.apply_delta` patches a built
 plan window-locally instead of replanning, the serving engines accept
-deltas against a cached fingerprint, and the plan store persists plan +
-delta chains (see ``docs/STREAMING.md``).
+deltas against a cached fingerprint, and the plan store persists each
+derived plan whole, like a fresh build (see ``docs/STREAMING.md``).
 
 Semantics (set semantics, shape-preserving):
 
@@ -17,7 +17,7 @@ Semantics (set semantics, shape-preserving):
   inside ``removed`` collapse;
 * the matrix shape never changes — a delta cannot grow or shrink the
   vertex set, which is what keeps a base plan's reordering permutation
-  valid across the whole delta chain.
+  valid across a whole series of deltas.
 
 Construction canonicalises the edit lists (dedup + sort by coordinate),
 so equal edits compare and serialise identically regardless of the

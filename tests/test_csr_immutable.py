@@ -167,7 +167,7 @@ class TestZeroCopy:
         B = np.ones((A.n_cols, 8), dtype=np.float32)
         repro.SpMMEngine(store=PlanStore(tmp_path)).spmm(A, B)
 
-        engine = repro.SpMMEngine(store=PlanStore(tmp_path, mmap=True))
+        engine = repro.SpMMEngine(store=PlanStore(tmp_path))
         assert engine.warm_start() == 1
         plan = engine.lookup(fingerprint(A))
         assert plan is not None
@@ -175,20 +175,6 @@ class TestZeroCopy:
             arr = getattr(plan.csr, name)
             assert not arr.flags.writeable
             assert rests_on_read_only_mmap(arr), name
-
-    def test_warm_started_plan_without_mmap_rests_on_bytes(self, tmp_path):
-        A = coo_to_csr(erdos_renyi(128, avg_degree=6.0, seed=3))
-        B = np.ones((A.n_cols, 8), dtype=np.float32)
-        repro.SpMMEngine(store=PlanStore(tmp_path)).spmm(A, B)
-
-        engine = repro.SpMMEngine(store=PlanStore(tmp_path, mmap=False))
-        assert engine.warm_start() == 1
-        plan = engine.lookup(fingerprint(A))
-        assert plan is not None
-        for name in FIELDS:
-            arr = getattr(plan.csr, name)
-            assert not arr.flags.writeable
-            assert isinstance(buffer_under(arr), bytes), name
 
 
 class TestFingerprintMemo:

@@ -225,6 +225,20 @@ def _cut_in_array(data: bytes) -> bytes:
     return data[: data_start + big["offset"] + big["nbytes"] // 2]
 
 
+def _string_nbytes(data: bytes) -> bytes:
+    """The entry re-packed with its first array's ``nbytes`` as a string
+    (the reader once coerced it with ``int()`` and served the plan)."""
+    header, data_start = read_header(data)
+    del header["format_version"]  # lives in the fixed head
+    first = header["arrays"][0]
+    first["nbytes"] = str(first["nbytes"])
+    raw = json.dumps(header).encode()
+    head = serial._HEAD.pack(
+        serial.MAGIC, serial.PLAN_FORMAT_VERSION, len(raw)
+    ) + raw
+    return head + bytes(serial._align(len(head)) - len(head)) + data[data_start:]
+
+
 #: ways to break a stored entry, each turning its bytes into new bytes
 BROKEN_ENTRIES = {
     "garbage": lambda data: b"garbage" * 100,
@@ -234,6 +248,7 @@ BROKEN_ENTRIES = {
         : serial._HEAD.size + int.from_bytes(data[12:20], "little") // 2
     ],
     "cut_in_array": _cut_in_array,
+    "string_nbytes": _string_nbytes,
 }
 
 #: what a loading process can run short of, as opposed to a bad entry

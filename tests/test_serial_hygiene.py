@@ -187,3 +187,48 @@ class TestTableSizes:
         path.write_bytes(blob)
         with pytest.raises(StoreError, match="inconsistent sizes"):
             unpack_container(path=path)
+
+    @pytest.mark.parametrize(
+        "table, payload",
+        [
+            (
+                [{"name": "a", "dtype": "<i4", "shape": [3.9],
+                  "offset": 0, "nbytes": "12"}],
+                bytes(12),
+            ),
+            (
+                [{"name": "a", "dtype": "|i1", "shape": [True, 3],
+                  "offset": 0, "nbytes": 3}],
+                bytes(3),
+            ),
+            (
+                [{"name": "a", "dtype": "|i1", "shape": [2],
+                  "offset": 0.0, "nbytes": 2}],
+                bytes(2),
+            ),
+            (
+                [{"name": 7, "dtype": "|i1", "shape": [2],
+                  "offset": 0, "nbytes": 2}],
+                bytes(2),
+            ),
+            (
+                [{"name": "a", "dtype": "|i1", "shape": [2],
+                  "offset": 0, "nbytes": 2}] * 2,
+                bytes(2),
+            ),
+        ],
+        ids=[
+            "float-shape-string-nbytes", "bool-shape", "float-offset",
+            "int-name", "duplicate-name",
+        ],
+    )
+    def test_fields_are_not_coerced(self, tmp_path, table, payload):
+        # each of these once loaded, coerced by int() and str(); the
+        # wire decoder refuses the same tables
+        blob = _container_with_table(table, payload)
+        with pytest.raises(StoreError):
+            unpack_container(blob)
+        path = tmp_path / "coerced.plan"
+        path.write_bytes(blob)
+        with pytest.raises(StoreError):
+            unpack_container(path=path)

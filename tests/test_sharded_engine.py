@@ -747,75 +747,15 @@ class TestStoreTTL:
 
 
 # ----------------------------------------------------------------------
-# store directory sharding
+# a sharded engine over one shared store
 # ----------------------------------------------------------------------
 class TestStoreSharding:
-    def test_entries_land_in_shard_dirs(self, tmp_path):
-        store = PlanStore(tmp_path, shards=4)
-        digests = []
-        for seed in range(6):
-            A = make_csr(seed=seed)
-            p = repro.plan(A, feature_dim=16)
-            fp = fingerprint(A)
-            assert store.put(fp, p.device.name, p.config, p)
-            digests.append(store.digest(fp, p.device.name, p.config))
-        for d in digests:
-            path = store.path_for(d)
-            assert path.parent.name.startswith("shard-")
-            assert path.is_file()
-        assert len(store.entries()) == 6
-
-    def test_round_trip_through_shards(self, tmp_path):
-        store = PlanStore(tmp_path, shards=8)
-        A = make_csr(seed=1)
-        B = make_b(A)
-        p = repro.plan(A, feature_dim=16)
-        C0 = p.multiply(B)
-        store.put(fingerprint(A), p.device.name, p.config, p)
-        p2 = store.get(fingerprint(A), p.device.name, p.config)
-        assert p2 is not None
-        assert np.array_equal(C0, p2.multiply(B))
-
-    def test_same_digest_same_dir_any_process(self, tmp_path):
-        a = PlanStore(tmp_path, shards=4)
-        b = PlanStore(tmp_path, shards=4)
-        d = "deadbeef" * 4
-        assert a.path_for(d) == b.path_for(d)
-
-    def test_maintenance_scans_mixed_layouts(self, tmp_path):
-        flat = PlanStore(tmp_path)  # unsharded writer
-        A = make_csr(seed=2)
-        p = repro.plan(A, feature_dim=16)
-        flat.put(fingerprint(A), p.device.name, p.config, p)
-        sharded = PlanStore(tmp_path, shards=4)  # sharded writer, same tree
-        A2 = make_csr(seed=3)
-        p2 = repro.plan(A2, feature_dim=16)
-        sharded.put(fingerprint(A2), p2.device.name, p2.config, p2)
-        # both openers see both entries; gc covers both layouts
-        assert len(flat.entries()) == 2
-        assert len(sharded.entries()) == 2
-        assert len(sharded.gc(max_bytes=0)) == 2
-        assert sharded.entries() == []
-
-    def test_quarantine_from_shard_dir(self, tmp_path):
-        store = PlanStore(tmp_path, shards=4)
-        A = make_csr(seed=4)
-        p = repro.plan(A, feature_dim=16)
-        fp = fingerprint(A)
-        store.put(fp, p.device.name, p.config, p)
-        path = store.path_for(store.digest(fp, p.device.name, p.config))
-        path.write_bytes(b"garbage")
-        assert store.get(fp, p.device.name, p.config) is None
-        assert store.stats.quarantined == 1
-        assert (store.quarantine_dir / path.name).is_file()
-
     def test_sharded_engine_store_from_path(self, tmp_path):
         eng = ShardedSpMMEngine(n_shards=4, store=tmp_path)
-        assert eng.store.shards == 4
         A = make_csr(seed=5)
         B = make_b(A)
         C0 = eng.spmm(A, B)
-        # a second fleet warm-starts from the shared sharded tree
+        # a second fleet warm-starts from the shared tree
         eng2 = ShardedSpMMEngine(n_shards=4, store=tmp_path)
         assert eng2.warm_start() == 1
         assert np.array_equal(C0, eng2.spmm(A, B))
@@ -864,11 +804,6 @@ class TestStoreSharding:
         fp_pricey = fingerprint(by_shard[1])
         assert eng.lookup(fp_pricey) is not None
         assert eng.lookup(fingerprint(by_shard[0])) is None
-
-    def test_shards_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            PlanStore(tmp_path, shards=0)
-
 
 # ----------------------------------------------------------------------
 # container version bump: v1 compat, error messages

@@ -1,5 +1,6 @@
-"""Streaming-path integration tests: delta chains through the store,
-the engines, and the server — plus the clock-domain TTL regressions.
+"""Streaming-path integration tests: delta-derived plans through the
+store, the engines, and the server — plus the clock-domain TTL
+regressions.
 
 Three families of behaviour, matching ``docs/STREAMING.md``:
 
@@ -9,10 +10,11 @@ Three families of behaviour, matching ``docs/STREAMING.md``:
   and ``PlanCache.peek_structural`` must count as a use for the cache
   TTL (a plan serving pure value-refresh traffic was expired
   mid-stream);
-* **chains** — ``put_delta`` links persist at the edited matrix's
-  content address, resolve transparently (and bit-for-bit) through
-  ``get``, are depth-bounded, compact during gc, and are never orphaned
-  by base eviction;
+* **whole-plan persistence** — ``apply_delta`` stores each derived
+  plan whole, as an ``accplan`` at the edited matrix's content address,
+  priced at its base's build cost plus the patch, so a fresh engine
+  serves it bit-for-bit without building; an ``accdelta`` link left by
+  an older store is quarantined once;
 * **serving** — ``apply_delta`` on the engines derives/caches/persists
   patched plans, the sharded router places each derived plan on the
   shard its own fingerprint hashes to (also after a warm start), and
@@ -24,11 +26,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import errno
 import os
 import threading
+from dataclasses import asdict
 
-import numpy as np
 import pytest
 
 import repro
@@ -38,7 +39,7 @@ from repro.errors import ServerError, ValidationError
 from repro.serve import serial
 from repro.serve.cache import CacheStats, PlanCache
 from repro.serve.engine import SpMMEngine
-from repro.serve.fingerprint import fingerprint
+from repro.serve.fingerprint import config_fingerprint, fingerprint
 from repro.serve.server import ServerConfig, SpMMClient, SpMMServer
 from repro.serve.sharded import AsyncSpMMEngine, ShardedSpMMEngine
 from repro.serve.store import PlanStore
@@ -107,7 +108,7 @@ class TestStoreClockDomains:
 
         e = StoreEntry(
             digest="d", path=tmp_path, nbytes=0, mtime=900.0,
-            meta={"saved_at": 950.0}, kind="accplan", now=None,
+            meta={"saved_at": 950.0}, now=None,
         )
         assert e.last_used == 950.0  # no domain to clamp into
 
@@ -154,124 +155,91 @@ class TestCacheTTLTouch:
 
 
 # ----------------------------------------------------------------------
-# delta chains in the store
+# whole-plan persistence of delta-derived plans
 # ----------------------------------------------------------------------
-def grow_chain(store, csr, n_links, feature_dim=16, seed=100):
-    """Persist a full plan and ``n_links`` chained deltas; returns the
-    per-link (fingerprint, plan) list, base first."""
-    fp, p = put_full(store, csr, feature_dim)
-    out = [(fp, p)]
-    rng = np.random.default_rng(seed)
-    for i in range(n_links):
-        delta = GraphDelta.from_edges(
-            added=[
-                (int(rng.integers(csr.n_rows)), int(rng.integers(csr.n_cols)),
-                 float(rng.uniform(0.2, 1.0)))
-                for _ in range(3)
-            ]
-        )
-        new_p = out[-1][1].apply_delta(delta)
-        new_fp = fingerprint(new_p.csr)
-        assert store.put_delta(out[-1][0], new_fp, DEV, CFG, delta)
-        out.append((new_fp, new_p))
-    return out
-
-
-class TestStoreDeltaChains:
-    def test_chained_get_resolves_bit_for_bit(self, tmp_path):
-        store = PlanStore(root=tmp_path)
-        chain = grow_chain(store, random_csr(48, 48, seed=3), n_links=4)
-        kinds = {e.chain_depth: e.kind for e in store.entries()}
-        assert kinds == {
-            0: "accplan", 1: "accdelta", 2: "accdelta",
-            3: "accdelta", 4: "accdelta",
-        }
-        for fp, want in chain:
-            got = store.get(fp, DEV, CFG)
-            assert got is not None
-            B = make_b(want.csr, n=8)
-            assert bits_equal(got.multiply(B), want.multiply(B))
-
-    def test_resource_failure_under_a_link_quarantines_nothing(
-        self, tmp_path, monkeypatch
+class TestWholePlanPersistence:
+    def test_derived_plans_persist_whole_and_serve_a_fresh_engine(
+        self, tmp_path
     ):
-        # the base load runs out of descriptors: neither the base nor
-        # the link is at fault, so both stay and one load error counts
+        store_root = tmp_path / "store"
+        eng = SpMMEngine(store=PlanStore(root=store_root))
+        csr = random_csr(48, 48, seed=19)
+        B = make_b(csr, n=16)
+        eng.spmm(csr, B)
+        chain = [(fingerprint(csr), None)]
+        for row in (1, 20, 40):
+            # removing an edge of the base changes the structure, so no
+            # derived matrix can be served as a value refresh of another
+            edge = (row, int(csr.indices[csr.indptr[row]]))
+            chain.append(eng.apply_delta(chain[-1][0], removed=[edge]))
+        store = PlanStore(root=store_root)
+        dev = eng.default_device.name
+        files = sorted(store_root.glob("*.plan"))
+        assert len(files) == len(chain)
+        assert {serial.read_header_from_file(f)["kind"] for f in files} == {
+            "accplan"
+        }
+        costs = [
+            serial.read_header_from_file(
+                store.path_for(store.digest(fp, dev, CFG))
+            )["meta"]["build_seconds"]
+            for fp, _ in chain
+        ]
+        assert costs == sorted(costs)  # each derived entry >= its base
+        # a second process: every derived plan loads whole from disk
+        eng2 = SpMMEngine(store=store)
+        for _, plan_obj in chain[1:]:
+            C = eng2.spmm(plan_obj.csr, B)
+            assert bits_equal(C, plan_obj.multiply(B))
+        assert eng2.stats["plans_built"] == 0
+        assert store.stats.hits == len(chain) - 1
+
+    def test_a_delta_link_from_an_older_store_is_quarantined_once(
+        self, tmp_path
+    ):
         store = PlanStore(root=tmp_path)
-        (base_fp, _), (link_fp, want) = grow_chain(
-            store, random_csr(48, 48, seed=7), n_links=1
+        base_fp, base = put_full(store, random_csr(48, 48, seed=20))
+        delta = GraphDelta.from_edges(added=[(3, 4, 1.0)])
+        new_fp = fingerprint(base.apply_delta(delta).csr)
+        path = store.path_for(store.digest(new_fp, DEV, CFG))
+        # the link layout older stores wrote at the derived digest
+        link_meta = {
+            "config": asdict(CFG),
+            "config_fp": config_fingerprint(CFG),
+            "device": DEV,
+            "build_seconds": 0.001,
+            "depth": 1,
+            "saved_at": 0.0,
+            "fingerprint": new_fp.record(),
+            "base_fingerprint": base_fp.record(),
+        }
+        path.write_bytes(
+            serial.pack_container("accdelta", link_meta, delta.as_arrays())
         )
-        base_path = store.path_for(store.digest(base_fp, DEV, CFG))
-        real = serial.unpack_container
+        assert store.get(new_fp, DEV, CFG) is None
+        assert store.stats.quarantined == 1
+        reason = (store.quarantine_dir / f"{path.name}.reason").read_text()
+        assert "store entry is a 'accdelta' container" in reason
+        assert store.get(new_fp, DEV, CFG) is None  # a plain miss now
+        assert store.stats.quarantined == 1
+        assert store.get(base_fp, DEV, CFG) is not None  # the base serves
 
-        def short_at_base(data=None, path=None):
-            if path == base_path:
-                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-            return real(data, path=path)
-
-        with monkeypatch.context() as m:
-            m.setattr(serial, "unpack_container", short_at_base)
-            assert store.get(link_fp, DEV, CFG) is None
-        assert store.stats.quarantined == 0
-        assert store.stats.load_errors == 1
-        assert len(list(tmp_path.glob("*.plan"))) == 2
-        got = store.get(link_fp, DEV, CFG)
-        assert got is not None
-        B = make_b(want.csr, n=8)
-        assert bits_equal(got.multiply(B), want.multiply(B))
-
-    def test_depth_bound_rejects_overlong_chain(self, tmp_path):
-        store = PlanStore(root=tmp_path)
-        chain = grow_chain(
-            store, random_csr(32, 32, seed=4),
-            n_links=PlanStore.MAX_CHAIN_DEPTH,
+    def test_admission_prices_a_derived_plan_as_a_rebuild(self, tmp_path):
+        # admit_min_seconds lies between the patch's own time and the
+        # base's build cost: the derived plan costs what a rebuild would
+        csr = random_csr(48, 48, seed=21)
+        base = repro.plan(csr, feature_dim=16)
+        base.build_seconds = 10.0
+        store = PlanStore(root=tmp_path, admit_min_seconds=5.0)
+        dev = base.device.name
+        assert store.put(fingerprint(csr), dev, CFG, base)
+        eng = SpMMEngine(store=store)
+        new_fp, new_plan = eng.apply_delta(
+            fingerprint(csr), added=[(0, 0, 1.0)]
         )
-        fp, p = chain[-1]
-        delta = GraphDelta.from_edges(added=[(0, 0, 1.0)])
-        over = p.apply_delta(delta)
-        assert not store.put_delta(fp, fingerprint(over.csr), DEV, CFG, delta)
-
-    def test_put_delta_without_base_returns_false(self, tmp_path):
-        store = PlanStore(root=tmp_path)
-        csr = random_csr(16, 16, seed=5)
-        p = repro.plan(csr, feature_dim=16)
-        delta = GraphDelta.from_edges(added=[(0, 0, 1.0)])
-        new_fp = fingerprint(p.apply_delta(delta).csr)
-        assert not store.put_delta(fingerprint(csr), new_fp, DEV, CFG, delta)
-
-    def test_gc_compacts_deep_links_in_place(self, tmp_path):
-        store = PlanStore(root=tmp_path)
-        chain = grow_chain(store, random_csr(48, 48, seed=6), n_links=5)
-        store.gc(compact_depth=3)
-        by_digest = {e.digest: e for e in store.entries()}
-        for depth, (fp, want) in enumerate(chain):
-            e = by_digest[store.digest(fp, DEV, CFG)]
-            assert e.kind == ("accdelta" if 0 < depth < 3 else "accplan")
-            got = store.get(fp, DEV, CFG)
-            B = make_b(want.csr, n=8)
-            assert bits_equal(got.multiply(B), want.multiply(B))
-
-    def test_eviction_never_orphans_a_dependent(self, tmp_path, monkeypatch):
-        """TTL-evicting a chain's base compacts its surviving dependent
-        to a full plan first; the dependent keeps resolving."""
-        clock = [900.0]
-        store = PlanStore(root=tmp_path, clock=lambda: clock[0])
-        monkeypatch.setattr(serial, "_wall_clock", lambda: clock[0])
-        (base_fp, _), (leaf_fp, leaf_plan) = grow_chain(
-            store, random_csr(40, 40, seed=7), n_links=1
-        )
-        base_path = store.path_for(store.digest(base_fp, DEV, CFG))
-        leaf_path = store.path_for(store.digest(leaf_fp, DEV, CFG))
-        os.utime(base_path, (900.0, 900.0))    # base: idle 100s at gc time
-        os.utime(leaf_path, (995.0, 995.0))    # leaf: idle 5s at gc time
-        clock[0] = 1000.0
-        removed = store.gc(max_idle_seconds=50.0)
-        assert [e.digest for e in removed] == [base_path.stem]
-        (survivor,) = store.entries()
-        assert survivor.kind == "accplan"  # compacted, not orphaned
-        got = store.get(leaf_fp, DEV, CFG)
-        B = make_b(leaf_plan.csr, n=8)
-        assert bits_equal(got.multiply(B), leaf_plan.multiply(B))
+        assert new_plan.build_seconds >= base.build_seconds
+        assert store.stats.rejected_puts == 0
+        assert store.path_for(store.digest(new_fp, dev, CFG)).is_file()
 
 
 # ----------------------------------------------------------------------

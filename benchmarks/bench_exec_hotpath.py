@@ -16,7 +16,9 @@ segmentation).  This benchmark separates the four serving regimes:
 synthetic matrix, best-of-N timings, asserting the prepared path is no
 slower than the unprepared one (a structural invariant — it strictly
 does less work — so no flaky speedup threshold is needed) and that the
-two agree bit for bit.
+two agree bit for bit.  It also forces the same matrix into several
+chunk programs, so windows straddle chunk boundaries, and checks that
+multiply bit for bit against the reference run with the same chunking.
 """
 
 import sys
@@ -142,6 +144,24 @@ def smoke():
     assert np.array_equal(
         prepared_out.view(np.uint32), reference_out.view(np.uint32)
     ), "prepared executor diverged from the reference path"
+
+    # forced multi-chunk exact programs: later chunks add into the rows
+    # of the windows earlier chunks opened
+    bpc = 64
+    chunked = plan(A, feature_dim=32)
+    chunked.tc_plan.meta["exec_chunk_elems"] = (
+        bpc * chunked.tc_plan.tiling.block_cols * 32
+    )
+    chunked_out = chunked.multiply(B)
+    chunked_ref = execute_tiled_reference(
+        chunked.tc_plan, B, blocks_per_chunk=bpc
+    )
+    n_chunks = len(chunked.executor._programs[bpc])
+    assert n_chunks >= 3, n_chunks
+    assert np.array_equal(
+        chunked_out.view(np.uint32), chunked_ref.view(np.uint32)
+    ), "multi-chunk executor diverged from the chunked reference path"
+    print(f"perf smoke: {n_chunks}-chunk exact multiply bit for bit")
 
     def best_of(fn, repeats=5, calls=3):
         best = float("inf")

@@ -14,12 +14,15 @@ clients (six by default) over four matrices still form batches
 client thread; the summary reports the p50 and p99 with the sample
 count, a percentile only when at least 10 samples lie beyond it.
 
-The final ``/metrics`` snapshot is written to
-``results/server_load_metrics.json`` (CI uploads it as an artifact) and
-a human-readable summary to ``results/server_load.txt``.
+A run prints its summary.  With ``--write-results`` it also writes the
+final ``/metrics`` snapshot to ``results/server_load_metrics.json`` and
+the summary to the tracked ``results/server_load.txt`` (CI asks for
+both and uploads them as artifacts); without it the work tree stays
+clean.
 
-Run ``python benchmarks/bench_server_load.py --seconds 30`` for the CI
-configuration; ``--seconds 3`` for a quick local pass.
+Run ``python benchmarks/bench_server_load.py --seconds 30
+--write-results`` for the CI configuration; ``--seconds 3`` for a quick
+local pass.
 """
 
 from __future__ import annotations
@@ -203,15 +206,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--clients", type=int, default=6)
+    parser.add_argument(
+        "--write-results",
+        action="store_true",
+        help="write results/server_load.txt and the /metrics snapshot",
+    )
     args = parser.parse_args(argv)
     result = run_load(args.seconds, args.clients)
     text = render(result)
     print(text, end="")
-    dump("server_load", text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    snapshot = RESULTS_DIR / "server_load_metrics.json"
-    snapshot.write_text(json.dumps(result["metrics"], indent=2, sort_keys=True))
-    print(f"metrics snapshot: {snapshot}")
+    if args.write_results:
+        dump("server_load", text)
+        snapshot = RESULTS_DIR / "server_load_metrics.json"
+        snapshot.write_text(
+            json.dumps(result["metrics"], indent=2, sort_keys=True)
+        )
+        print(f"metrics snapshot: {snapshot}")
     print("server load smoke: OK")
     return 0
 

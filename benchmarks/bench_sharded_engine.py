@@ -32,6 +32,10 @@ there is no parallelism to harvest — every arm time-slices one CPU, and
 does not — so the assertion degrades to "sharding costs nothing versus
 the same concurrency unsharded" (sharded >= 0.85x single-unlocked), and
 the results file records the core count alongside the numbers.
+
+A run prints its table; only ``python benchmarks/bench_sharded_engine.py
+--write-results`` rewrites the tracked ``results/sharded_engine.txt``,
+so a local run leaves the work tree clean.
 """
 
 import os
@@ -157,9 +161,9 @@ def sharded_engine_comparison():
     }
 
 
-def test_sharded_engine_throughput(benchmark):
-    r = once(benchmark, sharded_engine_comparison)
-    arms, n = r["arms"], r["total_requests"]
+def check(r) -> None:
+    """The core-count-aware throughput floor (see the module doc)."""
+    arms = r["arms"]
     speedup = arms["single-locked"] / arms["sharded"]
     if r["cpus"] >= 4:
         # acceptance: with cores to harvest, sharding must at least
@@ -176,6 +180,10 @@ def test_sharded_engine_throughput(benchmark):
             f"sharded {vs_unlocked:.2f}x vs single-unlocked "
             f"(sharding overhead on {r['cpus']} cpu(s))"
         )
+
+
+def render(r) -> str:
+    arms, n = r["arms"], r["total_requests"]
     lines = [
         f"Sharded serving under a {N_THREADS}-thread mixed-tenant workload",
         f"({r['n_matrices']} matrices, N={FEATURE_DIM}, {n} requests, "
@@ -207,4 +215,28 @@ def test_sharded_engine_throughput(benchmark):
         "itself costs nothing; the parallel win needs cores).",
         "",
     ]
-    dump("sharded_engine", "\n".join(lines))
+    return "\n".join(lines)
+
+
+def test_sharded_engine_throughput(benchmark):
+    r = once(benchmark, sharded_engine_comparison)
+    check(r)
+    print(render(r))
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--write-results",
+        action="store_true",
+        help="rewrite the tracked results/sharded_engine.txt",
+    )
+    args = parser.parse_args()
+    result = sharded_engine_comparison()
+    check(result)
+    text = render(result)
+    print(text)
+    if args.write_results:
+        print(f"wrote {dump('sharded_engine', text)}")

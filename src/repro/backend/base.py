@@ -2,7 +2,7 @@
 
 A :class:`DeviceBackend` owns the *where* of a prepared multiply: given a
 compiled :class:`~repro.kernels.executor.TCExecPlan` and a dense ``B``,
-it runs gather → batched tile MMA → fold → permutation wherever its
+it runs gather → batched tile MMA → fold → exit wherever its
 memory lives and hands back a host ``numpy`` result.  The executor stays
 the single source of truth for the compiled state (tiles, gather
 geometry, fold schedules); backends only decide which device replays it.

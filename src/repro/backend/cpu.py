@@ -2,9 +2,13 @@
 
 The executor (:class:`repro.kernels.executor.TCExecPlan`) owns the
 compiled state and the per-chunk step (``_run_chunk``); this arm owns
-the loop around it — TF32 rounding of ``B``, member/chunk iteration,
-buffers and the output.  Per (member, chunk) the fp32 accumulation order
-is the reference's, so at the ``exact`` tier results are bit-for-bit
+the loop around it — the ``(K + 1, N)`` operand (``B``, TF32-rounded
+unless the tier skips rounding, over one zero row that padding slots
+gather), member/chunk iteration and buffers.  Every chunk's exit writes
+straight into the caller's output, which is never zero-filled: each row
+is written by the one chunk that opens its window before any later
+chunk adds into it.  Per (member, chunk) the fp32 accumulation order is
+the reference's, so at the ``exact`` tier results are bit-for-bit
 identical to :func:`~repro.kernels.tc_common.execute_tiled_reference`.
 """
 
@@ -44,55 +48,52 @@ class CpuBackend(DeviceBackend):
             B = B[None]
         batch, _, n = B.shape
         t = ex.tiling
-        wr = t.window_rows
         n_out = ex.out_rank.size
-        out = np.zeros((batch, n_out, n), dtype=np.float32)
-        if t.n_blocks and batch:
-            with ex._lock:
-                ex.stats.calls += 1
-            prog = ex._program_for(n)
-            max_rows = max(cp.k for cp in prog) * t.block_cols
-            buf = ex._pool.acquire(max_rows, n)
-            acc = np.zeros((t.n_windows, wr, n), dtype=np.float32)
-            try:
-                if batch == 1 or (ex.materialized and len(prog) == 1):
-                    # member-outer: one member's rounded B + accumulator
-                    # stay cache-resident; a whole-matrix program reads
-                    # the resident tile stack as it is.  Per (member,
-                    # chunk) the work — and therefore the fp32
-                    # accumulation order — is identical to the
-                    # chunk-outer reference loop.
-                    for i in range(batch):
-                        if i:
-                            acc.fill(0.0)
-                        B_r_i = (
-                            tf32_round(B[i])
-                            if ex.numerics.rounds_inputs
-                            else np.asarray(B[i], dtype=np.float32)
-                        )
-                        for cp in prog:
-                            ex._run_chunk(
-                                cp, ex._chunk_tiles(cp), B_r_i, acc, buf, n
-                            )
-                        ex._finish_member(acc, out[i], n)
-                else:
-                    # multi-B over lazy tiles or several chunks: fetch
-                    # (or decompress) each chunk's tiles once and share
-                    # them across the whole batch
-                    B_r = (
-                        tf32_round(B)
-                        if ex.numerics.rounds_inputs
-                        else np.asarray(B, dtype=np.float32)
-                    )
-                    accs = np.zeros(
-                        (batch, t.n_windows, wr, n), dtype=np.float32
-                    )
+        if not (t.n_blocks and batch):
+            out = np.zeros((batch, n_out, n), dtype=np.float32)
+            return out[0] if single else out
+        out = np.empty((batch, n_out, n), dtype=np.float32)
+        with ex._lock:
+            ex.stats.calls += 1
+        prog = ex._program_for(n)
+        max_rows = max(cp.k for cp in prog) * t.block_cols
+        buf = ex._pool.acquire(max_rows, n)
+        try:
+            if batch == 1 or (ex.materialized and len(prog) == 1):
+                # member-outer: one member's operand stays
+                # cache-resident; a whole-matrix program reads the
+                # resident tile stack as it is.  Per (member, chunk) the
+                # work — and therefore the fp32 accumulation order — is
+                # identical to the chunk-outer reference loop.
+                for i in range(batch):
+                    B_ext = _operand(ex, B[i])
                     for cp in prog:
-                        tiles = ex._chunk_tiles(cp)
-                        for i in range(batch):
-                            ex._run_chunk(cp, tiles, B_r[i], accs[i], buf, n)
+                        ex._run_chunk(
+                            cp, ex._chunk_tiles(cp), B_ext, out[i], buf, n
+                        )
+            else:
+                # multi-B over lazy tiles or several chunks: fetch
+                # (or decompress) each chunk's tiles once and share
+                # them across the whole batch
+                B_ext = _operand(ex, B)
+                for cp in prog:
+                    tiles = ex._chunk_tiles(cp)
                     for i in range(batch):
-                        ex._finish_member(accs[i], out[i], n)
-            finally:
-                ex._pool.release(buf)
+                        ex._run_chunk(cp, tiles, B_ext[i], out[i], buf, n)
+        finally:
+            ex._pool.release(buf)
         return out[0] if single else out
+
+
+def _operand(ex, B: np.ndarray) -> np.ndarray:
+    """``B`` as the MMA sees it (TF32-rounded, or raw fp32 in a tier
+    that skips rounding) over one zero row along axis -2: the row every
+    padding slot of a compiled program gathers."""
+    shape = B.shape[:-2] + (B.shape[-2] + 1, B.shape[-1])
+    B_ext = np.empty(shape, dtype=np.float32)
+    B_ext[..., -1, :] = 0.0
+    if ex.numerics.rounds_inputs:
+        tf32_round(B, out=B_ext[..., :-1, :])
+    else:
+        B_ext[..., :-1, :] = B
+    return B_ext

@@ -2,27 +2,30 @@
 
 The executor (:class:`~repro.kernels.executor.TCExecPlan`) was designed
 as exactly the device-resident state a kernel launch needs — pre-rounded
-tiles in fold order, gather positions and pad masks, fold steps, the
-output permutation.  :class:`CupyBackend` uploads that state **once per
-executor** into a :class:`DeviceExecState` (cached on the executor
-instance, so the existing stale-value pruning in
+tiles in fold order, gather positions, fold steps, exit indices.
+:class:`CupyBackend` uploads that state **once per executor** into a
+:class:`DeviceExecState` (cached on the executor instance, so the
+existing stale-value pruning in
 :func:`~repro.kernels.executor.get_executor` — which drops executors
 whose ``vals_packed`` identity changed — invalidates the device mirror
-with them) and replays gather → batched tile MMA → fold → permutation on
+with them) and replays gather → batched tile MMA → fold → exit on
 device per call.  Only ``B`` moves host→device per multiply (one upload
 even for a whole ``multiply_many`` batch) and only the result moves
 back.
 
-The device replays the host program shape: one gather through the
-program's fold-order positions, one batched MMA, the step-major slice
-adds of :func:`~repro.kernels.executor.fold_slabs`, one add of the
-folded rows into a per-RowWindow accumulator and one un-permuting
-``take``.  ``np.add.reduceat`` has no cupy equivalent, so the long
-windows that follow the slabs use :func:`device_reduceat`, a replica of
-numpy's per-segment ``a[first] + pairwise_sum(a[first+1:])``
-accumulation (the same pairwise blocking numpy's reduce kernel uses).
-Because the replica mirrors a numpy implementation detail, a one-time
-probe (:func:`reduceat_replica_ok`) validates it bitwise against
+The device replays the host program shape: ``B`` is rounded into a
+``(K + 1, N)`` operand whose zero last row the padding slots gather,
+then per chunk one gather through the program's fold-order positions,
+one batched MMA into the chunk's folded array, the step-major slice
+adds of :func:`~repro.kernels.executor.fold_slabs`, and the exit: add
+``+0.0`` to the folded rows, take them to the output in original row
+order, and add the rows of a window an earlier chunk opened.
+``np.add.reduceat`` has no cupy equivalent, so the long windows that
+follow the slabs use :func:`device_reduceat`, a replica of numpy's
+per-segment ``a[first] + pairwise_sum(a[first+1:])`` accumulation (the
+same pairwise blocking numpy's reduce kernel uses).  Because the
+replica mirrors a numpy implementation detail, a one-time probe
+(:func:`reduceat_replica_ok`) validates it bitwise against
 ``np.add.reduceat`` — including signed-zero edge cases — and a failed
 probe makes backend resolution fall back to the CPU arm: correctness
 never depends on the replica, availability of the cupy arm does.
@@ -161,12 +164,14 @@ class _DeviceChunk:
 
     __slots__ = (
         "pos",
-        "pad_rows",
         "tile_rows",
         "scatter",
-        "wins",
         "long_first",
         "fused",
+        "exit_src",
+        "exit_dst",
+        "cont_src",
+        "cont_dst",
     )
 
 
@@ -192,7 +197,6 @@ class DeviceExecState:
         up = self._upload
         self.tiles_all = up(ex.tiles_all)
         self.vals_rounded = up(ex.vals_rounded)
-        self.out_rank = up(ex.out_rank)
         #: blocks-per-chunk -> (host program identity, device chunks)
         self._programs: dict = {}
         weakref.finalize(self, backend._free_device_bytes, self._bytes_box)
@@ -236,18 +240,18 @@ class DeviceExecState:
         up = self._upload
         dc = _DeviceChunk()
         dc.pos = up(hp.pos)
-        dc.pad_rows = up(hp.pad_rows) if hp.pad_rows.size else None
-        dc.tile_rows = dc.scatter = dc.wins = dc.long_first = None
-        dc.fused = []
+        dc.exit_src = up(hp.exit_src)
+        dc.exit_dst = up(hp.exit_dst)
+        dc.cont_src = up(hp.cont_src)
+        dc.cont_dst = up(hp.cont_dst)
+        dc.tile_rows = dc.scatter = dc.long_first = None
+        dc.fused = [
+            (up(rows2d), up(a_fused)) for rows2d, a_fused in hp.fused_groups
+        ]
         if hp.strategy == "fused":
-            dc.fused = [
-                (up(wins), up(rows2d), up(a_fused))
-                for wins, rows2d, a_fused in hp.fused_groups
-            ]
             return dc
         dc.tile_rows = up(hp.tile_rows)
         dc.scatter = up(hp.scatter)
-        dc.wins = up(hp.wins)
         if hp.long_first is not None:
             dc.long_first = [int(f) for f in hp.long_first]
         return dc
@@ -335,7 +339,7 @@ class CupyBackend(DeviceBackend):
         single = B.ndim == 2
         if single:
             B = B[None]
-        batch, _, n = B.shape
+        batch, k_rows, n = B.shape
         t = ex.tiling
         n_out = ex.out_rank.size
         if not t.n_blocks or not batch:
@@ -351,16 +355,17 @@ class CupyBackend(DeviceBackend):
         B_d = self._upload(np.ascontiguousarray(B, dtype=np.float32))
         if ex.numerics.rounds_inputs:
             B_d = _tf32_round_device(xp, B_d)
-        wr = t.window_rows
-        accs = xp.zeros((batch, t.n_windows, wr, n), dtype=np.float32)
+        # the gather operand: B over one zero row for the padding slots
+        B_ext = xp.zeros((batch, k_rows + 1, n), dtype=np.float32)
+        B_ext[:, :k_rows] = B_d
+        out_d = xp.empty((batch, n_out, n), dtype=np.float32)
         # chunk-outer: each chunk's tiles are fetched (or decompressed)
         # once per call and shared across the batch
         for hp, dc in zip(host_prog, dev_prog):
             tiles = self._chunk_tiles(xp, state, ex, hp, dc)
             for i in range(batch):
-                self._run_chunk(xp, ex, hp, dc, tiles, B_d[i], accs[i], n)
-        C_perm = accs.reshape(batch, t.n_windows * wr, n)[:, : t.n_rows]
-        out = self._download(xp.take(C_perm, state.out_rank, axis=1))
+                self._run_chunk(xp, ex, hp, dc, tiles, B_ext[i], out_d[i], n)
+        out = self._download(out_d)
         return out[0] if single else out
 
     def _chunk_tiles(self, xp, state: DeviceExecState, ex, hp, dc):
@@ -380,27 +385,39 @@ class CupyBackend(DeviceBackend):
         tiles[dc.scatter] = state.vals_rounded[lo:hi]
         return tiles.reshape(hp.k, wr, bc)
 
-    def _run_chunk(self, xp, ex, hp, dc, tiles, B_r_i, acc, n: int) -> None:
+    def _run_chunk(self, xp, ex, hp, dc, tiles, B_ext_i, out_i, n: int) -> None:
         """One (chunk, batch member) step, all operands device-resident.
 
-        The op sequence — gather, pad zeroing, batched MMA, then the
-        program's fold — mirrors ``TCExecPlan._run_chunk`` exactly."""
-        bc = ex.tiling.block_cols
-        gathered = xp.take(B_r_i, dc.pos, axis=0)
-        if dc.pad_rows is not None:
-            gathered[dc.pad_rows] = 0.0
+        The op sequence — gather, batched MMA into the folded array, the
+        program's fold, the exit — mirrors ``TCExecPlan._run_chunk``
+        exactly."""
+        wr, bc = ex.tiling.window_rows, ex.tiling.block_cols
+        gathered = xp.take(B_ext_i, dc.pos, axis=0)
         g3 = gathered.reshape(hp.k, bc, n)
+        folded = xp.empty((hp.n_groups * wr + 1, n), dtype=np.float32)
+        folded[-1] = 0.0
+        f3 = folded[:-1].reshape(hp.n_groups, wr, n)
         if hp.strategy == "fused":
-            for wins, rows2d, a_fused in dc.fused:
-                b_f = g3[rows2d].reshape(rows2d.shape[0], -1, n)
-                acc[wins] += xp.matmul(a_fused, b_f)
-            return
-        # batched_tile_mma(g3, tiles, assume_rounded=True): A_tile @ B_tile
-        part = xp.matmul(tiles, g3)
-        fold_slabs(part, hp.steps)
-        ns = hp.n_short
-        acc[dc.wins[:ns]] += part[:ns]
-        if dc.long_first is not None:
-            acc[dc.wins[ns:]] += device_reduceat(
-                xp, part[sum(hp.steps) :], dc.long_first
-            )
+            at = 0
+            for rows2d, a_fused in dc.fused:
+                g = rows2d.shape[0]
+                b_f = g3[rows2d].reshape(g, -1, n)
+                xp.matmul(a_fused, b_f, out=f3[at : at + g])
+                at += g
+        else:
+            nl = hp.n_long
+            # batched_tile_mma(g3, tiles, assume_rounded=True): A_tile @ B_tile
+            part = xp.matmul(tiles, g3, out=f3[nl:])
+            fold_slabs(part, hp.steps)
+            if nl:
+                f3[:nl] = device_reduceat(
+                    xp, part[sum(hp.steps) :], dc.long_first
+                )
+        head = folded[: hp.n_fold * wr]
+        head += np.float32(0.0)
+        if dc.exit_dst is None:
+            xp.take(folded, dc.exit_src, axis=0, out=out_i)
+        else:
+            out_i[dc.exit_dst] = xp.take(folded, dc.exit_src, axis=0)
+        if dc.cont_dst is not None:
+            out_i[dc.cont_dst] += xp.take(folded, dc.cont_src, axis=0)

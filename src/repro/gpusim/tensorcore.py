@@ -23,22 +23,38 @@ from repro.errors import ValidationError
 MMA_FLOPS = 2 * 16 * 8 * 8
 
 
-def tf32_round(x: np.ndarray) -> np.ndarray:
+def tf32_round(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Round float32 values to TF32 precision (10-bit mantissa, RNE).
 
     Works on any shape; returns float32 with the low 13 mantissa bits
     cleared after round-to-nearest-even.  NaNs and infinities pass
     through unchanged.
 
+    ``out``, a float32 array of ``x``'s shape that does not overlap it,
+    receives the result instead of a new array (the executor rounds
+    ``B`` straight into the operand it gathers from).
+
     Idempotent: re-rounding an already-TF32 value is a no-op (the
     rounding increment cannot carry past the cleared low 13 bits), which
     is what lets the prepared executor round operands once ahead of time.
     """
     x = np.asarray(x, dtype=np.float32)
-    if not x.flags.c_contiguous:  # 0-d arrays are contiguous: shape kept
-        x = np.ascontiguousarray(x)
-    bits = x.view(np.uint32)
-    rounding = bits >> np.uint32(13)
+    if out is None:
+        if not x.flags.c_contiguous:  # 0-d arrays are contiguous: shape kept
+            x = np.ascontiguousarray(x)
+        bits = x.view(np.uint32)
+        rounding = bits >> np.uint32(13)
+    else:
+        if out.dtype != np.float32 or out.shape != x.shape:
+            raise ValidationError(
+                f"out must be float32 of shape {x.shape}; got "
+                f"{out.dtype} {out.shape}"
+            )
+        if np.may_share_memory(x, out):
+            raise ValidationError("out must not overlap the input")
+        bits = x.view(np.uint32)
+        rounding = out.view(np.uint32)
+        np.right_shift(bits, np.uint32(13), out=rounding)
     rounding &= np.uint32(1)  # RNE: round half to even
     rounding += np.uint32(0xFFF)
     rounding += bits
@@ -46,6 +62,8 @@ def tf32_round(x: np.ndarray) -> np.ndarray:
     nonfinite = ~np.isfinite(x)
     if nonfinite.any():
         rounding[nonfinite] = bits[nonfinite]
+    if out is not None:
+        return out
     return rounding.view(np.float32).reshape(x.shape)
 
 
@@ -83,7 +101,10 @@ def mma_m16n8k8(
 
 
 def batched_tile_mma(
-    b_tiles: np.ndarray, a_tiles: np.ndarray, assume_rounded: bool = False
+    b_tiles: np.ndarray,
+    a_tiles: np.ndarray,
+    assume_rounded: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorised swapped MMA over many blocks.
 
@@ -107,11 +128,13 @@ def batched_tile_mma(
     tensor-core input feeds.  That contract lives in the tier: callers
     opt in through a :class:`~repro.tune.NumericsPolicy`, never by
     passing unrounded operands here ad hoc.
+
+    ``out``, a float32 ``(k, 8, N)`` array, receives the partials
+    instead of a new array (the executor writes them into the rows it
+    folds and takes to the output).
     """
     if assume_rounded:
-        return np.matmul(a_tiles, b_tiles)
+        return np.matmul(a_tiles, b_tiles, out=out)
     a32 = tf32_round(np.asarray(a_tiles, dtype=np.float32))
     b32 = tf32_round(np.asarray(b_tiles, dtype=np.float32))
-    return np.matmul(
-        a32.astype(np.float32), b32.astype(np.float32)
-    ).astype(np.float32)
+    return np.matmul(a32, b32, out=out)

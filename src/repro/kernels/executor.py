@@ -8,10 +8,12 @@ not depend on ``B`` is the same on every call:
   ``(k, 8, 8)`` A tiles (and the TF32 rounding of those tiles, which is
   value- not B-dependent);
 * **gather geometry** — the ``SparseAToB`` positions that pull rows of B
-  into each block's slab, and which slots are padding (zero rows);
+  into each block's slab, with padding slots sent to a zero row;
 * **window segmentation** — which blocks fold into which RowWindow, and
   in what order;
-* **the output permutation** — the rank array that undoes row relabeling.
+* **the exit** — where each folded row lands in the output, in original
+  row order (the rank array that undoes row relabeling, composed with
+  the fold order).
 
 :class:`TCExecPlan` materialises all of that once per
 :class:`~repro.kernels.tc_common.TCPlan` and replays it per call.
@@ -46,11 +48,18 @@ tiles are lazy):
 * *long* windows follow, each window's blocks contiguous, and are folded
   by ``reduceat`` itself (compaction preserves per-segment bits).
 
-A multiply is then one unbuffered gather (``np.take(..., mode="clip")``
-into a pooled buffer), one batched MMA over the pre-rounded tiles, the
-slice adds, one add of the folded rows into a per-RowWindow accumulator
-(windows can straddle chunk boundaries) and one ``take`` that undoes the
-row relabeling.  The layout relies on three preconditions:
+A multiply rounds ``B`` into a ``(K + 1, N)`` operand whose last row is
+zero, the row every padding slot gathers.  Each chunk then runs one
+unbuffered gather (``np.take(..., mode="clip")`` into a pooled buffer),
+one batched MMA over the pre-rounded tiles into the chunk's *folded
+array*, the slice adds, and its exit: one add of ``+0.0`` to the folded
+rows and one ``take`` straight into the caller's output in original row
+order.  A single-chunk program writes every output row, rows of windows
+that own no block from the folded array's zero row.  In a multi-chunk
+program each chunk writes the rows of the windows it opens and adds the
+rows of the one window it continues (windows can straddle chunk
+boundaries), the reference's per-element order ``0 + s1 + s2``.  The
+layout relies on three preconditions:
 
 * windows are contiguous in block order (``block_window`` is
   non-decreasing), so a window's blocks in a chunk are one segment;
@@ -60,9 +69,12 @@ row relabeling.  The layout relies on three preconditions:
   one-time probe (:func:`_stepped_replica_ok`) checks it; if it ever
   fails, compilation caps the slab layout at one block per window and
   hands every longer window to ``reduceat``;
-* ``0 + x`` sets the signed zero: the folded windows land in a zeroed
-  accumulator, as in the reference, which turns a ``-0.0`` fold into
-  ``+0.0`` and changes nothing else.
+* ``x + 0`` sets the signed zero as the reference's ``0 + x`` does: the
+  reference adds each fold into a zeroed accumulator, which turns a
+  ``-0.0`` fold into ``+0.0`` and changes nothing else, so the exit adds
+  ``+0.0`` to the folded rows before it takes them.  A continued window
+  then adds ``s2 + 0`` to ``0 + s1``, which has the bits of
+  ``(0 + s1) + s2``.
 
 Each chunk program keeps a strategy label (reported in
 :attr:`ExecStats.strategies`):
@@ -182,17 +194,36 @@ class _ChunkProgram:
 
     Non-fused chunks hold their blocks in fold order (see the module
     docstring): ``steps`` short-window slabs, then the long windows.
+    A multiply folds the chunk into its *folded array*: ``n_groups``
+    row groups of ``window_rows`` rows and one zero row after them.
+    The first ``n_fold`` groups hold one folded window each; the exit
+    indices take them to the output in original row order.
     """
 
     b0: int
     b1: int
     strategy: str  # "direct" | "stepped" | "reduceat" | "fused"
-    #: gather rows into (rounded) B for the chunk's blocks in program
-    #: order, padding mapped to row 0
+    #: gather rows into the ``(K + 1, N)`` operand for the chunk's
+    #: blocks in program order; padding slots read row ``K``, its zero
+    #: row
     pos: np.ndarray
-    #: flat row ids (chunk-relative, program order) of the gather buffer
-    #: to zero
-    pad_rows: np.ndarray
+    #: row groups of the folded array (its zero row follows them): the
+    #: long windows' folds, then the MMA's ``k`` partials (fused: one
+    #: group per window)
+    n_groups: int = 0
+    #: leading groups that hold a folded window: the long windows, then
+    #: slab 0's short windows (fused: all of them)
+    n_fold: int = 0
+    #: row of the folded array for each output row the chunk writes
+    #: (the zero row for windows that own no block)
+    exit_src: np.ndarray | None = None
+    #: the output rows ``exit_src`` feeds; ``None`` when the chunk
+    #: writes every output row in order (a single-chunk program)
+    exit_dst: np.ndarray | None = None
+    #: rows of the one window an earlier chunk opened: output rows
+    #: (``cont_dst``) add folded rows (``cont_src``); ``None`` if none
+    cont_src: np.ndarray | None = None
+    cont_dst: np.ndarray | None = None
     #: rows of ``tiles_all`` holding the chunk's tiles in program order;
     #: ``None`` when they arrive in program order anyway (a whole-matrix
     #: program over the resident stack, a lazy executor's baked
@@ -201,16 +232,14 @@ class _ChunkProgram:
     #: windows still open at each fold step: slab ``s`` is the
     #: ``steps[s]`` rows starting at ``sum(steps[:s])``
     steps: tuple = ()
-    #: target RowWindow of each folded row group: the short windows in
-    #: slab order, then the long windows in block order
-    wins: np.ndarray | None = None
     #: ``reduceat`` starts of the long windows, relative to the long
     #: region (``None``: no long windows)
     long_first: np.ndarray | None = None
     #: lazy executors: flat index of each of the chunk's nnz into its
     #: program-order tile stack
     scatter: np.ndarray | None = None
-    #: fused strategy: [(window ids, (g, L) block rows, (g, 8, L*8) A)]
+    #: fused strategy: [((g, L) block rows, (g, 8, L*8) A)], one entry
+    #: per window length; group outputs fill the folded array in order
     fused_groups: list = field(default_factory=list)
 
     @property
@@ -221,6 +250,11 @@ class _ChunkProgram:
     def n_short(self) -> int:
         """Folded rows the slabs produce (one per short window)."""
         return self.steps[0] if self.steps else 0
+
+    @property
+    def n_long(self) -> int:
+        """Windows folded by ``reduceat``."""
+        return 0 if self.long_first is None else int(self.long_first.size)
 
 
 def _segments(w: np.ndarray):
@@ -366,6 +400,7 @@ class TCExecPlan:
         self._lock = threading.Lock()
         self._programs: dict[int, list[_ChunkProgram]] = {}
         self._pool = _BufferPool()
+        self._win_rows: tuple[np.ndarray, np.ndarray] | None = None
 
         donor = geometry_from
         if donor is not None and donor.tiling is not t:
@@ -445,7 +480,8 @@ class TCExecPlan:
             self.tiles_all = None
             self._tile_pos = None
 
-        # gather geometry: padding slots (-1) pull row 0 and are zeroed
+        # gather geometry as persisted: padding slots (-1) hold row 0 and
+        # are listed in pad_all; compiled programs send them to row K
         if restored is not None:
             self.pos_all = restored["pos_all"]
             self.pad_all = restored["pad_all"]
@@ -626,9 +662,11 @@ class TCExecPlan:
         wr, bc = t.window_rows, t.block_cols
         k = b1 - b0
         wins, first, seg = _segments(t.block_window[b0:b1])
+        # padding slots read row K of the operand, its zero row
+        pos = self.pos_all[b0 * bc : b1 * bc].copy()
         lo = np.searchsorted(self.pad_all, b0 * bc)
         hi = np.searchsorted(self.pad_all, b1 * bc)
-        pad_rows = self.pad_all[lo:hi] - b0 * bc
+        pos[self.pad_all[lo:hi] - b0 * bc] = t.n_cols
         mean_nnz = counts_nnz[b0:b1].mean() if k else 0.0
         if (seg == 1).all():
             strategy = "direct"
@@ -641,14 +679,12 @@ class TCExecPlan:
                 else mean_nnz >= FUSED_DENSITY_THRESHOLD
             )
         ):
-            cp = _ChunkProgram(
-                b0=b0,
-                b1=b1,
-                strategy="fused",
-                pos=self.pos_all[b0 * bc : b1 * bc],
-                pad_rows=pad_rows,
+            cp = _ChunkProgram(b0=b0, b1=b1, strategy="fused", pos=pos)
+            cp.fused_groups, fold_wins = self._compile_fused(
+                b0, b1, wins, first, seg
             )
-            cp.fused_groups = self._compile_fused(cp, wins, first, seg)
+            cp.n_groups = cp.n_fold = fold_wins.size
+            self._compile_exit(cp, fold_wins)
             return cp
         elif _stepped_replica_ok():
             strategy = "stepped"
@@ -657,17 +693,20 @@ class TCExecPlan:
         cap = STEPPED_MAX_SEG if strategy == "stepped" else 1
         rel, steps, fold_wins, long_first = _fold_layout(wins, first, seg, cap)
         order = rel + b0
-        is_pad = np.zeros(k * bc, dtype=bool)
-        is_pad[pad_rows] = True
         cp = _ChunkProgram(
             b0=b0,
             b1=b1,
             strategy=strategy,
-            pos=self.pos_all.reshape(-1, bc)[order].reshape(-1),
-            pad_rows=np.flatnonzero(is_pad.reshape(k, bc)[rel].reshape(-1)),
+            pos=pos.reshape(k, bc)[rel].reshape(-1),
             steps=steps,
-            wins=fold_wins,
             long_first=long_first,
+        )
+        # folded array: the long windows' folds, then the MMA's k
+        # partials, whose slab 0 holds the short windows' folds
+        ns, nl = cp.n_short, cp.n_long
+        cp.n_groups, cp.n_fold = nl + k, nl + ns
+        self._compile_exit(
+            cp, np.concatenate([fold_wins[ns:], fold_wins[:ns]])
         )
         if not self.materialized:
             # lazy tiles: bake the order into the chunk's scatter indices
@@ -692,6 +731,57 @@ class TCExecPlan:
                 cp.tile_rows = tile_rows
         return cp
 
+    def _rows_by_window(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, starts)``: output rows sorted by RowWindow; window
+        ``w``'s rows are ``rows[starts[w]:starts[w + 1]]``.  Built once,
+        for multi-chunk exits."""
+        cached = self._win_rows
+        if cached is None:
+            t = self.tiling
+            rows = np.argsort(self.out_rank, kind="stable")
+            starts = np.searchsorted(
+                self.out_rank[rows],
+                np.arange(t.n_windows + 1, dtype=np.int64) * t.window_rows,
+            )
+            self._win_rows = cached = (rows, starts)
+        return cached
+
+    def _compile_exit(self, cp: _ChunkProgram, fold_wins: np.ndarray) -> None:
+        """Exit indices of ``cp``; ``fold_wins[g]`` is the window whose
+        folded rows group ``g`` of the folded array holds.
+
+        A chunk writes the rows of every window it opens: those whose
+        first block it holds, and the block-less windows between its
+        predecessor's last window and its own (the last chunk: up to
+        the end), which read the zero row.  It adds into the rows of
+        the one window an earlier chunk opened, if it continues one.
+        """
+        t = self.tiling
+        wr, bw = t.window_rows, t.block_window
+        b0, b1 = cp.b0, cp.b1
+        group = np.argsort(fold_wins)  # windows ascending -> their group
+        wins = fold_wins[group]
+        zero_row = cp.n_groups * wr
+
+        def src_of(rows: np.ndarray | None) -> np.ndarray:
+            r = self.out_rank if rows is None else self.out_rank[rows]
+            w = r // wr
+            at = np.minimum(np.searchsorted(wins, w), wins.size - 1)
+            return np.where(wins[at] == w, group[at] * wr + r % wr, zero_row)
+
+        if b0 == 0 and b1 == t.n_blocks:
+            cp.exit_src = src_of(None)  # every output row, in order
+            return
+        rows, starts = self._rows_by_window()
+        lo = int(bw[b0 - 1]) + 1 if b0 else 0
+        hi = int(bw[b1 - 1]) + 1 if b1 < t.n_blocks else t.n_windows
+        cp.exit_dst = rows[starts[lo] : starts[hi]]
+        cp.exit_src = src_of(cp.exit_dst)
+        if b0 and bw[b0 - 1] == bw[b0]:
+            w = int(bw[b0])
+            cp.cont_dst = rows[starts[w] : starts[w + 1]]
+            cp.cont_src = src_of(cp.cont_dst)
+
     def rebase_from(self, old: "TCExecPlan", dirty_blocks) -> int:
         """Adopt ``old``'s chunk programs for chunks a delta left clean.
 
@@ -699,11 +789,14 @@ class TCExecPlan:
         applied to; ``dirty_blocks`` lists every TC-block id (in the new
         numbering) whose window was re-tiled.  Adoption requires the
         delta to have preserved the block grid (equal
-        ``row_window_offset``) and the compile knobs to match — then a
-        clean chunk's program is identical to what a fresh compile would
-        produce (even the fused strategy's baked A slabs, since every
-        changed value lives in a dirty window), so reusing the object is
-        bit-neutral.  Dirty chunks are recompiled one by one.  Returns the number of chunk programs reused (0 when ineligible).
+        ``row_window_offset``), the output permutation and the compile
+        knobs to match — then a clean chunk's program is identical to
+        what a fresh compile would produce (even the fused strategy's
+        baked A slabs, since every changed value lives in a dirty
+        window, and its exit indices, which read only the window grid
+        and the permutation), so reusing the object is bit-neutral.
+        Dirty chunks are recompiled one by one.  Returns the number of
+        chunk programs reused (0 when ineligible).
         """
         t, ot = self.tiling, old.tiling
         if (
@@ -715,6 +808,7 @@ class TCExecPlan:
             or ot.window_rows != t.window_rows
             or ot.block_cols != t.block_cols
             or not np.array_equal(ot.row_window_offset, t.row_window_offset)
+            or not np.array_equal(old.out_rank, self.out_rank)
         ):
             return 0
         dirty = np.unique(np.asarray(dirty_blocks, dtype=np.int64))
@@ -747,16 +841,17 @@ class TCExecPlan:
                         )
         return reused
 
-    def _compile_fused(self, cp: _ChunkProgram, wins, first, seg) -> list:
+    def _compile_fused(self, b0: int, b1: int, wins, first, seg):
         """Group a chunk's windows by block count and pre-concatenate A.
 
         A window with L blocks becomes one ``(8, L*8)`` dense A slab; all
-        same-L windows share a batched GEMM at execute time.
+        same-L windows share a batched GEMM at execute time.  Returns the
+        groups and the window of each folded row group they fill.
         """
         t = self.tiling
         wr, bc = t.window_rows, t.block_cols
-        tiles = self.tiles_all[self._tile_pos[cp.b0 : cp.b1]]  # block order
-        groups = []
+        tiles = self.tiles_all[self._tile_pos[b0:b1]]  # block order
+        groups, fold_wins = [], []
         for length in np.unique(seg):
             sel = np.flatnonzero(seg == length)
             rows2d = first[sel][:, None] + np.arange(length, dtype=np.int64)
@@ -764,8 +859,9 @@ class TCExecPlan:
             a_fused = np.ascontiguousarray(
                 a.transpose(0, 2, 1, 3).reshape(sel.size, wr, length * bc)
             )
-            groups.append((wins[sel], rows2d, a_fused))
-        return groups
+            groups.append((rows2d, a_fused))
+            fold_wins.append(wins[sel])
+        return groups, np.concatenate(fold_wins)
 
     # ------------------------------------------------------------------
     # execution
@@ -787,31 +883,45 @@ class TCExecPlan:
         return tiles.reshape(cp.k, wr, bc)
 
     def _run_chunk(
-        self, cp: _ChunkProgram, tiles, B_r_i, acc_i, buf, n: int
+        self, cp: _ChunkProgram, tiles, B_ext, out_i, buf, n: int
     ) -> None:
-        """One (chunk, batch member) step: gather, MMA, fold into the
-        member's accumulator ``acc_i``."""
-        bc = self.tiling.block_cols
+        """One (chunk, batch member) step: gather from ``B_ext`` (the
+        member's ``(K + 1, N)`` operand), MMA, fold, and the exit into
+        the member's output ``out_i``."""
+        wr, bc = self.tiling.window_rows, self.tiling.block_cols
         gathered = buf[: cp.k * bc]
         # mode="clip" skips the bounds check that makes take buffer its
         # whole output before copying it into ``out``
-        np.take(B_r_i, cp.pos, axis=0, out=gathered, mode="clip")
-        if cp.pad_rows.size:
-            gathered[cp.pad_rows] = 0.0
+        np.take(B_ext, cp.pos, axis=0, out=gathered, mode="clip")
         g3 = gathered.reshape(cp.k, bc, n)
+        folded = np.empty((cp.n_groups * wr + 1, n), dtype=np.float32)
+        folded[-1] = 0.0
+        f3 = folded[:-1].reshape(cp.n_groups, wr, n)
         if cp.strategy == "fused":
-            for wins, rows2d, a_fused in cp.fused_groups:
-                b_f = g3[rows2d].reshape(rows2d.shape[0], -1, n)
-                acc_i[wins] += np.matmul(a_fused, b_f)
-            return
-        part = batched_tile_mma(g3, tiles, assume_rounded=True)
-        fold_slabs(part, cp.steps)
-        ns = cp.n_short
-        acc_i[cp.wins[:ns]] += part[:ns]
-        if cp.long_first is not None:
-            acc_i[cp.wins[ns:]] += np.add.reduceat(
-                part[sum(cp.steps) :], cp.long_first, axis=0
-            )
+            at = 0
+            for rows2d, a_fused in cp.fused_groups:
+                g = rows2d.shape[0]
+                b_f = g3[rows2d].reshape(g, -1, n)
+                np.matmul(a_fused, b_f, out=f3[at : at + g])
+                at += g
+        else:
+            nl = cp.n_long
+            part = batched_tile_mma(g3, tiles, assume_rounded=True, out=f3[nl:])
+            fold_slabs(part, cp.steps)
+            if nl:
+                np.add.reduceat(
+                    part[sum(cp.steps) :], cp.long_first, axis=0, out=f3[:nl]
+                )
+        # the exit: +0.0 is the reference's zeroed accumulator (0 + x
+        # turns a -0.0 fold into +0.0), then original row order
+        head = folded[: cp.n_fold * wr]
+        np.add(head, np.float32(0.0), out=head)
+        if cp.exit_dst is None:
+            np.take(folded, cp.exit_src, axis=0, out=out_i, mode="clip")
+        else:
+            out_i[cp.exit_dst] = folded[cp.exit_src]
+        if cp.cont_dst is not None:
+            out_i[cp.cont_dst] += folded[cp.cont_src]
 
     def execute(self, B: np.ndarray, backend=None) -> np.ndarray:
         """SpMM over the prepared state; ``B`` is ``(K, N)`` or
@@ -839,12 +949,6 @@ class TCExecPlan:
             )
         return resolve_backend(backend).execute(self, B)
 
-    def _finish_member(self, acc_i, out_i, n: int) -> None:
-        """Undo the row relabeling into the caller-visible output slice."""
-        t = self.tiling
-        C_perm = acc_i.reshape(t.n_windows * t.window_rows, n)[: t.n_rows]
-        np.take(C_perm, self.out_rank, axis=0, out=out_i, mode="clip")
-
     # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:
@@ -861,20 +965,22 @@ class TCExecPlan:
             self.pos_all,
             self.pad_all,
             self.out_rank,
+            *(self._win_rows or ()),
         ) + self._pool.nbytes
         with self._lock:
             programs = [cp for prog in self._programs.values() for cp in prog]
         for cp in programs:
             total += arr_bytes(
-                cp.pad_rows,
+                cp.pos,
+                cp.exit_src,
+                cp.exit_dst,
+                cp.cont_src,
+                cp.cont_dst,
                 cp.tile_rows,
-                cp.wins,
                 cp.long_first,
                 cp.scatter,
             )
-            if cp.strategy != "fused":
-                total += cp.pos.nbytes  # fused chunks view ``pos_all``
-            for _, rows2d, a_fused in cp.fused_groups:
+            for rows2d, a_fused in cp.fused_groups:
                 total += rows2d.nbytes + a_fused.nbytes
         return total
 

@@ -96,13 +96,17 @@ def make_fake_cupy() -> types.ModuleType:
         fake.counters["device_allocs"] += 1
         return np.zeros(shape, dtype=dtype).view(FakeDeviceArray)
 
-    def take(a, indices, axis=None):
-        _require_device(a, indices)
-        return np.take(a, indices, axis=axis)
+    def empty(shape, dtype=np.float32):
+        fake.counters["device_allocs"] += 1
+        return np.empty(shape, dtype=dtype).view(FakeDeviceArray)
 
-    def matmul(a, b):
-        _require_device(a, b)
-        return np.matmul(a, b)
+    def take(a, indices, axis=None, out=None):
+        _require_device(a, indices, *([] if out is None else [out]))
+        return np.take(a, indices, axis=axis, out=out)
+
+    def matmul(a, b, out=None):
+        _require_device(a, b, *([] if out is None else [out]))
+        return np.matmul(a, b, out=out)
 
     def stack(arrays, axis=0):
         _require_device(arrays)
@@ -121,6 +125,7 @@ def make_fake_cupy() -> types.ModuleType:
     fake.asarray = asarray
     fake.asnumpy = asnumpy
     fake.zeros = zeros
+    fake.empty = empty
     fake.take = take
     fake.matmul = matmul
     fake.stack = stack

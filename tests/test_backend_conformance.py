@@ -254,10 +254,10 @@ class TestConformance:
 
     @pytest.mark.parametrize("max_bytes", [None, 64])
     def test_multi_chunk_accumulator_path(self, arm, max_bytes):
-        # forced chunking: windows straddle chunk boundaries, so folded
-        # rows go through the accumulator — the hub's 13-block window
-        # by reduceat (device_reduceat on the cupy arm) — eager and
-        # lazy, single and batched
+        # forced chunking: windows straddle chunk boundaries, so a later
+        # chunk adds into rows an earlier one wrote — the hub's 13-block
+        # window by reduceat (device_reduceat on the cupy arm) — eager
+        # and lazy, single and batched
         csr = hub_csr()
         p = repro.plan(csr, feature_dim=16)
         p.tc_plan.meta["exec_chunk_elems"] = 40 * p.tc_plan.tiling.block_cols * 16
@@ -309,6 +309,84 @@ class TestConformance:
         for instance in (CpuBackend(), gpu):
             assert resolve_backend(instance) is instance
             assert bits_equal(p.multiply(B, backend=instance), ref)
+
+
+# ----------------------------------------------------------------------
+# the one exit: pads gather a zero row, folds go straight to row order
+# ----------------------------------------------------------------------
+def _nan_aside_equal(x: np.ndarray, y: np.ndarray) -> bool:
+    """Bitwise equality with NaN payloads aside: numpy's add picks which
+    of two NaNs survives by array position (see the executor docs)."""
+    xn, yn = np.isnan(x), np.isnan(y)
+    return (
+        x.shape == y.shape
+        and np.array_equal(xn, yn)
+        and np.array_equal(x.view(np.uint32)[~xn], y.view(np.uint32)[~yn])
+    )
+
+
+class TestOneExit:
+    @pytest.mark.parametrize("bpc", [None, 3])
+    @pytest.mark.parametrize("col0_used", [False, True])
+    def test_b_row_0_specials_never_reach_padding(self, arm, bpc, col0_used):
+        # B's row 0 holds NaN and ±inf; padding slots read the operand's
+        # zero row, so the specials reach only blocks that own column 0
+        r = np.random.default_rng(41)
+        dense = np.where(
+            r.random((96, 80)) < 0.08, r.uniform(0.1, 1.0, (96, 80)), 0.0
+        )
+        dense[:, 0] = 0.0
+        if col0_used:
+            dense[::9, 0] = 0.5
+        csr = coo_to_csr(COOMatrix.from_dense(dense.astype(np.float32)))
+        B = make_b(csr, n=16, seed=42)
+        B[0, 0::3] = np.float32(np.nan)
+        B[0, 1::3] = np.float32(np.inf)
+        B[0, 2::3] = np.float32(-np.inf)
+        p = plan_for(csr, B)
+        if bpc is not None:
+            p.tc_plan.meta["exec_chunk_elems"] = bpc * p.tc_plan.tiling.block_cols * 16
+        with np.errstate(invalid="ignore"):
+            C = p.multiply(B, backend=arm)
+            ref = execute_tiled_reference(p.tc_plan, B, blocks_per_chunk=bpc)
+        ex = get_executor(p.tc_plan)
+        assert ex.pad_all.size  # the plan has padding slots
+        if col0_used:
+            assert np.isnan(ref).any()
+            assert _nan_aside_equal(C, ref)
+        else:
+            assert np.isfinite(ref).all()
+            assert bits_equal(C, ref)
+
+    @pytest.mark.parametrize("kind", ["multi_chunk", "lazy", "fused"])
+    def test_multiply_many_equals_looped_multiply(self, arm, kind):
+        # the chunk-outer batch loop takes the same exit as a single
+        # multiply: multi-chunk programs (continued windows), lazy
+        # tiles, and fused chunks at the tf32 tier
+        n = 16
+        csr = dense_band() if kind == "fused" else hub_csr()
+        p = repro.plan(csr, feature_dim=n)
+        tier = "tf32" if kind == "fused" else "exact"
+        if kind == "lazy":
+            p.prepare(max_bytes=0)
+        else:
+            p.tc_plan.meta["exec_chunk_elems"] = (
+                20 * p.tc_plan.tiling.block_cols * n
+            )
+        Bs = np.stack([make_b(csr, n=n, seed=s) for s in (70, 71, 72)])
+        Cs = p.multiply_many(Bs, numerics=tier, backend=arm)
+        for i in range(Bs.shape[0]):
+            C = p.multiply(Bs[i], numerics=tier, backend=arm)
+            assert bits_equal(Cs[i], C)
+        ex = p.executor_for(tier)
+        prog = ex._programs[ex._blocks_per_chunk(n)]
+        if kind == "lazy":
+            assert not ex.materialized
+        else:
+            assert len(prog) >= 3
+            assert any(cp.cont_dst is not None for cp in prog)
+        if kind == "fused":
+            assert any(cp.strategy == "fused" for cp in prog)
 
 
 # ----------------------------------------------------------------------

@@ -33,9 +33,10 @@ does not — so the assertion degrades to "sharding costs nothing versus
 the same concurrency unsharded" (sharded >= 0.85x single-unlocked), and
 the results file records the core count alongside the numbers.
 
-A run prints its table; only ``python benchmarks/bench_sharded_engine.py
---write-results`` rewrites the tracked ``results/sharded_engine.txt``,
-so a local run leaves the work tree clean.
+Under pytest the bench only prints its table, so a test run leaves the
+work tree clean; run as a script (``python
+benchmarks/bench_sharded_engine.py``) it also rewrites the tracked
+``results/sharded_engine.txt``.
 """
 
 import os
@@ -225,18 +226,8 @@ def test_sharded_engine_throughput(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--write-results",
-        action="store_true",
-        help="rewrite the tracked results/sharded_engine.txt",
-    )
-    args = parser.parse_args()
     result = sharded_engine_comparison()
     check(result)
     text = render(result)
     print(text)
-    if args.write_results:
-        print(f"wrote {dump('sharded_engine', text)}")
+    print(f"wrote {dump('sharded_engine', text)}")

@@ -140,15 +140,19 @@ def reduceat_replica_ok() -> bool:
     return _replica_ok
 
 
-def _tf32_round_device(xp, x):
-    """:func:`repro.gpusim.tensorcore.tf32_round`, array-module generic.
+def _tf32_round_device(xp, x, out) -> None:
+    """:func:`repro.gpusim.tensorcore.tf32_round` into ``out``,
+    array-module generic.
 
     Same integer arithmetic on the same uint32 views, so the cleared
     mantissas are bit-identical to the host rounding; ``x`` must be a
-    C-contiguous float32 device array (the upload path guarantees it).
+    C-contiguous float32 device array (the upload path guarantees it)
+    and ``out`` a float32 device array of its shape that does not
+    overlap it.
     """
     bits = x.view(xp.uint32)
-    rounding = bits >> 13
+    rounding = out.view(xp.uint32)
+    xp.right_shift(bits, xp.uint32(13), out=rounding)
     rounding &= 1  # RNE: round half to even
     rounding += 0xFFF
     rounding += bits
@@ -156,7 +160,6 @@ def _tf32_round_device(xp, x):
     nonfinite = ~xp.isfinite(x)
     if bool(nonfinite.any()):
         rounding[nonfinite] = bits[nonfinite]
-    return rounding.view(xp.float32).reshape(x.shape)
 
 
 class _DeviceChunk:
@@ -353,11 +356,14 @@ class CupyBackend(DeviceBackend):
         # one upload per call, batch included — multiply_many maps the
         # whole stack onto a single transfer
         B_d = self._upload(np.ascontiguousarray(B, dtype=np.float32))
+        # the gather operand: B (rounded straight into it) over one zero
+        # row for the padding slots
+        B_ext = xp.empty((batch, k_rows + 1, n), dtype=np.float32)
+        B_ext[:, -1] = 0.0
         if ex.numerics.rounds_inputs:
-            B_d = _tf32_round_device(xp, B_d)
-        # the gather operand: B over one zero row for the padding slots
-        B_ext = xp.zeros((batch, k_rows + 1, n), dtype=np.float32)
-        B_ext[:, :k_rows] = B_d
+            _tf32_round_device(xp, B_d, out=B_ext[:, :k_rows])
+        else:
+            B_ext[:, :k_rows] = B_d
         out_d = xp.empty((batch, n_out, n), dtype=np.float32)
         # chunk-outer: each chunk's tiles are fetched (or decompressed)
         # once per call and shared across the batch

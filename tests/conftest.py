@@ -64,6 +64,18 @@ def bits_equal(x: np.ndarray, y: np.ndarray) -> bool:
     )
 
 
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Bitwise equality with NaN payloads aside: which outputs are NaN
+    must match, but numpy's add picks which of two meeting NaNs
+    survives by array position (see the executor docs)."""
+    if x.shape != y.shape or x.dtype != y.dtype:
+        return False
+    xn, yn = np.isnan(x), np.isnan(y)
+    return np.array_equal(xn, yn) and np.array_equal(
+        x.view(np.uint32)[~xn], y.view(np.uint32)[~yn]
+    )
+
+
 def make_b(csr, n=16, seed=7):
     """A dense B sized to ``csr``'s column count."""
     r = np.random.default_rng(seed)

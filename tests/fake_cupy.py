@@ -134,4 +134,5 @@ def make_fake_cupy() -> types.ModuleType:
     fake.float32 = np.float32
     fake.uint32 = np.uint32
     fake.isfinite = np.isfinite
+    fake.right_shift = np.right_shift
     return fake

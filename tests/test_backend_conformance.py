@@ -60,7 +60,14 @@ from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
 from repro.tune.space import TunedConfig
 
-from conftest import bits_equal, dense_band, hub_csr, make_b, random_csr
+from conftest import (
+    bits_equal,
+    dense_band,
+    hub_csr,
+    make_b,
+    random_csr,
+    same_bits,
+)
 from fake_cupy import FakeDeviceArray, make_fake_cupy
 
 TIERS = ("exact", "tf32", "fast")
@@ -314,17 +321,6 @@ class TestConformance:
 # ----------------------------------------------------------------------
 # the one exit: pads gather a zero row, folds go straight to row order
 # ----------------------------------------------------------------------
-def _nan_aside_equal(x: np.ndarray, y: np.ndarray) -> bool:
-    """Bitwise equality with NaN payloads aside: numpy's add picks which
-    of two NaNs survives by array position (see the executor docs)."""
-    xn, yn = np.isnan(x), np.isnan(y)
-    return (
-        x.shape == y.shape
-        and np.array_equal(xn, yn)
-        and np.array_equal(x.view(np.uint32)[~xn], y.view(np.uint32)[~yn])
-    )
-
-
 class TestOneExit:
     @pytest.mark.parametrize("bpc", [None, 3])
     @pytest.mark.parametrize("col0_used", [False, True])
@@ -353,7 +349,7 @@ class TestOneExit:
         assert ex.pad_all.size  # the plan has padding slots
         if col0_used:
             assert np.isnan(ref).any()
-            assert _nan_aside_equal(C, ref)
+            assert same_bits(C, ref)
         else:
             assert np.isfinite(ref).all()
             assert bits_equal(C, ref)

@@ -41,6 +41,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import repro.kernels.executor as executor_mod  # noqa: E402
 import repro.kernels.tc_common as tc_common  # noqa: E402
+from conftest import same_bits  # noqa: E402
 from fake_cupy import make_fake_cupy  # noqa: E402
 from repro.backend import reset_backend, resolve_backend  # noqa: E402
 from repro.gpusim.specs import get_device  # noqa: E402
@@ -65,16 +66,6 @@ WINDOW_BLOCKS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 12)
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
-    """Bitwise equality with NaN payloads aside (see the module doc)."""
-    if x.shape != y.shape or x.dtype != y.dtype:
-        return False
-    xn, yn = np.isnan(x), np.isnan(y)
-    return np.array_equal(xn, yn) and np.array_equal(
-        x.view(np.uint32)[~xn], y.view(np.uint32)[~yn]
-    )
-
-
 @contextlib.contextmanager
 def arm_backend(arm: str):
     """The resolved backend for ``arm``; ``"cupy"`` is served by a fresh

@@ -78,7 +78,7 @@ def run_load(seconds: float, n_clients: int = 6) -> dict:
 
     async def serve():
         server = SpMMServer(
-            engine=AsyncSpMMEngine(n_shards=2, capacity=32),
+            engine=AsyncSpMMEngine(capacity=32),
             config=ServerConfig(max_inflight=64),
         )
         box["server"] = server

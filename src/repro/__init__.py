@@ -53,13 +53,10 @@ from repro.serve import (
     CacheStats,
     MatrixFingerprint,
     PlanCache,
-    ShardedSpMMEngine,
     SpMMEngine,
     default_engine,
     fingerprint,
-    install_sharded_default,
     reset_default_engine,
-    set_default_engine,
 )
 
 from repro.errors import (
@@ -110,7 +107,6 @@ __all__ = [
     "spmm",
     "spmm_many",
     "SpMMEngine",
-    "ShardedSpMMEngine",
     "AsyncSpMMEngine",
     "PlanCache",
     "PlanStore",
@@ -118,8 +114,6 @@ __all__ = [
     "MatrixFingerprint",
     "fingerprint",
     "default_engine",
-    "set_default_engine",
-    "install_sharded_default",
     "reset_default_engine",
     "ReproError",
     "ValidationError",

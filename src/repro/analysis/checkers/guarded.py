@@ -17,8 +17,8 @@ the instance is not shared before construction completes.
 
 This is the static half of the contract; the runtime sanitizer
 (:mod:`repro.analysis.runtime`) audits the same registry dynamically,
-catching cross-object access (e.g. the sharded router reaching into a
-shard's cache) that lexical analysis cannot see.
+catching cross-object access (e.g. one object reaching into another's
+guarded cache) that lexical analysis cannot see.
 """
 
 from __future__ import annotations

@@ -121,9 +121,7 @@ class SpMMEngine:
     never across a plan build or a multiply.  :meth:`get_plan` is the
     one place that coalesces misses: concurrent misses on the *same*
     content run one resolution while the others wait for its plan or
-    exception, and different-key traffic proceeds.  For many cores,
-    shard engines across :class:`~repro.serve.sharded.ShardedSpMMEngine`
-    so unrelated tenants do not share this lock (see
+    exception, and different-key traffic proceeds (see
     ``docs/CONCURRENCY.md``).
     """
 
@@ -176,9 +174,6 @@ class SpMMEngine:
         self.autotune = bool(autotune)
         #: plan key -> the future of its one in-flight resolution
         self._inflight: dict[tuple, cf.Future] = {}
-        #: a weak proxy of the ShardedSpMMEngine this engine is a shard
-        #: of (set by the router), ``None`` on a plain engine
-        self._router = None
 
     # ------------------------------------------------------------------
     def get_plan(
@@ -193,8 +188,9 @@ class SpMMEngine:
 
         ``A`` is keyed by :func:`~repro.serve.fingerprint.fingerprint`,
         which hashes a matrix object once and then returns the value
-        stored on it, so callers that already hashed ``A`` (the sharded
-        router, the server) pay nothing for the repeat.
+        stored on it, so callers that already hashed ``A`` (the server)
+        pay nothing for the repeat.  A ``COOMatrix`` converts once: its
+        CSR form is stored on it too.
 
         Single flight: the first miss on a key resolves the plan outside
         the engine lock, and every miss on that key that arrives
@@ -335,10 +331,7 @@ class SpMMEngine:
         ``(new_fingerprint, new_plan)``; the derived plan is inserted
         under its own content key, so follow-up :meth:`spmm` traffic on
         the edited matrix is a pure cache hit, and chained deltas can
-        name ``new_fingerprint`` as their base.  On a shard of a
-        :class:`~repro.serve.sharded.ShardedSpMMEngine` the insert goes
-        to the shard ``new_fingerprint`` routes to, which need not be
-        this one: the edit changed the structure hash.
+        name ``new_fingerprint`` as their base.
 
         With a store attached, the derived plan is persisted whole under
         ``new_fingerprint`` (:meth:`~repro.serve.store.PlanStore.put`),
@@ -381,13 +374,9 @@ class SpMMEngine:
         new_fp = fingerprint(new_plan.csr)
         new_key = (new_fp.full, spec.name, cfg)
         new_structural = (new_fp.structural, spec.name, cfg)
-        try:
-            home = self if self._router is None else self._router._shard_for(new_fp)
-        except ReferenceError:  # the router was freed: this engine stands alone
-            home = self
-        with home._lock:
-            home.cache.stats.delta_patches += 1
-            home.cache.put(new_key, new_plan, structural_key=new_structural)
+        with self._lock:
+            self.cache.stats.delta_patches += 1
+            self.cache.put(new_key, new_plan, structural_key=new_structural)
         if self.store is not None:
             self.store.put(new_fp, spec.name, cfg, new_plan)  # best-effort
         return new_fp, new_plan
@@ -446,15 +435,9 @@ class SpMMEngine:
             self.store.entries(), key=lambda e: -e.build_seconds
         )
         cap = self.capacity if limit is None else min(limit, self.capacity)
-        return self._warm_from(self.store, entries, cap)
-
-    def _warm_from(self, store, entries, cap: int) -> int:
-        """Load-and-adopt loop shared with the sharded engine's routed
-        warm start: ``entries`` arrive most-expensive-first, the top
-        ``cap`` are inserted cheapest-first (see :meth:`warm_start`)."""
         loaded = 0
         for entry in reversed(entries[:cap]):
-            plan_obj = store._load(entry.path)
+            plan_obj = self.store._load(entry.path)
             if plan_obj is None:
                 continue
             if self._adopt(plan_obj):
@@ -561,8 +544,7 @@ class SpMMEngine:
         # entry enough to matter; steady-state hits skip the re-check
         # (and its O(entries) byte walk under the engine lock)
         if not was_prepared:
-            with self._lock:
-                self.cache.enforce_limits()
+            self.enforce_limits()
         return C
 
     @staticmethod
@@ -574,6 +556,15 @@ class SpMMEngine:
         return ex is not None and ex.is_prepared_for(feature_dim)
 
     # ------------------------------------------------------------------
+    def enforce_limits(self) -> None:
+        """Apply the TTL, byte budget and capacity now.  Inserts and
+        executor-compiling multiplies do this on their own; steady
+        all-hit traffic does neither, so an operator who wants idle
+        plans released calls this on a timer (it holds the engine lock
+        only for the sweep; see ``docs/CONCURRENCY.md``)."""
+        with self._lock:
+            self.cache.enforce_limits()
+
     @property
     def capacity(self) -> int:
         """Slot capacity of the in-memory cache (a lock-held read, so
@@ -666,10 +657,7 @@ def default_engine():
     bytes — which lets the slot count be generous for small-matrix
     traffic.  Traffic that wants a bigger working set should build its
     own :class:`SpMMEngine`; one-off multiplications should pass
-    ``use_cache=False``; multi-tenant threaded traffic can opt the
-    process into a sharded default via :func:`set_default_engine` (e.g.
-    ``set_default_engine(ShardedSpMMEngine(n_shards=4))``, or the
-    :func:`repro.serve.sharded.install_sharded_default` shorthand).
+    ``use_cache=False``.
     """
     global _default_engine
     with _default_lock:
@@ -678,23 +666,10 @@ def default_engine():
         return _default_engine
 
 
-def set_default_engine(engine) -> None:
-    """Install ``engine`` as the process-wide default behind
-    :func:`repro.spmm` (opt-in; e.g. a
-    :class:`~repro.serve.sharded.ShardedSpMMEngine` for multi-tenant
-    threaded traffic).  Any object with the engine interface
-    (``spmm``/``multiply_many``/``stats``/``clear``) works.  Plans
-    cached by the previous default are dropped with it."""
-    global _default_engine
-    with _default_lock:
-        _default_engine = engine
-
-
 def reset_default_engine() -> None:
     """Discard the process-wide engine (tests; freeing cached plans).
 
-    The next :func:`default_engine` call lazily recreates the standard
-    single-engine default — including after :func:`set_default_engine`.
+    The next :func:`default_engine` call lazily recreates it.
     """
     global _default_engine
     with _default_lock:

@@ -219,12 +219,12 @@ class SpMMServer:
     AsyncSpMMEngine`.
 
     Construct with a ready ``engine`` or with
-    :class:`~repro.serve.sharded.AsyncSpMMEngine` keyword arguments
-    (``n_shards=``, ``store=``, ...); ``config`` is a
+    :class:`~repro.serve.engine.SpMMEngine` keyword arguments
+    (``capacity=``, ``store=``, ...); ``config`` is a
     :class:`ServerConfig`.  ``clock`` is the monotonic clock behind the
     quota buckets (injectable for deterministic tests).  Lifecycle::
 
-        server = SpMMServer(n_shards=4, store="/var/cache/accspmm")
+        server = SpMMServer(store="/var/cache/accspmm")
         host, port = await server.start()
         ...
         await server.stop()        # stops accepting, drains the engine
@@ -923,9 +923,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0,
         help="0 lets the kernel pick (the printed line names it)",
     )
+    # accepted for old launch scripts: the one engine is one shard
     parser.add_argument(
-        "--shards", type=int, default=4,
-        help="plan-cache shards (ShardedSpMMEngine n_shards)",
+        "--shards", type=int, choices=(1,), default=1, help=argparse.SUPPRESS
     )
     parser.add_argument(
         "--store", default=None,
@@ -949,7 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 async def _amain(args) -> int:
     engine = AsyncSpMMEngine(
-        n_shards=args.shards,
         capacity=args.capacity,
         store=args.store,
         numerics=args.numerics,

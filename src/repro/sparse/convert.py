@@ -14,7 +14,14 @@ def coo_to_csr(coo: COOMatrix, sum_duplicates: bool = True) -> CSRMatrix:
     Duplicate coordinates are summed unless ``sum_duplicates`` is False, in
     which case they are kept side by side (useful for stress-testing the
     tiled-format builders against malformed input).
+
+    The summed form is stored on ``coo`` (its arrays are read-only), so
+    later calls return the same matrix — with any fingerprint already
+    stored on it — without converting again.  Threads racing on a first
+    call each store an equal matrix, so the memo needs no lock.
     """
+    if sum_duplicates and coo._csr is not None:
+        return coo._csr
     c = coo.canonical() if sum_duplicates else coo
     if not sum_duplicates:
         key = c.rows * c.n_cols + c.cols
@@ -23,7 +30,10 @@ def coo_to_csr(coo: COOMatrix, sum_duplicates: bool = True) -> CSRMatrix:
     counts = np.bincount(c.rows, minlength=c.n_rows)
     indptr = np.zeros(c.n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return CSRMatrix(c.n_rows, c.n_cols, indptr, c.cols, c.vals)
+    csr = CSRMatrix(c.n_rows, c.n_cols, indptr, c.cols, c.vals)
+    if sum_duplicates:
+        object.__setattr__(coo, "_csr", csr)
+    return csr
 
 
 def csr_to_coo(csr: CSRMatrix) -> COOMatrix:

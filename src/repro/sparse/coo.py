@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.sparse.csr import _read_only
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,12 @@ class COOMatrix:
     Duplicate coordinates are allowed in a raw COO and are summed during
     canonicalisation (:meth:`canonical`), matching what every sparse toolkit
     (cuSPARSE included) does at format-build time.
+
+    The three arrays are read-only, adopted or copied exactly as
+    :class:`~repro.sparse.csr.CSRMatrix` adopts or copies its own, so a
+    matrix never changes after construction and its CSR form can be
+    computed once and kept on the instance
+    (:func:`repro.sparse.convert.coo_to_csr`).
     """
 
     n_rows: int
@@ -39,9 +46,9 @@ class COOMatrix:
     vals: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.ascontiguousarray(self.rows, dtype=np.int64)
-        cols = np.ascontiguousarray(self.cols, dtype=np.int64)
-        vals = np.ascontiguousarray(self.vals, dtype=np.float32)
+        rows = _read_only(np.ascontiguousarray(self.rows, dtype=np.int64))
+        cols = _read_only(np.ascontiguousarray(self.cols, dtype=np.int64))
+        vals = _read_only(np.ascontiguousarray(self.vals, dtype=np.float32))
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise ValidationError(
                 "rows, cols, vals must be 1-D arrays of identical length"
@@ -56,6 +63,17 @@ class COOMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", vals)
+        # duplicate-summed CSR form, stored by coo_to_csr on first use;
+        # sound because the arrays above never change
+        object.__setattr__(self, "_csr", None)
+
+    def __reduce__(self):
+        # as CSRMatrix: a pickled or deep-copied matrix is read-only
+        # again and starts without the stored CSR form
+        return (
+            type(self),
+            (self.n_rows, self.n_cols, self.rows, self.cols, self.vals),
+        )
 
     # ------------------------------------------------------------------
     @property

@@ -1,12 +1,13 @@
-"""Sharded/async engines, TTL eviction, store sharding, version compat.
+"""One engine under concurrent and async traffic, TTL eviction, warm
+starts, version compat.
 
-The PR-4 acceptance criteria: requests routed across shards return
-bit-for-bit the unsharded engine's results, M simultaneous misses on one
-matrix build exactly one plan (threaded and async, asserted via stats),
+M simultaneous misses on one matrix build exactly one plan (threaded
+and async, asserted via stats), a delta-derived plan is a cache hit,
 ``max_idle_seconds`` expires idle entries in both the in-memory cache
-and the on-disk store — never one used since the cutoff — and
-containers older than the v4 floor quarantine as version errors.  Every
-engine layer answers the same inputs with the same bits.
+and the on-disk store — never one used since the cutoff — a warm start
+spends its budget on the priciest plans, and containers older than the
+v4 floor quarantine as version errors.  Every engine layer answers the
+same inputs with the same bits.
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ from repro.core.planner import plan as build_plan
 from repro.errors import EngineClosedError, StoreVersionError, ValidationError
 from repro.serve import (
     AsyncSpMMEngine,
-    ShardedSpMMEngine,
     SpMMEngine,
     default_engine,
     fingerprint,
-    install_sharded_default,
     reset_default_engine,
-    set_default_engine,
 )
 from repro.serve.cache import PlanCache
 from repro.serve.serial import (
@@ -70,77 +68,11 @@ def patched_version(data: bytes, version: int) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# routing and equivalence
+# the count-free probe
 # ----------------------------------------------------------------------
-class TestShardedRouting:
-    def test_routing_is_deterministic_and_structural(self):
-        eng = ShardedSpMMEngine(n_shards=4)
-        a = make_csr(seed=1)
-        fp = fingerprint(a)
-        assert eng.shard_index(fp) == eng.shard_index(fp)
-        # a value-only change routes to the same shard (repack path)
-        fp2 = fingerprint(with_values(a, a.vals * 3.0))
-        assert eng.shard_index(fp2) == eng.shard_index(fp)
-
-    def test_matrices_spread_across_shards(self):
-        eng = ShardedSpMMEngine(n_shards=4)
-        used = {
-            eng.shard_index(fingerprint(make_csr(seed=s))) for s in range(16)
-        }
-        assert len(used) >= 2  # hash routing actually spreads
-
-    def test_bit_for_bit_vs_unsharded(self):
-        single = SpMMEngine()
-        sharded = ShardedSpMMEngine(n_shards=4)
-        for seed in range(6):
-            A = make_csr(seed=seed)
-            B = make_b(A, seed=seed)
-            assert np.array_equal(single.spmm(A, B), sharded.spmm(A, B))
-        s = sharded.stats
-        assert s["plans_built"] == 6
-        assert s["cached_plans"] == 6
-        assert len(s["per_shard"]) == 4
-        assert sum(p["plans_built"] for p in s["per_shard"]) == 6
-
-    def test_value_refresh_served_by_owning_shard(self):
-        eng = ShardedSpMMEngine(n_shards=4)
-        A = make_csr(seed=2)
-        B = make_b(A)
-        eng.spmm(A, B)
-        A2 = with_values(A, A.vals * 2.0)
-        C = eng.spmm(A2, B)
-        s = eng.stats
-        assert s["value_refreshes"] == 1 and s["plans_built"] == 1
-        assert np.array_equal(C, SpMMEngine().spmm(A2, B))
-
-    def test_multiply_many_routed(self):
-        eng = ShardedSpMMEngine(n_shards=3)
-        A = make_csr(seed=3)
-        Bs = np.stack([make_b(A, seed=s) for s in range(3)])
-        Cs = eng.multiply_many(A, Bs)
-        ref = SpMMEngine()
-        for i in range(3):
-            assert np.array_equal(Cs[i], ref.spmm(A, Bs[i]))
-
-    def test_tenant_stats(self):
-        eng = ShardedSpMMEngine(n_shards=2)
-        A = make_csr(seed=4)
-        B = make_b(A)
-        eng.spmm(A, B, tenant="alice")
-        eng.spmm(A, B, tenant="alice")
-        eng.multiply_many(A, np.stack([B, B]), tenant="bob")
-        eng.spmm(A, B)  # untagged traffic is not tracked
-        t = eng.stats["tenants"]
-        assert t["alice"] == {"requests": 2, "batched_requests": 0}
-        assert t["bob"] == {"requests": 1, "batched_requests": 1}
-        assert len(t) == 2
-
-    def test_n_shards_validated(self):
-        with pytest.raises(ValueError):
-            ShardedSpMMEngine(n_shards=0)
-
+class TestLookup:
     def test_lookup_is_count_free(self):
-        eng = ShardedSpMMEngine(n_shards=2)
+        eng = SpMMEngine()
         A = make_csr(seed=5)
         fp = fingerprint(A)
         assert eng.lookup(fp) is None
@@ -180,23 +112,19 @@ class TestConcurrentAccess:
     def _stress(self, eng, matrices):
         run_stress(eng, matrices, self.N_THREADS)
 
-    def test_exactly_one_build_under_simultaneous_misses_sharded(self):
-        eng = ShardedSpMMEngine(n_shards=4)
+    def test_exactly_one_build_under_simultaneous_misses(self):
+        eng = SpMMEngine()
         self._stress(eng, [make_csr(seed=7)])
         s = eng.stats
         assert s["plans_built"] == 1  # 16 threads, one matrix, one build
         assert s["requests"] == self.N_THREADS
+        assert s["hits"] + s["coalesced_waits"] + 1 == self.N_THREADS
 
     def test_exactly_one_build_per_matrix_mixed_workload(self):
-        eng = ShardedSpMMEngine(n_shards=4)
+        eng = SpMMEngine()
         matrices = [make_csr(seed=s) for s in range(4)]
         self._stress(eng, matrices)
         assert eng.stats["plans_built"] == len(matrices)
-
-    def test_single_engine_also_coalesces_threaded_misses(self):
-        eng = SpMMEngine()
-        self._stress(eng, [make_csr(seed=8)])
-        assert eng.stats["plans_built"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -225,25 +153,17 @@ class TestSanitizedStress:
         rt.disable()
         rt.reset()
 
-    def test_sharded_stress_is_violation_free(self, sanitizer):
-        eng = ShardedSpMMEngine(n_shards=4)
+    def test_stress_is_violation_free(self, sanitizer):
+        eng = SpMMEngine()
         run_stress(eng, [make_csr(seed=s) for s in range(3)], self.N_THREADS)
         _ = eng.stats  # the historically-racy snapshot path
         assert eng.stats["plans_built"] == 3
         assert sanitizer.violations() == []
 
-    def test_single_engine_stress_is_violation_free(self, sanitizer):
-        eng = SpMMEngine()
-        run_stress(eng, [make_csr(seed=31)], self.N_THREADS)
-        _ = eng.stats
-        assert sanitizer.violations() == []
-
-    def test_store_backed_sharded_stress_is_violation_free(
-        self, sanitizer, tmp_path
-    ):
-        eng = ShardedSpMMEngine(n_shards=2, store=tmp_path / "plans")
+    def test_store_backed_stress_is_violation_free(self, sanitizer, tmp_path):
+        eng = SpMMEngine(store=tmp_path / "plans")
         run_stress(eng, [make_csr(seed=41)], self.N_THREADS)
-        warm = ShardedSpMMEngine(n_shards=2, store=tmp_path / "plans")
+        warm = SpMMEngine(store=tmp_path / "plans")
         assert warm.warm_start() == 1
         _ = warm.stats
         assert sanitizer.violations() == []
@@ -253,7 +173,8 @@ class TestSanitizedStress:
         B = make_b(A)
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
+                eng.set_tenant_numerics("t1", "exact")  # a guarded pin
                 await asyncio.gather(
                     *[eng.multiply(A, B, tenant=f"t{i % 2}") for i in range(8)]
                 )
@@ -263,9 +184,10 @@ class TestSanitizedStress:
         assert stats["plans_built"] == 1
         assert sanitizer.violations() == []
 
-    def test_sharded_deltas_are_violation_free(self, sanitizer):
-        n_threads, n_deltas, n_shards = 8, 3, 4
-        eng = ShardedSpMMEngine(n_shards=n_shards)
+    def test_concurrent_deltas_are_violation_free(self, sanitizer):
+        n_threads, n_deltas = 8, 3
+        # room for all 56 plans (8 bases, 24 links, 24 follow-up edits)
+        eng = SpMMEngine(capacity=64)
         mats = [make_csr(seed=70 + t, n=96, deg=4.0) for t in range(n_threads)]
         chains: list[list] = [[] for _ in range(n_threads)]
         barrier = threading.Barrier(n_threads)
@@ -281,7 +203,7 @@ class TestSanitizedStress:
                 )
                 chains[t].append((fp, p))
 
-        # frequent thread switches, so cross-shard inserts interleave
+        # frequent thread switches, so derived-plan inserts interleave
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -291,17 +213,16 @@ class TestSanitizedStress:
             sys.setswitchinterval(interval)
         derived = [link for chain in chains for link in chain]
         for fp, p in derived:
-            # a hit on the shard the derived structure hashes to
-            shard = eng.shards[int(fp.structure[:8], 16) % n_shards]
-            hits, misses = shard.stats["hits"], shard.stats["misses"]
+            # every derived plan is a cache hit
+            hits, misses = eng.stats["hits"], eng.stats["misses"]
             B = make_b(p.csr, n=8)
             assert np.array_equal(eng.spmm(p.csr, B), p.multiply(B))
-            assert (shard.stats["hits"], shard.stats["misses"]) == (
+            assert (eng.stats["hits"], eng.stats["misses"]) == (
                 hits + 1, misses
             )
             # no store: the next delta resolves its base from memory
             eng.apply_delta(fp, added=[(0, 0, 0.5)])
-        patches = sum(s["delta_patches"] for s in eng.stats["per_shard"])
+        patches = eng.stats["delta_patches"]
         assert patches == n_threads * n_deltas + len(derived)
         assert sanitizer.violations() == []
 
@@ -318,7 +239,7 @@ class TestAsyncEngine:
 
         async def main():
             # M workers: every request reaches get_plan at once
-            async with AsyncSpMMEngine(n_shards=4, max_workers=M) as eng:
+            async with AsyncSpMMEngine(max_workers=M) as eng:
 
                 def held_build(*args, **kwargs):
                     # hold the build until every other request waits on
@@ -345,9 +266,8 @@ class TestAsyncEngine:
             assert np.array_equal(C, ref)
         assert stats["plans_built"] == 1
         assert stats["coalesced_waits"] == M - 1
-        a = stats["async"]
-        assert a["requests"] == M
-        assert a["coalesced_waits"] == M - 1
+        assert stats["requests"] == M  # one cache lookup per request
+        assert stats["async"]["coalesced_waits"] == M - 1
 
     def test_held_build_does_not_block_cached_traffic(self):
         # one shared engine lock: matrix X's build is held while a
@@ -390,7 +310,7 @@ class TestAsyncEngine:
         ref = SpMMEngine()
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 Cs = await eng.multiply_many(A, Bs)
                 C0 = await eng.multiply(A, Bs[0])  # warm: no coalescing
                 return Cs, C0, eng.stats
@@ -416,14 +336,37 @@ class TestAsyncEngine:
 
     def test_engine_and_kwargs_conflict(self):
         with pytest.raises(TypeError):
-            AsyncSpMMEngine(engine=SpMMEngine(), n_shards=4)
+            AsyncSpMMEngine(engine=SpMMEngine(), capacity=4)
+
+    def test_keyword_arguments_build_one_engine(self):
+        eng = AsyncSpMMEngine(capacity=5, numerics="tf32")
+        try:
+            assert type(eng.engine) is SpMMEngine
+            assert eng.engine.capacity == 5
+            assert eng.resolve_numerics().tier == "tf32"
+        finally:
+            eng.close()
+
+    def test_clear_keeps_tenant_pins(self):
+        A = make_csr(seed=14)
+
+        async def main():
+            async with AsyncSpMMEngine() as eng:
+                eng.set_tenant_numerics("alice", "fast")
+                await eng.multiply(A, make_b(A), tenant="alice")
+                eng.clear()
+                return eng.stats, eng.tenant_numerics_for("alice")
+
+        stats, pin = asyncio.run(main())
+        assert stats["cached_plans"] == 0 and stats["requests"] == 0
+        assert pin.tier == "fast"
 
     def test_async_hit_counts_exactly_once_per_request(self):
         A = make_csr(seed=15)
         B = make_b(A)
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 for _ in range(3):
                     await eng.multiply(A, B)
                 return eng.stats
@@ -440,7 +383,7 @@ class TestAsyncEngine:
         ref = SpMMEngine().spmm(A, B)
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 impatient = asyncio.create_task(
                     asyncio.wait_for(eng.multiply(A, B), timeout=1e-4)
                 )
@@ -467,7 +410,7 @@ class TestAsyncEngine:
         B = make_b(A)
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 await eng.multiply(A, B)  # builds; A keeps its fingerprint
                 submitted = []
                 submit = eng._pool.submit
@@ -490,7 +433,7 @@ class TestAsyncEngine:
         B = make_b(mats[0])
 
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 submitted = []
                 submit = eng._pool.submit
 
@@ -541,18 +484,18 @@ def _serve(layer, A, B, batched):
     returns the result and the layer's stats."""
     if layer == "async":
         async def main():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 run = eng.multiply_many if batched else eng.multiply
                 return await run(A, B), eng.stats
 
         return asyncio.run(main())
-    eng = SpMMEngine() if layer == "engine" else ShardedSpMMEngine(n_shards=2)
+    eng = SpMMEngine()
     run = eng.multiply_many if batched else eng.spmm
     return run(A, B), eng.stats
 
 
 class TestEveryEngineLayer:
-    @pytest.mark.parametrize("layer", ["engine", "sharded", "async"])
+    @pytest.mark.parametrize("layer", ["engine", "async"])
     @pytest.mark.parametrize("kind", ["csr", "coo", "zero-rows", "zero-cols"])
     @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
     def test_same_inputs_same_bits(self, layer, kind, batched):
@@ -631,11 +574,12 @@ class TestCacheTTL:
         eng.spmm(A, make_b(A))
         assert eng.stats["plans_built"] == 3
 
-    def test_sharded_enforce_limits_sweeps_all_shards(self):
-        eng = ShardedSpMMEngine(n_shards=4, max_idle_seconds=30.0)
+    def test_engine_enforce_limits_expires_idle_plans(self):
+        # steady all-hit traffic never inserts: the explicit call is what
+        # releases idle plans (the runbook's TTL cadence step)
+        eng = SpMMEngine(max_idle_seconds=30.0)
         t = [0.0]
-        for sh in eng.shards:
-            sh.cache.clock = lambda: t[0]
+        eng.cache.clock = lambda: t[0]
         mats = [make_csr(seed=s) for s in range(4)]
         for A in mats:
             eng.spmm(A, make_b(A))
@@ -747,63 +691,62 @@ class TestStoreTTL:
 
 
 # ----------------------------------------------------------------------
-# a sharded engine over one shared store
+# warm starts from one shared store
 # ----------------------------------------------------------------------
-class TestStoreSharding:
-    def test_sharded_engine_store_from_path(self, tmp_path):
-        eng = ShardedSpMMEngine(n_shards=4, store=tmp_path)
+def store_priced(tmp_path, costs: dict) -> dict:
+    """Persist one plan per seed in ``costs``, each priced at its
+    ``build_seconds``; returns seed -> matrix."""
+    store = PlanStore(tmp_path)
+    mats = {}
+    for seed, cost in costs.items():
+        A = mats[seed] = make_csr(seed=seed)
+        p = repro.plan(A, feature_dim=16)
+        p.build_seconds = cost
+        assert store.put(fingerprint(A), p.device.name, p.config, p)
+    return mats
+
+
+class TestWarmStart:
+    def test_engine_store_from_path(self, tmp_path):
+        eng = SpMMEngine(store=tmp_path)
         A = make_csr(seed=5)
         B = make_b(A)
         C0 = eng.spmm(A, B)
-        # a second fleet warm-starts from the shared tree
-        eng2 = ShardedSpMMEngine(n_shards=4, store=tmp_path)
+        # a second worker warm-starts from the shared directory
+        eng2 = SpMMEngine(store=tmp_path)
         assert eng2.warm_start() == 1
+        assert eng2.lookup(fingerprint(A)) is not None
         assert np.array_equal(C0, eng2.spmm(A, B))
         s = eng2.stats
         assert s["plans_built"] == 0 and s["hits"] == 1
-        # the warmed plan sits on the shard live routing consults
-        idx = eng2.shard_index(fingerprint(A))
-        assert eng2.stats["per_shard"][idx]["cached_plans"] == 1
 
-    def test_warm_start_respects_per_shard_capacity(self, tmp_path):
-        # 3 persisted plans all route to the single shard, whose
-        # capacity is 1: exactly one plan may be deserialised — loading
-        # the others just to evict them is the waste warm_start avoids
-        store = PlanStore(tmp_path)
-        for seed in range(3):
-            A = make_csr(seed=seed)
-            p = repro.plan(A, feature_dim=16)
-            assert store.put(fingerprint(A), p.device.name, p.config, p)
-        eng = ShardedSpMMEngine(n_shards=1, capacity=1, store=tmp_path)
+    def test_warm_start_respects_capacity(self, tmp_path):
+        # 3 persisted plans, capacity 1: exactly one plan may be
+        # deserialised — loading the others just to evict them is the
+        # waste warm_start avoids
+        store_priced(tmp_path, {0: 1.0, 1: 1.0, 2: 1.0})
+        eng = SpMMEngine(capacity=1, store=tmp_path)
         assert eng.warm_start() == 1
         assert eng.stats["cached_plans"] == 1
         assert eng.stats["evictions"] == 0
 
-    def test_warm_start_limit_spends_on_priciest_plans_globally(
-        self, tmp_path
-    ):
-        # matrices on two different shards; the expensive plan sits on
-        # the *higher* shard index, so index-order allocation would
-        # burn the limit on the cheap one first
-        probe = ShardedSpMMEngine(n_shards=2)
-        by_shard = {}
-        for seed in range(32):
-            A = make_csr(seed=seed)
-            by_shard.setdefault(probe.shard_index(fingerprint(A)), A)
-            if len(by_shard) == 2:
-                break
-        assert len(by_shard) == 2
-        store = PlanStore(tmp_path)
-        costs = {0: 0.001, 1: 100.0}  # shard 1 holds the expensive plan
-        for idx, A in by_shard.items():
-            p = repro.plan(A, feature_dim=16)
-            p.build_seconds = costs[idx]
-            assert store.put(fingerprint(A), p.device.name, p.config, p)
-        eng = ShardedSpMMEngine(n_shards=2, store=tmp_path)
+    def test_warm_start_limit_spends_on_priciest_plans(self, tmp_path):
+        mats = store_priced(tmp_path, {0: 0.001, 1: 100.0})
+        eng = SpMMEngine(store=tmp_path)
         assert eng.warm_start(limit=1) == 1
-        fp_pricey = fingerprint(by_shard[1])
-        assert eng.lookup(fp_pricey) is not None
-        assert eng.lookup(fingerprint(by_shard[0])) is None
+        assert eng.lookup(fingerprint(mats[1])) is not None
+        assert eng.lookup(fingerprint(mats[0])) is None
+
+    def test_warm_start_inserts_cheapest_first(self, tmp_path):
+        # the priciest plans end at the MRU end, so byte pressure during
+        # warm-up evicts what is cheapest to rebuild
+        store_priced(tmp_path, {0: 5.0, 1: 0.5, 2: 50.0})
+        eng = SpMMEngine(store=tmp_path)
+        assert eng.warm_start() == 3
+        with eng._lock:
+            order = [p.build_seconds for p in eng.cache.values()]
+        assert order == [0.5, 5.0, 50.0]  # LRU first
+
 
 # ----------------------------------------------------------------------
 # container version bump: v1 compat, error messages
@@ -856,32 +799,21 @@ class TestVersionCompat:
 
 
 # ----------------------------------------------------------------------
-# the process-wide default engine opt-in
+# the process-wide default engine
 # ----------------------------------------------------------------------
-class TestShardedDefault:
+class TestDefaultEngine:
     def teardown_method(self):
         reset_default_engine()
 
-    def test_install_sharded_default_routes_repro_spmm(self):
-        eng = install_sharded_default(n_shards=4)
-        assert default_engine() is eng
-        A = make_csr(seed=30)
-        B = make_b(A)
-        C = repro.spmm(A, B)
-        assert eng.stats["plans_built"] == 1
-        assert np.array_equal(C, SpMMEngine().spmm(A, B))
-        repro.spmm(A, B)
-        assert eng.stats["hits"] == 1
-
-    def test_set_default_engine_generic(self):
-        eng = ShardedSpMMEngine(n_shards=2)
-        set_default_engine(eng)
-        assert default_engine() is eng
-
     def test_reset_restores_standard_default(self):
-        install_sharded_default(n_shards=2)
+        eng = default_engine()
+        A = make_csr(seed=30)
+        repro.spmm(A, make_b(A))
+        assert eng.stats["plans_built"] == 1
         reset_default_engine()
-        assert isinstance(default_engine(), SpMMEngine)
+        fresh = default_engine()
+        assert isinstance(fresh, SpMMEngine) and fresh is not eng
+        assert fresh.stats["cached_plans"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ two halves of that bargain: nothing can change a matrix after
 construction (so the memo never goes stale), and inputs that are
 already immutable — bytes buffers, another matrix's arrays, views into
 the plan store's read-only file maps — are adopted without a copy.
+A ``COOMatrix`` follows the same rules, so ``coo_to_csr`` may convert it
+once and keep the CSR form (and, through it, the fingerprint) on it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.errors import ValidationError
 from repro.serve.fingerprint import fingerprint
 from repro.serve.store import PlanStore
 from repro.sparse.convert import coo_to_csr
+from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import scale_rows
 from repro.sparse.random import erdos_renyi
@@ -242,3 +245,76 @@ class TestFingerprintMemo:
         assert not any(t.is_alive() for t in threads)
         assert results == [want] * 8
         assert fingerprint(A) == want
+
+
+# ----------------------------------------------------------------------
+# the COO operand: read-only arrays, converted once
+# ----------------------------------------------------------------------
+def small_coo_arrays():
+    """Writable source arrays of a 3x4 COO with a duplicate (0, 3)."""
+    return (
+        np.array([0, 0, 1, 2, 0], dtype=np.int64),
+        np.array([3, 0, 1, 2, 3], dtype=np.int64),
+        np.array([1.0, -2.5, 0.5, 3.0, 4.25], dtype=np.float32),
+    )
+
+
+class TestCOOMatrix:
+    @pytest.mark.parametrize("name", ["rows", "cols", "vals"])
+    def test_in_place_write_raises(self, name):
+        A = COOMatrix(3, 4, *small_coo_arrays())
+        with pytest.raises(ValueError):
+            getattr(A, name)[0] = 0
+
+    def test_mutating_the_source_does_not_reach_the_matrix(self):
+        rows, cols, vals = small_coo_arrays()
+        A = COOMatrix(3, 4, rows, cols, vals)
+        vals[:] = 9.0
+        assert A.vals[0] == np.float32(1.0)
+
+    def test_read_only_inputs_are_adopted(self):
+        vals = np.frombuffer(small_coo_arrays()[2].tobytes(), dtype=np.float32)
+        A = COOMatrix(3, 4, *small_coo_arrays()[:2], vals)
+        assert A.vals is vals
+        assert COOMatrix(4, 3, A.cols, A.rows, A.vals).vals is vals
+
+    def test_csr_form_is_converted_once(self, digest_calls):
+        A = COOMatrix(3, 4, *small_coo_arrays())
+        csr = coo_to_csr(A)
+        assert csr.nnz == 4  # the duplicate (0, 3) was summed
+        fp = fingerprint(csr)
+        del digest_calls[:]
+        assert coo_to_csr(A) is csr
+        assert fingerprint(coo_to_csr(A)) == fp
+        assert digest_calls == []
+        # the unsummed form is a different matrix, never the stored one
+        assert coo_to_csr(A, sum_duplicates=False).nnz == 5
+        assert coo_to_csr(A) is csr
+
+    def test_steady_engine_multiply_hashes_nothing(self, digest_calls):
+        A = COOMatrix(3, 4, *small_coo_arrays())
+        B = np.ones((4, 2), dtype=np.float32)
+        engine = repro.SpMMEngine()
+        C = engine.spmm(A, B)
+        del digest_calls[:]
+        assert np.array_equal(engine.spmm(A, B), C)
+        assert digest_calls == []
+        assert engine.stats["hits"] == 1
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda m: pickle.loads(pickle.dumps(m, pickle.HIGHEST_PROTOCOL)),
+            copy.deepcopy,
+        ],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_are_read_only_and_start_without_the_csr_form(self, clone):
+        A = COOMatrix(3, 4, *small_coo_arrays())
+        csr = coo_to_csr(A)
+        C = clone(A)
+        assert C._csr is None
+        for name in ("rows", "cols", "vals"):
+            with pytest.raises(ValueError):
+                getattr(C, name)[0] = 0
+        assert fingerprint(coo_to_csr(C)) == fingerprint(csr)

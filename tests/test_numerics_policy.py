@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.errors import ValidationError
 from repro.kernels.tc_common import execute_tiled_reference
-from repro.serve.sharded import AsyncSpMMEngine, ShardedSpMMEngine
+from repro.serve.sharded import AsyncSpMMEngine
 from repro.sparse.convert import coo_to_csr, to_scipy
 from repro.sparse.random import erdos_renyi
 from repro.tune.policy import (
@@ -247,47 +247,54 @@ class TestEngineNumerics:
             repro.reset_default_engine()
 
 
-class TestShardedTenantNumerics:
+class TestTenantNumerics:
     def test_tenant_pin_and_precedence(self):
         csr = coo_to_csr(erdos_renyi(256, avg_degree=8.0, seed=22))
         B = make_b(csr, n=32, seed=23)
-        eng = ShardedSpMMEngine(n_shards=2)
-        eng.set_tenant_numerics("alice", "fast")
-        assert eng.tenant_numerics_for("alice").tier == "fast"
-        assert eng.tenant_numerics_for("bob") is None
 
-        C_alice = eng.spmm(csr, B, tenant="alice")
-        C_bob = eng.spmm(csr, B, tenant="bob")
-        p = eng.get_plan(csr, feature_dim=B.shape[1])
+        async def scenario():
+            async with AsyncSpMMEngine() as eng:
+                eng.set_tenant_numerics("alice", "fast")
+                assert eng.tenant_numerics_for("alice").tier == "fast"
+                assert eng.tenant_numerics_for("bob") is None
+                C_alice = await eng.multiply(csr, B, tenant="alice")
+                C_bob = await eng.multiply(csr, B, tenant="bob")
+                # request override beats the tenant pin
+                C_exact = await eng.multiply(
+                    csr, B, tenant="alice", numerics="exact"
+                )
+                p = eng.engine.get_plan(csr, feature_dim=B.shape[1])
+                return C_alice, C_bob, C_exact, p
+
+        C_alice, C_bob, C_exact, p = asyncio.run(scenario())
         ref = execute_tiled_reference(p.tc_plan, B)
         assert bits_equal(C_bob, ref)  # unpinned -> engine default
         assert p.executor_for("fast") is not None  # alice ran fast
-        # request override beats the tenant pin
-        C_exact = eng.spmm(csr, B, tenant="alice", numerics="exact")
         assert bits_equal(C_exact, ref)
         assert np.allclose(C_alice, C_exact, rtol=1e-2, atol=1e-2)
 
     def test_pin_clears_and_validates(self):
-        eng = ShardedSpMMEngine(n_shards=2)
-        with pytest.raises(ValidationError):
-            eng.set_tenant_numerics("alice", "bogus")
-        with pytest.raises(ValueError):
-            eng.set_tenant_numerics(None, "fast")
-        eng.set_tenant_numerics("alice", "tf32")
-        eng.set_tenant_numerics("alice", None)
-        assert eng.tenant_numerics_for("alice") is None
+        eng = AsyncSpMMEngine()
+        try:
+            with pytest.raises(ValidationError):
+                eng.set_tenant_numerics("alice", "bogus")
+            with pytest.raises(ValueError):
+                eng.set_tenant_numerics(None, "fast")
+            eng.set_tenant_numerics("alice", "tf32")
+            assert eng.resolve_numerics(tenant="alice").tier == "tf32"
+            eng.set_tenant_numerics("alice", None)
+            assert eng.tenant_numerics_for("alice") is None
+        finally:
+            eng.close()
 
-    def test_stats_show_pinned_tier(self):
-        eng = ShardedSpMMEngine(n_shards=2)
-        eng.set_tenant_numerics("alice", "fast")
-        assert eng.stats["tenants"]["alice"]["numerics"] == "fast"
-
-    def test_fleet_default_forwarded_to_shards(self):
-        eng = ShardedSpMMEngine(n_shards=2, numerics="tf32")
-        assert all(
-            sh.default_numerics.tier == "tf32" for sh in eng.shards
-        )
-        assert eng.default_numerics.tier == "tf32"
+    def test_engine_default_applies_to_unpinned_tenants(self):
+        eng = AsyncSpMMEngine(numerics="tf32")
+        try:
+            assert eng.engine.default_numerics.tier == "tf32"
+            assert eng.resolve_numerics(tenant="bob").tier == "tf32"
+            assert eng.resolve_numerics("exact", "bob").tier == "exact"
+        finally:
+            eng.close()
 
 
 class TestAsyncNumerics:
@@ -296,8 +303,8 @@ class TestAsyncNumerics:
         B = make_b(csr, n=32, seed=25)
 
         async def scenario():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
-                eng.engine.set_tenant_numerics("alice", "fast")
+            async with AsyncSpMMEngine() as eng:
+                eng.set_tenant_numerics("alice", "fast")
                 c_fast = await eng.multiply(csr, B, numerics="fast")
                 c_alice = await eng.multiply(csr, B, tenant="alice")
                 c_default = await eng.multiply(csr, B)

@@ -723,18 +723,16 @@ class TestOneMapPerPlan:
         not os.path.isdir("/proc/self/fd"),
         reason="counts descriptors in /proc/self/fd",
     )
-    def test_sharded_engine_frees_its_maps_without_the_collector(
-        self, tmp_path
-    ):
+    def test_engine_frees_its_maps_without_the_collector(self, tmp_path):
         k = 4
         store_plans(tmp_path, k)
-        engine = repro.ShardedSpMMEngine(n_shards=4, store=PlanStore(tmp_path))
+        engine = repro.SpMMEngine(store=PlanStore(tmp_path))
         assert engine.warm_start() == k
         assert 0 < descriptors_under(tmp_path) <= k
         gc.disable()
         try:
-            # a reference cycle between the router and its shards would
-            # hold every map open until the cycle collector ran
+            # a reference cycle through the engine (or a wrapper holding
+            # it) would hold every map open until the collector ran
             del engine
             assert descriptors_under(tmp_path, collect=False) == 0
         finally:

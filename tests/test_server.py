@@ -117,10 +117,9 @@ async def run_connection(server, *request_frames, writer=None, eof=True):
 
 
 def make_server(**kw) -> SpMMServer:
-    engine_kw = {"n_shards": kw.pop("n_shards", 2), "capacity": 8}
     config = kw.pop("config", None) or ServerConfig(**kw.pop("cfg", {}))
     return SpMMServer(
-        engine=AsyncSpMMEngine(**engine_kw), config=config, **kw
+        engine=AsyncSpMMEngine(capacity=8), config=config, **kw
     )
 
 
@@ -236,6 +235,28 @@ class TestDispatch:
         assert frames[0].meta["numerics"] == "tf32"
         assert frames[1].meta["numerics"] == "exact"
 
+    def test_tenant_pin_sets_the_served_tier(self):
+        # the pin lives on the async engine the server wraps; a
+        # request's own numerics still beats it
+        csr = make_csr(4)
+
+        async def main():
+            server = make_server()
+            server.engine.set_tenant_numerics("alice", "fast")
+            B = make_b(csr)
+            w = await run_connection(
+                server,
+                multiply_frame(csr, B, tenant="alice"),
+                multiply_frame(csr, B, tenant="bob"),
+                multiply_frame(csr, B, tenant="alice", numerics="exact"),
+            )
+            await server.engine.drain()
+            return w.frames()
+
+        frames = asyncio.run(main())
+        tiers = [f.meta["numerics"] for f in frames]
+        assert tiers == ["fast", "exact", "exact"]
+
     def test_metrics_payload_is_json_serialisable(self):
         async def main():
             server = make_server()
@@ -249,7 +270,7 @@ class TestDispatch:
         m = asyncio.run(main())
         json.dumps(m)  # must never raise
         assert m["server"]["requests_total"] == 1
-        assert m["engine"]["async"]["requests"] >= 1
+        assert m["engine"]["requests"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -743,7 +764,7 @@ class TestEngineDrain:
         csr = make_csr(21)
 
         async def main():
-            engine = AsyncSpMMEngine(n_shards=2, capacity=8)
+            engine = AsyncSpMMEngine(capacity=8)
             B = make_b(csr)
             started = asyncio.Event()
 
@@ -776,7 +797,7 @@ class TestEngineDrain:
 
     def test_drain_is_idempotent_and_instant_when_idle(self):
         async def main():
-            engine = AsyncSpMMEngine(n_shards=1)
+            engine = AsyncSpMMEngine()
             await asyncio.wait_for(engine.drain(), timeout=5)
             await asyncio.wait_for(engine.drain(), timeout=5)
             return engine
@@ -785,7 +806,7 @@ class TestEngineDrain:
         assert engine._pool._shutdown
 
     def test_close_rejects_new_submissions(self):
-        engine = AsyncSpMMEngine(n_shards=1)
+        engine = AsyncSpMMEngine()
         engine.close()
 
         async def main():

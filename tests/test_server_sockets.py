@@ -58,7 +58,7 @@ def live_server(engine_kw=None, **cfg_kw):
 
     async def serve():
         server = SpMMServer(
-            engine=AsyncSpMMEngine(**(engine_kw or {"n_shards": 2})),
+            engine=AsyncSpMMEngine(**(engine_kw or {})),
             config=ServerConfig(**cfg_kw),
         )
         box["server"] = server
@@ -212,7 +212,7 @@ def _spawn_worker(store: Path, *extra: str) -> tuple[subprocess.Popen, int]:
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.serve.server",
-            "--store", str(store), "--shards", "2", "--port", "0",
+            "--store", str(store), "--port", "0",
             *extra,
         ],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
@@ -296,6 +296,17 @@ class TestServerCLI:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--help"])
         assert exc.value.code == 0
+
+    def test_shards_accepts_only_one(self, capsys):
+        # one engine serves every request: --shards stays for launch
+        # scripts that pass 1, and anything else is refused
+        from repro.serve.server import build_parser
+
+        assert build_parser().parse_args(["--shards", "1"]).shards == 1
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--shards", "2"])
+        assert exc.value.code != 0
+        assert "--shards" in capsys.readouterr().err
 
     def test_metrics_snapshot_is_json(self):
         with live_server() as box:

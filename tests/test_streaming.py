@@ -16,10 +16,10 @@ Three families of behaviour, matching ``docs/STREAMING.md``:
   serves it bit-for-bit without building; an ``accdelta`` link left by
   an older store is quarantined once;
 * **serving** — ``apply_delta`` on the engines derives/caches/persists
-  patched plans, the sharded router places each derived plan on the
-  shard its own fingerprint hashes to (also after a warm start), and
-  the server's ``delta`` endpoint patches plans over the wire with
-  results identical to shipping the edited matrix whole.
+  patched plans, each derived plan is a cache hit under its own
+  fingerprint (also after a warm start), and the server's ``delta``
+  endpoint patches plans over the wire with results identical to
+  shipping the edited matrix whole.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.serve.cache import CacheStats, PlanCache
 from repro.serve.engine import SpMMEngine
 from repro.serve.fingerprint import config_fingerprint, fingerprint
 from repro.serve.server import ServerConfig, SpMMClient, SpMMServer
-from repro.serve.sharded import AsyncSpMMEngine, ShardedSpMMEngine
+from repro.serve.sharded import AsyncSpMMEngine
 from repro.serve.store import PlanStore
 from repro.sparse.delta import GraphDelta
 
@@ -266,13 +266,6 @@ class TestEngineDelta:
         assert eng.stats["misses"] == misses_before  # no rebuild
         assert bits_equal(C, new_plan.multiply(B))
 
-    def test_a_shard_outliving_its_router_keeps_its_derived_plans(self):
-        shard = ShardedSpMMEngine(n_shards=2).shards[0]  # router freed
-        csr = random_csr(32, 32, seed=18)
-        shard.spmm(csr, make_b(csr, n=8))
-        new_fp, _ = shard.apply_delta(fingerprint(csr), added=[(0, 0, 1.0)])
-        assert shard.lookup(new_fp) is not None
-
     def test_chain_restored_by_a_fresh_engine(self, tmp_path):
         store_root = tmp_path / "store"
         eng = SpMMEngine(store=PlanStore(root=store_root))
@@ -289,15 +282,10 @@ class TestEngineDelta:
         assert bits_equal(p3.multiply(B), want.multiply(B))
 
 
-class TestShardedLineage:
-    """One rule places every plan: on the shard its own structure
-    hashes to, delta-derived plans included, in the process that applied
-    the delta and after a fresh fleet's warm start."""
-
-    N_SHARDS = 4
-
-    def hashed(self, fp):
-        return int(fp.structure[:8], 16) % self.N_SHARDS
+class TestDeltaLineage:
+    """Every link of a delta chain is a cache hit under its own
+    fingerprint, in the process that applied the deltas and after a
+    fresh engine's warm start."""
 
     def delta_chain(self, eng, csr, B, edits):
         """Serve ``csr``, then apply ``edits`` one delta at a time;
@@ -306,49 +294,42 @@ class TestShardedLineage:
         chain = [(fingerprint(csr), None)]
         for added in edits:
             chain.append(eng.apply_delta(chain[-1][0], added=[added]))
-        # the edits move the structure hash off the base's shard, so
-        # placement by lineage and placement by hash disagree here
-        assert any(
-            self.hashed(fp) != self.hashed(chain[0][0]) for fp, _ in chain[1:]
-        )
         return chain[1:]
 
-    def assert_hit_on_hash_shard(self, eng, fp, plan_obj, B):
-        shard = eng.shards[self.hashed(fp)]
-        assert eng.shard_index(fp) == self.hashed(fp)
-        assert shard.lookup(fp) is not None
-        hits, misses = shard.stats["hits"], shard.stats["misses"]
+    def assert_hit(self, eng, fp, plan_obj, B):
+        assert eng.lookup(fp) is not None
+        hits, misses = eng.stats["hits"], eng.stats["misses"]
         C = eng.spmm(plan_obj.csr, B)
-        assert (shard.stats["hits"], shard.stats["misses"]) == (hits + 1, misses)
+        assert (eng.stats["hits"], eng.stats["misses"]) == (hits + 1, misses)
         assert bits_equal(C, plan_obj.multiply(B))
 
-    def test_derived_plans_sit_on_their_own_hash_shard(self):
-        eng = ShardedSpMMEngine(n_shards=self.N_SHARDS)
+    def test_derived_plans_are_cache_hits(self):
+        eng = SpMMEngine()
         csr = random_csr(48, 48, seed=11)
         B = make_b(csr, n=16)
         edits = [(step, step, 1.0 + step) for step in range(3)]
         for fp, plan_obj in self.delta_chain(eng, csr, B, edits):
-            self.assert_hit_on_hash_shard(eng, fp, plan_obj, B)
+            self.assert_hit(eng, fp, plan_obj, B)
         assert eng.stats["delta_patches"] == 3
         assert eng.stats["plans_built"] == 1
 
-    def test_warm_start_places_chain_links_by_their_own_hash(self, tmp_path):
+    def test_warm_start_restores_chain_links_as_hits(self, tmp_path):
         store_root = tmp_path / "store"
-        eng = ShardedSpMMEngine(n_shards=self.N_SHARDS, store=store_root)
+        eng = SpMMEngine(store=store_root)
         csr = random_csr(48, 48, seed=13)
         B = make_b(csr, n=16)
         edits = [(7, 7, 0.5), (9, 1, 0.25), (30, 2, 1.5)]
         chain = self.delta_chain(eng, csr, B, edits)
-        # a fresh engine fleet warm-starts the whole chain from disk
-        eng2 = ShardedSpMMEngine(n_shards=self.N_SHARDS, store=store_root)
+        # a fresh engine warm-starts the whole chain from disk
+        eng2 = SpMMEngine(store=store_root)
         assert eng2.warm_start() == 1 + len(edits)
         for fp, plan_obj in chain:
-            self.assert_hit_on_hash_shard(eng2, fp, plan_obj, B)
+            self.assert_hit(eng2, fp, plan_obj, B)
         assert eng2.stats["plans_built"] == 0
 
     def test_async_facade_applies_deltas(self):
         async def run():
-            async with AsyncSpMMEngine(n_shards=2) as eng:
+            async with AsyncSpMMEngine() as eng:
                 csr = random_csr(32, 32, seed=14)
                 B = make_b(csr, n=8)
                 await eng.multiply(csr, B)
@@ -373,7 +354,7 @@ def live_server(**cfg_kw):
 
     async def serve():
         server = SpMMServer(
-            engine=AsyncSpMMEngine(n_shards=2),
+            engine=AsyncSpMMEngine(),
             config=ServerConfig(**cfg_kw),
         )
         box["server"] = server

@@ -24,7 +24,7 @@ before this check):
 5. every public class/function/attribute named in the serving docs
    (``docs/SERVING.md``, ``docs/CONCURRENCY.md``) actually resolves via
    import — inline-code tokens such as ``repro.serve.store.PlanStore``
-   or ``ShardedSpMMEngine.warm_start`` are resolved module-by-module and
+   or ``SpMMEngine.warm_start`` are resolved module-by-module and
    attribute-by-attribute, catching the API drift the link checker
    cannot see.  Without numpy the check is skipped with a notice.
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.sparse.convert import coo_to_csr, csr_to_coo
+from repro.sparse.convert import permute_csr
 from repro.sparse.csr import CSRMatrix
 
 
@@ -85,11 +85,8 @@ class ReorderResult:
 
     def apply(self, csr: CSRMatrix) -> CSRMatrix:
         """Relabel the matrix: new A[rank[i], crank[j]] = old A[i, j]."""
-        coo = csr_to_coo(csr)
         col_rank = self.col_perm.rank if self.col_perm is not None else None
-        return coo_to_csr(
-            coo.permuted(row_perm=self.row_perm.rank, col_perm=col_rank)
-        )
+        return permute_csr(csr, self.row_perm.rank, col_rank)
 
 
 def apply_symmetric(csr: CSRMatrix, perm: Permutation) -> CSRMatrix:
@@ -104,5 +101,4 @@ def apply_symmetric(csr: CSRMatrix, perm: Permutation) -> CSRMatrix:
     column ids stored in SparseAToB, so the result C only needs its row
     order restored.
     """
-    coo = csr_to_coo(csr)
-    return coo_to_csr(coo.permuted(row_perm=perm.rank, col_perm=perm.rank))
+    return permute_csr(csr, perm.rank, perm.rank)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import COOMatrix, _check_perm, row_major
 from repro.sparse.csr import CSRMatrix
 
 
@@ -20,20 +20,40 @@ def coo_to_csr(coo: COOMatrix, sum_duplicates: bool = True) -> CSRMatrix:
     stored on it — without converting again.  Threads racing on a first
     call each store an equal matrix, so the memo needs no lock.
     """
-    if sum_duplicates and coo._csr is not None:
-        return coo._csr
-    c = coo.canonical() if sum_duplicates else coo
+    entries = (coo.n_rows, coo.n_cols, coo.rows, coo.cols, coo.vals)
     if not sum_duplicates:
-        key = c.rows * c.n_cols + c.cols
-        order = np.argsort(key, kind="stable")
-        c = COOMatrix(c.n_rows, c.n_cols, c.rows[order], c.cols[order], c.vals[order])
-    counts = np.bincount(c.rows, minlength=c.n_rows)
-    indptr = np.zeros(c.n_rows + 1, dtype=np.int64)
+        return _entries_to_csr(*entries, sum_duplicates=False)
+    if coo._csr is None:
+        object.__setattr__(coo, "_csr", _entries_to_csr(*entries))
+    return coo._csr
+
+
+def permute_csr(
+    csr: CSRMatrix, row_rank: np.ndarray, col_rank: np.ndarray | None = None
+) -> CSRMatrix:
+    """Relabel ``csr``: entry ``(i, j)`` moves to ``(row_rank[i],
+    col_rank[j])`` (``col_rank=None`` keeps the columns).  The result is
+    what :func:`coo_to_csr` of the relabelled COO gives, built without
+    the intermediate COO matrices."""
+    rows = np.repeat(np.arange(csr.n_rows, dtype=np.int64), csr.row_lengths())
+    rows = _check_perm(row_rank, csr.n_rows, "row_perm")[rows]
+    cols = csr.indices
+    if col_rank is not None:
+        cols = _check_perm(col_rank, csr.n_cols, "col_perm")[cols]
+    return _entries_to_csr(csr.n_rows, csr.n_cols, rows, cols, csr.vals)
+
+
+def _entries_to_csr(
+    n_rows, n_cols, rows, cols, vals, sum_duplicates: bool = True
+) -> CSRMatrix:
+    """The CSR matrix of the entries ``(rows[k], cols[k], vals[k])``
+    (see :func:`~repro.sparse.coo.row_major`)."""
+    if rows.size:
+        rows, cols, vals = row_major(n_cols, rows, cols, vals, sum_duplicates)
+    counts = np.bincount(rows, minlength=n_rows)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    csr = CSRMatrix(c.n_rows, c.n_cols, indptr, c.cols, c.vals)
-    if sum_duplicates:
-        object.__setattr__(coo, "_csr", csr)
-    return csr
+    return CSRMatrix(n_rows, n_cols, indptr, cols, vals)
 
 
 def csr_to_coo(csr: CSRMatrix) -> COOMatrix:

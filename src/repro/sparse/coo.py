@@ -90,18 +90,10 @@ class COOMatrix:
         """Return a duplicate-summed, row-major-sorted copy of this matrix."""
         if self.nnz == 0:
             return self
-        key = self.rows * self.n_cols + self.cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        vals = self.vals[order]
-        uniq_key, start = np.unique(key, return_index=True)
-        summed = np.add.reduceat(vals, start).astype(np.float32)
         return COOMatrix(
             self.n_rows,
             self.n_cols,
-            (uniq_key // self.n_cols).astype(np.int64),
-            (uniq_key % self.n_cols).astype(np.int64),
-            summed,
+            *row_major(self.n_cols, self.rows, self.cols, self.vals),
         )
 
     def transpose(self) -> "COOMatrix":
@@ -156,6 +148,19 @@ class COOMatrix:
             f"COOMatrix(shape={self.shape}, nnz={self.nnz}, "
             f"density={density:.2e})"
         )
+
+
+def row_major(n_cols: int, rows, cols, vals, sum_duplicates: bool = True):
+    """The entries ``(rows[k], cols[k], vals[k])`` as three arrays sorted
+    row-major (a stable sort), with duplicate coordinates summed unless
+    ``sum_duplicates`` is False.  ``rows`` must not be empty."""
+    key = rows * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    if not sum_duplicates:
+        return rows[order], cols[order], vals[order]
+    uniq_key, start = np.unique(key[order], return_index=True)
+    summed = np.add.reduceat(vals[order], start).astype(np.float32)
+    return uniq_key // n_cols, uniq_key % n_cols, summed
 
 
 def _check_perm(perm: np.ndarray, n: int, name: str) -> np.ndarray:

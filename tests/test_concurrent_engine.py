@@ -56,10 +56,6 @@ def make_b(csr, n=32, seed=9):
     return r.uniform(-1.0, 1.0, size=(csr.n_cols, n)).astype(np.float32)
 
 
-def with_values(csr: CSRMatrix, vals: np.ndarray) -> CSRMatrix:
-    return CSRMatrix(csr.n_rows, csr.n_cols, csr.indptr, csr.indices, vals)
-
-
 def patched_version(data: bytes, version: int) -> bytes:
     """A container blob with its fixed-head version field rewritten."""
     out = bytearray(data)

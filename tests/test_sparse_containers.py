@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormatError, ValidationError
-from repro.sparse.convert import coo_to_csr, csr_to_coo, from_scipy, to_scipy
+from repro.sparse.convert import (
+    coo_to_csr,
+    csr_to_coo,
+    from_scipy,
+    permute_csr,
+    to_scipy,
+)
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -147,6 +153,28 @@ class TestConversions:
         summed = coo_to_csr(coo)
         assert summed.nnz == 1
         assert summed.vals[0] == 3.0
+
+    @pytest.mark.parametrize("relabel_cols", [False, True])
+    def test_permute_csr_matches_the_coo_route(self, relabel_cols):
+        rng = np.random.default_rng(3)
+        # row 1 holds a duplicate (1, 2): both routes must sum it
+        csr = CSRMatrix(
+            4, 5, [0, 2, 5, 5, 7], [0, 4, 2, 2, 1, 3, 0],
+            rng.uniform(-1, 1, 7).astype(np.float32),
+        )
+        r, c = rng.permutation(4), rng.permutation(5)
+        c = c if relabel_cols else None
+        got = permute_csr(csr, r, c)
+        want = coo_to_csr(csr_to_coo(csr).permuted(row_perm=r, col_perm=c))
+        for name in ("indptr", "indices", "vals"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        # new A[r[i], c[j]] = old A[i, j], duplicates summed
+        cols = csr.indices if c is None else c[csr.indices]
+        dense = np.zeros((4, 5), dtype=np.float32)
+        np.add.at(dense, (r[csr_to_coo(csr).rows], cols), csr.vals)
+        np.testing.assert_array_equal(got.to_dense(), dense)
+        with pytest.raises(ValidationError):
+            permute_csr(csr, r[:3], c)
 
     @given(
         n=st.integers(min_value=1, max_value=24),

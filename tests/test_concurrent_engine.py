@@ -102,6 +102,31 @@ def run_stress(eng, matrices, n_threads=16):
     assert not failures
 
 
+def run_held_miss(eng, A, B, n_threads=16):
+    """``n_threads`` threads miss on ``A`` at once and the one build is
+    held until every other thread waits on it; returns each thread's C.
+
+    ``run_stress`` lets late arrivals be plain hits; here all
+    ``n_threads - 1`` followers take the single-flight wait.
+    """
+
+    def held_build(*args, **kwargs):
+        assert wait_until(
+            lambda: eng.stats["coalesced_waits"] == n_threads - 1
+        )
+        return build_plan(*args, **kwargs)
+
+    barrier = threading.Barrier(n_threads)
+
+    def worker(_):
+        barrier.wait(60)
+        return eng.spmm(A, B)
+
+    with mock.patch("repro.serve.engine.build_plan", side_effect=held_build):
+        with ThreadPoolExecutor(n_threads) as pool:
+            return list(pool.map(worker, range(n_threads)))
+
+
 class TestConcurrentAccess:
     N_THREADS = 16
 
@@ -121,6 +146,19 @@ class TestConcurrentAccess:
         matrices = [make_csr(seed=s) for s in range(4)]
         self._stress(eng, matrices)
         assert eng.stats["plans_built"] == len(matrices)
+
+    def test_held_build_coalesces_every_threaded_miss(self):
+        A = make_csr(seed=8)
+        B = make_b(A)
+        ref = SpMMEngine().spmm(A, B)
+        eng = SpMMEngine()
+        outs = run_held_miss(eng, A, B, self.N_THREADS)
+        assert all(np.array_equal(C, ref) for C in outs)
+        s = eng.stats
+        assert s["plans_built"] == 1
+        assert s["coalesced_waits"] == self.N_THREADS - 1
+        assert s["hits"] == 0  # a waiter takes the owner's plan, no probe
+        assert s["requests"] == self.N_THREADS
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +192,15 @@ class TestSanitizedStress:
         run_stress(eng, [make_csr(seed=s) for s in range(3)], self.N_THREADS)
         _ = eng.stats  # the historically-racy snapshot path
         assert eng.stats["plans_built"] == 3
+        assert sanitizer.violations() == []
+
+    def test_coalesced_waits_are_violation_free(self, sanitizer):
+        # every follower blocks on the owner's future: the single-flight
+        # handoff runs N-1 times under the audit
+        eng = SpMMEngine()
+        A = make_csr(seed=31)
+        run_held_miss(eng, A, make_b(A), self.N_THREADS)
+        assert eng.stats["coalesced_waits"] == self.N_THREADS - 1
         assert sanitizer.violations() == []
 
     def test_store_backed_stress_is_violation_free(self, sanitizer, tmp_path):

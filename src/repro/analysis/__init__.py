@@ -23,7 +23,8 @@ REP102    static lock order: nested ``with <lock>`` acquisitions form a
           DAG — cycles (and same-class nesting) are deadlocks waiting
 REP201    determinism: no wall clocks, unseeded RNG, ``id()``/``hash()``
           in plan-construction / fingerprint / serialisation paths
-REP301    serialisation hygiene: ``repro.serve.serial`` never reaches
+REP301    serialisation hygiene: ``repro.serve.container``,
+          ``repro.serve.serial`` and ``repro.serve.frames`` never reach
           ``pickle``/``marshal``/``eval``/``exec``/``np.load``
 REP401    dtype discipline: no bare ``np.zeros``/``np.array``/... in
           ``kernels/`` and ``formats/`` (the fp32/TF32 bit-for-bit

@@ -36,6 +36,7 @@ from repro.analysis.core import (
 DETERMINISTIC_PATHS = (
     "repro/core/planner.py",
     "repro/formats/",
+    "repro/serve/container.py",
     "repro/serve/fingerprint.py",
     "repro/serve/serial.py",
 )

@@ -1,5 +1,7 @@
-"""REP301 — serialisation hygiene for ``repro.serve.serial`` and the
-wire-frame codec ``repro.serve.frames``.
+"""REP301 — serialisation hygiene for the byte-decoding modules:
+``repro.serve.container`` (the layout shared by plan files and wire
+frames), ``repro.serve.serial`` (plan files) and ``repro.serve.frames``
+(wire frames).
 
 The container and frame formats' security stance (stated in the module
 docstrings, ``docs/SERVING.md``, and ``docs/SERVER.md``) is that
@@ -12,9 +14,9 @@ import or call anything that can deserialise into code execution —
 (whose ``.npy`` path can embed pickles).
 
 The dtype side of the contract — only whitelisted numeric dtypes enter
-a container — is enforced at runtime by ``pack_container`` /
-``_normalised_table`` (``_ALLOWED_DTYPE_KINDS``); this checker verifies
-the import surface that could route around it.
+a container — is enforced at runtime by ``repro.serve.container``'s
+``pack`` and ``check_table`` (``ALLOWED_DTYPE_KINDS``); this checker
+verifies the import surface that could route around it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ from repro.analysis.core import (
     register,
 )
 
-SERIAL_PATHS = ("repro/serve/serial.py", "repro/serve/frames.py")
+SERIAL_PATHS = (
+    "repro/serve/container.py",
+    "repro/serve/serial.py",
+    "repro/serve/frames.py",
+)
 
 BANNED_MODULES = {"pickle", "cPickle", "marshal", "shelve", "dill", "joblib"}
 BANNED_BUILTINS = {"eval", "exec", "compile", "__import__"}

@@ -547,11 +547,12 @@ class TCExecPlan:
         executor: gather positions, pad slots, the output permutation,
         and (when kept) the flat scatter indices.
 
-        This is what :meth:`to_bytes` and the plan persistence layer
-        serialise; the value-dependent half (rounded values, materialised
-        tiles) is always recomputed from ``vals_packed`` on restore —
-        it is a cheap scatter, and baking values into the structural
-        artifact would break value-refresh sharing.
+        This is what the plan persistence layer serialises and
+        ``TCExecPlan(plan, structural=...)`` adopts; the value-dependent
+        half (rounded values, materialised tiles) is always recomputed
+        from ``vals_packed`` on restore — it is a cheap scatter, and
+        baking values into the structural artifact would break
+        value-refresh sharing.
         """
         meta = {
             "numerics": self.numerics.tier,
@@ -564,31 +565,6 @@ class TCExecPlan:
             "scatter_flat": self.scatter_flat,  # None when tiles resident
         }
         return meta, arrays
-
-    def to_bytes(self) -> bytes:
-        """Serialise the structural half (see :meth:`structural_payload`)."""
-        from repro.serve.serial import pack_container
-
-        meta, arrays = self.structural_payload()
-        return pack_container("tcexec", meta, arrays)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, plan) -> "TCExecPlan":
-        """Executor for ``plan`` reusing serialised structural state.
-
-        The plan supplies values and tiling; ``data`` (produced by
-        :meth:`to_bytes`) supplies the precomputed geometry.  Mismatched
-        or corrupt state is silently recomputed instead."""
-        from repro.serve.serial import unpack_container
-
-        header, arrays = unpack_container(data)
-        if header.get("kind") != "tcexec":
-            from repro.errors import StoreError
-
-            raise StoreError(
-                f"expected a tcexec container, got {header.get('kind')!r}"
-            )
-        return cls(plan, structural=(header["meta"], arrays))
 
     # ------------------------------------------------------------------
     # compilation

@@ -36,6 +36,7 @@ from repro.core.planner import AccPlan, plan as build_plan
 from repro.errors import ValidationError
 from repro.gpusim.specs import DeviceSpec, get_device
 from repro.serve.cache import PlanCache
+from repro.serve.container import is_int
 from repro.serve.fingerprint import fingerprint
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
@@ -423,12 +424,17 @@ class SpMMEngine:
         during warm-up, it discards what is cheapest to rebuild.  The
         hit/miss counters are untouched: warm-start is provisioning,
         not traffic.  Returns the number of plans inserted; 0 when no
-        store is attached.
+        store is attached.  ``limit`` is ``None`` or an int >= 0
+        (anything else raises :class:`~repro.errors.ValidationError`).
 
         After ``warm_start()``, requests for stored content are pure
         cache hits: no planning, no store I/O (verifiable via
         ``stats["plans_built"] == 0``).
         """
+        if limit is not None and (not is_int(limit) or limit < 0):
+            raise ValidationError(
+                f"warm_start limit must be None or an int >= 0; got {limit!r}"
+            )
         if self.store is None:
             return 0
         entries = sorted(

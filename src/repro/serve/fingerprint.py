@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import re
 from dataclasses import asdict, dataclass
 
 from repro.errors import ValidationError
+from repro.serve.container import is_int
 from repro.sparse.csr import CSRMatrix
 
 #: a digest field of a fingerprint record: blake2b-128 as lowercase hex
@@ -73,25 +73,24 @@ class MatrixFingerprint:
     def from_record(cls, obj) -> "MatrixFingerprint":
         """Inverse of :meth:`record`; raises
         :class:`~repro.errors.ValidationError` unless ``obj`` is a dict
-        with integer ``n_rows``/``n_cols``/``nnz`` and both digests as
-        32 lowercase hex characters."""
+        with ``n_rows``/``n_cols``/``nnz`` ints that are not bools and
+        both digests as 32 lowercase hex characters."""
         if not isinstance(obj, dict):
             raise ValidationError(
                 "a fingerprint record is a dict of "
                 "structure/values/n_rows/n_cols/nnz"
             )
         try:
-            fp = cls(
-                n_rows=operator.index(obj["n_rows"]),
-                n_cols=operator.index(obj["n_cols"]),
-                nnz=operator.index(obj["nnz"]),
-                structure=obj["structure"],
-                values=obj["values"],
-            )
-        except (KeyError, TypeError) as exc:
+            sizes = [obj[k] for k in ("n_rows", "n_cols", "nnz")]
+            fp = cls(*sizes, structure=obj["structure"], values=obj["values"])
+        except KeyError as exc:
             raise ValidationError(
                 f"malformed fingerprint record: {exc!r}"
             ) from exc
+        if not all(is_int(n) for n in sizes):
+            raise ValidationError(
+                f"fingerprint record sizes {sizes!r} are not all ints"
+            )
         for digest in (fp.structure, fp.values):
             if not isinstance(digest, str) or not _DIGEST_RE.fullmatch(digest):
                 raise ValidationError(

@@ -1,53 +1,41 @@
 """Length-prefixed binary frames — the wire format of the SpMM server.
 
 A *frame* is the unit of the request/response protocol spoken by
-:mod:`repro.serve.server`: one fixed-size head, one JSON header, one raw
-array payload section.  It deliberately mirrors the on-disk container of
-:mod:`repro.serve.serial` — the same security stance (a JSON header plus
-raw whitelisted-dtype arrays; decoding untrusted bytes can *fail* but
-never *execute code* — no pickle, no ``np.load``), the same array-table
-shape — shrunk to what a wire protocol needs: an outer length prefix so
-a reader knows exactly how many bytes to consume before parsing
-anything, and hard caps on header and body sizes so a hostile or
-corrupt length field is rejected *before* any allocation.
+:mod:`repro.serve.server`: a fixed head, then the JSON header and array
+data of a :mod:`repro.serve.container` (the layout, the array table and
+its checks are described there once).  What is the wire's own is the
+head — an outer length prefix, so a reader knows exactly how many bytes
+to consume before parsing anything — and hard caps on header and body
+sizes, so a hostile or corrupt length field is rejected *before* any
+allocation.
 
-Frame layout (little-endian throughout)::
+Head layout (little-endian)::
 
     offset 0   magic           8 bytes   b"ACCFRME\\0"
     offset 8   frame version   u32       FRAME_FORMAT_VERSION
     offset 12  header length   u64       JSON byte count
-    offset 20  body length     u64       array payload byte count
-    offset 28  header JSON     utf-8     kind, meta, array table
-    ...        array payloads  raw       C-order bytes, 8-byte aligned
+    offset 20  body length     u64       array data byte count
+    offset 28  header JSON, then the array data (the body)
 
-The header's array table records ``(name, dtype, shape, offset,
-nbytes)`` with offsets relative to the body section, exactly as in
-:mod:`repro.serve.serial`; dtypes are restricted to the same plain
-numeric kinds (bool/int/uint/float — never objects, strings, records or
-datetimes), enforced at **both** encode and decode time.  Every decode
-failure raises :class:`~repro.errors.ProtocolError`; a frame can be
-judged malformed from at most ``MAX_HEADER_BYTES`` bytes, so a decoder
-never hangs on or allocates for garbage input.
+Every decode failure raises :class:`~repro.errors.ProtocolError`; a
+frame can be judged malformed from at most ``MAX_HEADER_BYTES`` bytes,
+so a decoder never hangs on or allocates for garbage input.
 
 Readers come in three shapes, all sharing one validation path:
 :func:`decode_frame` for a complete in-memory buffer,
 :func:`read_frame` for an asyncio stream (the server; honours a
 timeout), and :func:`read_frame_from` for a blocking file-like object
-(the synchronous client).  REP301 — the no-pickle/no-exec static check
-that guards ``serial.py`` — covers this module too.
+(the synchronous client).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import math
 import struct
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ProtocolError
+from repro.serve import container
 
 #: Bump on any change to the frame layout or header schema.  A decoder
 #: rejects versions it does not speak, naming found and expected — wire
@@ -57,7 +45,6 @@ FRAME_FORMAT_VERSION = 1
 
 MAGIC = b"ACCFRME\x00"
 _HEAD = struct.Struct("<8sIQQ")  # magic, version, header len, body len
-_ALIGN = 8
 
 #: Hard cap on the JSON header.  Request metadata is a few hundred
 #: bytes; a megabyte of "header" is an attack or corruption, and is
@@ -70,11 +57,6 @@ MAX_HEADER_BYTES = 1 << 20
 #: fixed head alone, before any payload allocation.
 DEFAULT_MAX_BODY_BYTES = 256 << 20
 
-#: Same dtype-kind whitelist as the plan container
-#: (``repro.serve.serial._ALLOWED_DTYPE_KINDS``): the wire carries only
-#: plain numeric arrays.
-_ALLOWED_DTYPE_KINDS = frozenset("biuf")
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -82,10 +64,8 @@ class Frame:
 
     ``kind`` names the endpoint (``"multiply"``, ``"stats"``, ...) or
     response type (``"result"``, ``"error"``); ``meta`` is the JSON
-    header's free-form metadata; ``arrays`` maps name -> ndarray decoded
-    from the payload section.  Arrays decoded from a stream view the
-    receive buffer directly (zero-copy); the frame never aliases shared
-    server state.
+    header's free-form metadata; ``arrays`` maps name -> ndarray, views
+    into the receive buffer (never into shared server state).
     """
 
     kind: str
@@ -96,53 +76,22 @@ class Frame:
 # ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
-def _aligned(n: int) -> int:
-    return (n + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
 def encode_frame(kind: str, meta: dict | None = None,
-                 arrays: dict | None = None) -> bytes:
-    """Assemble one frame; the inverse of :func:`decode_frame`.
+                 arrays: dict | None = None) -> bytearray:
+    """Assemble one frame in one buffer; the inverse of
+    :func:`decode_frame`.
 
     ``arrays`` maps name -> ndarray (``None`` values are skipped);
     every dtype must be a plain numeric kind.  ``meta`` must be
     JSON-serialisable.
     """
-    table = []
-    payloads = []
-    offset = 0
-    for name, arr in (arrays or {}).items():
-        if arr is None:
-            continue
-        shape = np.shape(arr)
-        # ascontiguousarray promotes 0-d to 1-d; the table keeps the
-        # caller's shape (byte count is identical)
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype.kind not in _ALLOWED_DTYPE_KINDS:
-            raise ProtocolError(
-                f"array {name!r} has dtype {arr.dtype.str!r}; frames carry "
-                f"only plain numeric dtypes (kinds "
-                f"{''.join(sorted(_ALLOWED_DTYPE_KINDS))})"
-            )
-        offset = _aligned(offset)
-        table.append({
-            "name": str(name),
-            "dtype": arr.dtype.str,
-            "shape": list(shape),
-            "offset": offset,
-            "nbytes": int(arr.nbytes),
-        })
-        payloads.append((offset, arr))
-        offset += arr.nbytes
-    header = json.dumps(
-        {"kind": str(kind), "meta": meta or {}, "arrays": table},
-        separators=(",", ":"),
-    ).encode()
-    body = bytearray(offset)
-    for off, arr in payloads:
-        body[off:off + arr.nbytes] = arr.tobytes()
-    head = _HEAD.pack(MAGIC, FRAME_FORMAT_VERSION, len(header), len(body))
-    return b"".join((head, header, bytes(body)))
+    return container.pack(
+        kind, meta or {}, arrays or {},
+        lambda header_len, body_len: _HEAD.pack(
+            MAGIC, FRAME_FORMAT_VERSION, header_len, body_len
+        ),
+        ProtocolError,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -178,83 +127,18 @@ def _check_head(
 
 
 def _decode_header(header_bytes: bytes, body_len: int) -> tuple[str, dict, list]:
-    """Parse and validate the JSON header; return (kind, meta, table)."""
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"frame header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ProtocolError("frame header must be a JSON object")
-    kind = header.get("kind")
-    meta = header.get("meta", {})
-    table = header.get("arrays", [])
-    if not isinstance(kind, str) or not kind:
-        raise ProtocolError("frame header lacks a string `kind`")
-    if not isinstance(meta, dict):
-        raise ProtocolError("frame `meta` must be a JSON object")
-    if not isinstance(table, list):
-        raise ProtocolError("frame `arrays` must be a list")
-    seen: set[str] = set()
-    for entry in table:
-        if not isinstance(entry, dict):
-            raise ProtocolError("array-table entry must be an object")
-        name = entry.get("name")
-        if not isinstance(name, str) or name in seen:
-            raise ProtocolError(f"array-table entry has a bad or duplicate name: {name!r}")
-        seen.add(name)
-        shape = entry.get("shape")
-        if not isinstance(shape, list) or not all(
-            isinstance(d, int) and not isinstance(d, bool) and d >= 0
-            for d in shape
-        ):
-            raise ProtocolError(f"array {name!r} has a bad shape: {shape!r}")
-        offset, nbytes = entry.get("offset"), entry.get("nbytes")
-        if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
-            raise ProtocolError(f"array {name!r} has a bad offset: {offset!r}")
-        if not isinstance(nbytes, int) or isinstance(nbytes, bool) or nbytes < 0:
-            raise ProtocolError(f"array {name!r} has a bad nbytes: {nbytes!r}")
-        if offset + nbytes > body_len:
-            raise ProtocolError(
-                f"array {name!r} spans [{offset}, {offset + nbytes}) but the "
-                f"body is {body_len} bytes"
-            )
-        try:
-            dtype = np.dtype(entry.get("dtype"))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"array {name!r} has an unparseable dtype: "
-                f"{entry.get('dtype')!r}"
-            ) from exc
-        if dtype.kind not in _ALLOWED_DTYPE_KINDS:
-            raise ProtocolError(
-                f"array {name!r} has dtype {dtype.str!r}; frames carry only "
-                f"plain numeric dtypes (kinds "
-                f"{''.join(sorted(_ALLOWED_DTYPE_KINDS))})"
-            )
-        expected = math.prod(shape) * dtype.itemsize
-        if expected != nbytes:
-            raise ProtocolError(
-                f"array {name!r}: shape {shape} x dtype {dtype.str} needs "
-                f"{expected} bytes, table claims {nbytes}"
-            )
-        entry["_dtype"] = dtype  # parsed once, reused by the body pass
-    return kind, meta, table
+    """Parse and check the JSON header against a body of ``body_len``
+    bytes; return (kind, meta, table)."""
+    header = container.parse_header(header_bytes, ProtocolError)
+    table = container.check_table(header["arrays"], body_len, ProtocolError)
+    return header["kind"], header["meta"], table
 
 
-def _decode_body(table: list, body) -> dict:
-    """Materialise the array table against the body buffer (zero-copy
-    when ``body`` is writable, e.g. the receive ``bytearray``)."""
-    view = memoryview(body)
-    arrays = {}
-    for entry in table:
-        dtype = entry["_dtype"]
-        count = math.prod(entry["shape"])
-        arr = np.frombuffer(
-            view[entry["offset"]:entry["offset"] + entry["nbytes"]],
-            dtype=dtype, count=count,
-        ).reshape(entry["shape"])
-        arrays[entry["name"]] = arr
-    return arrays
+def _decode_body(table: list, body, start: int = 0) -> dict:
+    """Materialise the checked table against the body, which starts at
+    ``start`` of the buffer (zero-copy; writable when ``body`` is, e.g.
+    the receive ``bytearray``)."""
+    return container.materialise(table, body, start)
 
 
 def decode_frame(data, max_body_bytes: int | None = None) -> Frame:
@@ -284,20 +168,13 @@ def decode_frame(data, max_body_bytes: int | None = None) -> Frame:
     kind, meta, table = _decode_header(
         data[_HEAD.size:_HEAD.size + header_len], body_len
     )
-    body = data[_HEAD.size + header_len:expected]
-    return Frame(kind=kind, meta=meta, arrays=_decode_body(table, body))
+    arrays = _decode_body(table, data, _HEAD.size + header_len)
+    return Frame(kind=kind, meta=meta, arrays=arrays)
 
 
 # ----------------------------------------------------------------------
 # stream readers/writers
 # ----------------------------------------------------------------------
-async def _read_exactly(reader, n: int, timeout: float | None):
-    coro = reader.readexactly(n)
-    if timeout is None:
-        return await coro
-    return await asyncio.wait_for(coro, timeout)
-
-
 async def read_frame(
     reader,
     timeout: float | None = None,
@@ -314,7 +191,7 @@ async def read_frame(
     fault-injection tests drive this with fakes.
     """
     try:
-        head = await _read_exactly(reader, _HEAD.size, timeout)
+        head = await asyncio.wait_for(reader.readexactly(_HEAD.size), timeout)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None  # clean EOF between frames
@@ -324,9 +201,11 @@ async def read_frame(
         ) from exc
     header_len, body_len = _check_head(head, max_body_bytes)
     try:
-        header_bytes = await _read_exactly(reader, header_len, timeout)
+        header_bytes = await asyncio.wait_for(
+            reader.readexactly(header_len), timeout
+        )
         body = bytearray(
-            await _read_exactly(reader, body_len, timeout)
+            await asyncio.wait_for(reader.readexactly(body_len), timeout)
         ) if body_len else bytearray()
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError(

@@ -1,30 +1,26 @@
 """Versioned binary serialisation of plans — the persistence format.
 
 The expensive artifact of the Acc-SpMM pipeline is the *plan* (reorder →
-BitTCF → TB schedule); PR 1–2 amortise its cost within one process via
-the in-memory :class:`~repro.serve.cache.PlanCache`.  This module makes
-the plan a durable, cross-process artifact: :func:`plan_to_bytes` /
-:func:`plan_from_bytes` round-trip an :class:`~repro.core.planner.
-AccPlan` bit-for-bit, and :class:`~repro.serve.store.PlanStore` writes
-the same bytes to disk, one file per fingerprint.
+BitTCF → TB schedule).  This module makes it a durable, cross-process
+artifact: :func:`plan_to_bytes` / :func:`plan_from_bytes` round-trip an
+:class:`~repro.core.planner.AccPlan` bit-for-bit, and
+:class:`~repro.serve.store.PlanStore` writes the same bytes to disk, one
+file per fingerprint.
 
-Container layout (little-endian throughout)::
+Container head (little-endian), then the header JSON and array data of
+a :mod:`repro.serve.container`, where the layout is described::
 
     offset 0   magic           8 bytes   b"ACCSPMM\\0"
     offset 8   format version  u32       PLAN_FORMAT_VERSION
     offset 12  header length   u64       JSON byte count
-    offset 20  header JSON     utf-8     kind, metadata, array table
-    ...        padding         zeros     up to a 64-byte boundary
-    ...        array payloads  raw       C-order bytes, 64-byte aligned
+    offset 20  header JSON, zero padding to a 64-byte boundary, the data
 
-The header's array table records ``(name, dtype, shape, offset, nbytes)``
-with offsets relative to the start of the data section, so a reader
-takes every array out of one buffer with ``np.frombuffer``: an in-memory
-blob, or one read-only ``mmap`` of the whole backing file.  The latter is
-how the store loads entries: one mapping and one file descriptor per
-plan, and every worker process shares the same physical pages of a hot
-plan (the page-cache behaviour of ``np.load(..., mmap_mode="r")``, for a
-multi-array file).
+A reader takes every array out of one buffer with ``np.frombuffer``: an
+in-memory blob, or one read-only ``mmap`` of the whole backing file.
+The latter is how the store loads entries: one mapping and one file
+descriptor per plan, and every worker process shares the same physical
+pages of a hot plan (the page-cache behaviour of
+``np.load(..., mmap_mode="r")``, for a multi-array file).
 
 Versioning policy: :data:`PLAN_FORMAT_VERSION` is bumped whenever the
 payload schema changes.  Readers accept the closed range
@@ -36,16 +32,11 @@ supported versions (the store quarantines such entries, and the
 migration never attempted).  A header that lacks the ``saved_at``
 timestamp (v2) or the ``tuned`` block (v3) still loads, falling back to
 the file's mtime and the plan meta's copy of the verdict.
-
-Serialised plans contain **no pickled objects** — only raw arrays and a
-JSON header — so loading untrusted bytes can fail but not execute code.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import math
 import mmap
 import os
 import struct
@@ -56,13 +47,14 @@ import numpy as np
 
 from repro.core.config import AccConfig
 from repro.core.planner import AccPlan, kernel_for_config
-from repro.errors import StoreError, StoreVersionError
+from repro.errors import FormatError, StoreError, StoreVersionError
 from repro.formats.tiling import RowWindowTiling
 from repro.balance.scheduler import TBAssignment
 from repro.gpusim.pipeline import PipelineMode
 from repro.gpusim.specs import get_device
 from repro.kernels.tc_common import TCPlan
 from repro.reorder.base import Permutation, ReorderResult
+from repro.serve import container
 from repro.serve.fingerprint import config_fingerprint
 from repro.sparse.csr import CSRMatrix
 from repro.tune.space import TunedConfig
@@ -84,7 +76,6 @@ PLAN_FORMAT_VERSION = 4
 MIN_PLAN_FORMAT_VERSION = 4
 
 MAGIC = b"ACCSPMM\x00"
-_ALIGN = 64
 _HEAD = struct.Struct("<8sIQ")  # magic, version, header-json length
 
 #: The injectable wall clock behind the v2 ``saved_at`` header field —
@@ -92,13 +83,6 @@ _HEAD = struct.Struct("<8sIQ")  # magic, version, header-json length
 #: determinism audits and tests can monkeypatch it; production code must
 #: call the binding, never ``time.time()`` directly (REP201).
 _wall_clock = time.time
-
-#: Numpy dtype *kinds* allowed in a container's array table: booleans,
-#: signed/unsigned integers, floats.  Everything else — object arrays
-#: (which pickle), strings, void/records, datetimes — is rejected at
-#: both pack and load time: the no-pickle/no-code-execution stance of
-#: this format is only as strong as its narrowest dtype gate.
-_ALLOWED_DTYPE_KINDS = frozenset("biuf")
 
 #: What a malformed-but-well-formed-JSON payload can legitimately raise
 #: while being decoded into plan objects: missing/mistyped keys, wrong
@@ -108,8 +92,10 @@ _ALLOWED_DTYPE_KINDS = frozenset("biuf")
 #: invariant breaks — propagate: a resource failure must not be
 #: laundered into "corrupt entry" and silently quarantined.
 #: ``ValueError`` covers :class:`~repro.errors.ValidationError` and
-#: ``UnicodeDecodeError`` via subclassing.
+#: ``UnicodeDecodeError`` via subclassing; ``FormatError`` is a broken
+#: CSR structure (a decreasing ``indptr``).
 _DECODE_ERRORS = (
+    FormatError,
     KeyError,
     IndexError,
     AttributeError,
@@ -122,60 +108,14 @@ _DECODE_ERRORS = (
 # ----------------------------------------------------------------------
 # container primitives
 # ----------------------------------------------------------------------
-def _align(n: int) -> int:
-    return (n + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
 def pack_container(kind: str, meta: dict, arrays: dict) -> bytes:
-    """Assemble one container: JSON header + aligned raw array payloads.
-
-    ``arrays`` maps name -> ndarray; ``None`` values are skipped (their
-    absence is itself information — e.g. a dropped ``scatter_flat``).
-    ``meta`` must be JSON-serialisable.
-    """
-    table = []
-    offset = 0
-    payloads = []
-    for name, arr in arrays.items():
-        if arr is None:
-            continue
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype.kind not in _ALLOWED_DTYPE_KINDS:
-            raise StoreError(
-                f"array {name!r} has dtype {arr.dtype.str!r}; containers "
-                f"carry only plain numeric dtypes (kinds "
-                f"{''.join(sorted(_ALLOWED_DTYPE_KINDS))})"
-            )
-        offset = _align(offset)
-        table.append(
-            {
-                "name": name,
-                "dtype": arr.dtype.str,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": int(arr.nbytes),
-            }
-        )
-        payloads.append((offset, arr))
-        offset += arr.nbytes
-    header = json.dumps(
-        {"kind": kind, "meta": meta, "arrays": table},
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode()
-    data_start = _align(_HEAD.size + len(header))
-    out = io.BytesIO()
-    out.write(_HEAD.pack(MAGIC, PLAN_FORMAT_VERSION, len(header)))
-    out.write(header)
-    out.write(b"\x00" * (data_start - _HEAD.size - len(header)))
-    pos = 0
-    for rel, arr in payloads:
-        if rel != pos:
-            out.write(b"\x00" * (rel - pos))
-            pos = rel
-        out.write(arr.tobytes())
-        pos += arr.nbytes
-    return out.getvalue()
+    """One plan-file container: this module's head, then the
+    :func:`repro.serve.container.pack` layout padded to 64 bytes."""
+    return bytes(container.pack(
+        kind, meta, arrays,
+        lambda hlen, _: _HEAD.pack(MAGIC, PLAN_FORMAT_VERSION, hlen),
+        StoreError, pad=True,
+    ))
 
 
 def read_header(data: bytes) -> tuple[dict, int]:
@@ -197,120 +137,24 @@ def read_header(data: bytes) -> tuple[dict, int]:
         )
     if len(data) < _HEAD.size + hlen:
         raise StoreError("container truncated inside the JSON header")
-    try:
-        header = json.loads(data[_HEAD.size : _HEAD.size + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StoreError(f"malformed container header: {exc}") from exc
-    if not isinstance(header, dict) or "arrays" not in header:
-        raise StoreError("container header missing the array table")
+    header = container.parse_header(
+        data[_HEAD.size : _HEAD.size + hlen], StoreError
+    )
     # surface the container's own version to callers (the packed header
     # JSON never carries this key — it lives in the fixed binary head)
     header["format_version"] = version
-    return header, _align(_HEAD.size + hlen)
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: ``bool`` is an ``int`` subclass, so exclude it."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _normalised_table(header: dict) -> list[dict]:
-    """The header's array table with every field type-checked.
-
-    Names are distinct strings, and every shape element, ``offset`` and
-    ``nbytes`` is an integer that is not a bool: a float, a string or a
-    bool is refused, never coerced.  A header whose JSON parsed but
-    whose table is malformed (wrong nesting, missing keys, bad dtypes)
-    must surface as :class:`StoreError` — the store quarantines on it —
-    never as a stray ``TypeError``.
-    """
-    table = []
-    seen: set[str] = set()
-    try:
-        for entry in header["arrays"]:
-            name = entry["name"]
-            if not isinstance(name, str) or name in seen:
-                raise StoreError(
-                    f"array table has a bad or duplicate name: {name!r}"
-                )
-            seen.add(name)
-            dtype = np.dtype(entry["dtype"])
-            if dtype.kind not in _ALLOWED_DTYPE_KINDS:
-                raise StoreError(
-                    f"array {name!r} declares dtype {entry['dtype']!r}; "
-                    f"containers carry only plain numeric dtypes (kinds "
-                    f"{''.join(sorted(_ALLOWED_DTYPE_KINDS))})"
-                )
-            shape, offset, nbytes = (
-                entry["shape"], entry["offset"], entry["nbytes"]
-            )
-            if not (
-                isinstance(shape, list)
-                and all(_is_int(s) for s in shape)
-                and _is_int(offset)
-                and _is_int(nbytes)
-            ):
-                raise StoreError(
-                    f"array {name!r} has a non-integer shape, offset or "
-                    f"nbytes: {shape!r}, {offset!r}, {nbytes!r}"
-                )
-            shape = tuple(shape)
-            if offset < 0 or nbytes < 0 or any(s < 0 for s in shape):
-                raise StoreError(f"array {name!r} has negative sizes")
-            # exact Python ints: an int64 product could wrap back to a
-            # count that matches a small nbytes
-            count = math.prod(shape)
-            if count * dtype.itemsize != nbytes:
-                raise StoreError(f"array {name!r} has inconsistent sizes")
-            table.append(
-                {
-                    "name": name,
-                    "dtype": dtype,
-                    "shape": shape,
-                    "offset": offset,
-                    "nbytes": nbytes,
-                    "count": count,
-                }
-            )
-    except StoreError:
-        raise
-    except _DECODE_ERRORS as exc:  # wrong nesting/keys/values, bad dtype
-        raise StoreError(f"malformed array table: {exc!r}") from exc
-    return table
-
-
-def _materialise(entry: dict, buf, data_start: int):
-    """One normalised-table array, as a zero-copy view into ``buf``."""
-    if entry["count"] == 0:
-        return np.zeros(entry["shape"], dtype=entry["dtype"])
-    lo = data_start + entry["offset"]
-    if lo + entry["nbytes"] > len(buf):
-        raise StoreError(f"array {entry['name']!r} extends past the payload")
-    return np.frombuffer(
-        buf, dtype=entry["dtype"], count=entry["count"], offset=lo
-    ).reshape(entry["shape"])
+    return header, container.align(_HEAD.size + hlen)
 
 
 def read_header_from_file(path) -> dict:
     """Read and validate a container's header from a file, without
-    reading or mapping its payload: the store's header-only scans.
-
-    The declared header length is checked against the file size before
-    the header is read, so a corrupt length cannot ask for a huge read.
-    """
+    reading or mapping its payload: the store's header-only scans.  A
+    corrupt header length asks for at most the file's size."""
     with open(path, "rb") as fh:
-        fh.seek(0, io.SEEK_END)
-        size = fh.tell()
-        fh.seek(0)
         prefix = fh.read(_HEAD.size)
-        if len(prefix) < _HEAD.size:
-            raise StoreError("container truncated before the fixed header")
-        magic, _version, hlen = _HEAD.unpack_from(prefix, 0)
-        if magic != MAGIC:
-            raise StoreError(f"bad magic {magic!r}; not a serialised plan")
-        if hlen > size - _HEAD.size:
-            raise StoreError("container truncated inside the JSON header")
-        prefix += fh.read(hlen)
+        if len(prefix) == _HEAD.size:
+            hlen = _HEAD.unpack(prefix)[2]
+            prefix += fh.read(min(hlen, os.fstat(fh.fileno()).st_size))
     return read_header(prefix)[0]
 
 
@@ -333,19 +177,16 @@ def unpack_container(data: bytes | None = None, path=None) -> tuple[dict, dict]:
 
     Pass ``data`` for an in-memory blob or ``path`` for a file, which is
     mapped read-only once (:func:`_map_file`).  Either way the arrays
-    are zero-copy read-only ``np.frombuffer`` views into that one
-    buffer, checked against its bounds by the same code: a loaded plan
-    holds one mapping and one descriptor, and concurrent workers share
-    its pages.
+    are read-only views into that one buffer: a loaded plan holds one
+    mapping and one descriptor, and concurrent workers share its pages.
     """
     if data is None:
         data = _map_file(path)
     header, data_start = read_header(data)
-    arrays = {
-        e["name"]: _materialise(e, data, data_start)
-        for e in _normalised_table(header)
-    }
-    return header, arrays
+    table = container.check_table(
+        header["arrays"], len(data) - data_start, StoreError
+    )
+    return header, container.materialise(table, data, data_start)
 
 
 def _jsonable(d: dict) -> dict:
@@ -371,21 +212,10 @@ def _jsonable(d: dict) -> dict:
 # ----------------------------------------------------------------------
 # TCPlan payload (shared by all three tensor-core kernels)
 # ----------------------------------------------------------------------
-def _csr_arrays(prefix: str, csr: CSRMatrix, arrays: dict) -> dict:
-    arrays[f"{prefix}.indptr"] = csr.indptr
-    arrays[f"{prefix}.indices"] = csr.indices
-    arrays[f"{prefix}.vals"] = csr.vals
-    return {"n_rows": csr.n_rows, "n_cols": csr.n_cols}
-
-
-def _csr_from(prefix: str, meta: dict, arrays: dict) -> CSRMatrix:
-    return CSRMatrix(
-        n_rows=int(meta["n_rows"]),
-        n_cols=int(meta["n_cols"]),
-        indptr=arrays[f"{prefix}.indptr"],
-        indices=arrays[f"{prefix}.indices"],
-        vals=arrays[f"{prefix}.vals"],
-    )
+def _int(value) -> int:
+    if not container.is_int(value):
+        raise StoreError(f"expected an integer, got {value!r}")
+    return value
 
 
 def tcplan_payload(tc: TCPlan, csr: CSRMatrix | None = None) -> tuple[dict, dict]:
@@ -406,11 +236,15 @@ def tcplan_payload(tc: TCPlan, csr: CSRMatrix | None = None) -> tuple[dict, dict
         "meta": _jsonable(tc.meta),
     }
     if csr is not None:
-        meta["csr"] = _csr_arrays("csr", csr, arrays)
+        meta["csr"], csr_arrays = container.csr_to_payload(csr, "csr")
+        arrays.update(csr_arrays)
     shared = csr is not None and tc.csr_reordered is csr
     meta["csr_r_shared"] = shared
     if not shared:
-        meta["csr_r"] = _csr_arrays("csr_r", tc.csr_reordered, arrays)
+        meta["csr_r"], csr_arrays = container.csr_to_payload(
+            tc.csr_reordered, "csr_r"
+        )
+        arrays.update(csr_arrays)
     t = tc.tiling
     meta["tiling"] = {
         "n_rows": t.n_rows,
@@ -447,16 +281,18 @@ def tcplan_from_payload(
     """Rebuild a :class:`TCPlan` from :func:`tcplan_payload` output."""
     try:
         if csr is None and "csr" in meta:
-            csr = _csr_from("csr", meta["csr"], arrays)
-        csr_r = csr if meta["csr_r_shared"] else _csr_from(
-            "csr_r", meta["csr_r"], arrays
+            csr = container.payload_to_csr(
+                meta["csr"], arrays, "csr", StoreError
+            )
+        csr_r = csr if meta["csr_r_shared"] else container.payload_to_csr(
+            meta["csr_r"], arrays, "csr_r", StoreError
         )
         tm = meta["tiling"]
         tiling = RowWindowTiling(
-            n_rows=int(tm["n_rows"]),
-            n_cols=int(tm["n_cols"]),
-            window_rows=int(tm["window_rows"]),
-            block_cols=int(tm["block_cols"]),
+            n_rows=_int(tm["n_rows"]),
+            n_cols=_int(tm["n_cols"]),
+            window_rows=_int(tm["window_rows"]),
+            block_cols=_int(tm["block_cols"]),
             **{
                 name: np.asarray(arrays[f"tiling.{name}"])
                 for name in RowWindowTiling.ARRAY_FIELDS
@@ -492,27 +328,13 @@ def tcplan_from_payload(
             bytes_a_per_block=np.asarray(arrays["bytes_a_per_block"]),
             pipeline_mode=PipelineMode[meta["pipeline_mode"]],
             cache_policy_control=bool(meta["cache_policy_control"]),
-            n_rows_original=int(meta["n_rows_original"]),
+            n_rows_original=_int(meta["n_rows_original"]),
             meta=dict(meta["meta"]),
         )
     except StoreError:
         raise
     except _DECODE_ERRORS as exc:  # malformed payloads surface uniformly
         raise StoreError(f"invalid TCPlan payload: {exc}") from exc
-
-
-def tcplan_to_bytes(tc: TCPlan) -> bytes:
-    """Serialise a bare :class:`TCPlan` (any of the three TC kernels)."""
-    meta, arrays = tcplan_payload(tc, csr=None)
-    return pack_container("tcplan", meta, arrays)
-
-
-def tcplan_from_bytes(data: bytes) -> TCPlan:
-    """Inverse of :func:`tcplan_to_bytes`; multiplies bit-for-bit."""
-    header, arrays = unpack_container(data)
-    if header.get("kind") != "tcplan":
-        raise StoreError(f"expected a tcplan container, got {header.get('kind')!r}")
-    return tcplan_from_payload(header["meta"], arrays)
 
 
 # ----------------------------------------------------------------------
@@ -572,7 +394,9 @@ def plan_from_payload(meta: dict, arrays: dict) -> AccPlan:
     try:
         cfg = AccConfig(**meta["config"])
         device = get_device(meta["device"])
-        csr = _csr_from("csr", meta["tc"]["csr"], arrays)
+        csr = container.payload_to_csr(
+            meta["tc"]["csr"], arrays, "csr", StoreError
+        )
         tc = tcplan_from_payload(meta["tc"], arrays, csr=csr)
         # v3 header block first; tolerate its absence or a malformed
         # dict (from_meta returns None) by falling back to the copy the
@@ -593,7 +417,7 @@ def plan_from_payload(meta: dict, arrays: dict) -> AccPlan:
             csr=csr,
             config=cfg,
             device=device,
-            feature_dim=int(meta["feature_dim"]),
+            feature_dim=_int(meta["feature_dim"]),
             tc_plan=tc,
             build_seconds=float(meta["build_seconds"]),
             kernel=kernel_for_config(cfg, tuned=tuned),
@@ -607,8 +431,8 @@ def plan_from_payload(meta: dict, arrays: dict) -> AccPlan:
 def plan_from_bytes(data: bytes) -> AccPlan:
     """Inverse of :func:`plan_to_bytes`; multiplies bit-for-bit."""
     header, arrays = unpack_container(data)
-    if header.get("kind") != "accplan":
+    if header["kind"] != "accplan":
         raise StoreError(
-            f"expected an accplan container, got {header.get('kind')!r}"
+            f"expected an accplan container, got {header['kind']!r}"
         )
     return plan_from_payload(header["meta"], arrays)

@@ -72,6 +72,7 @@ from repro.errors import (
     ServerError,
     ValidationError,
 )
+from repro.serve.container import csr_to_payload, is_int, payload_to_csr
 from repro.serve.frames import (
     DEFAULT_MAX_BODY_BYTES,
     encode_frame,
@@ -83,7 +84,6 @@ from repro.serve.fingerprint import MatrixFingerprint
 from repro.serve.sharded import AsyncSpMMEngine
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.delta import GraphDelta
 
 #: request kinds that cost engine work and are therefore subject to
@@ -100,32 +100,6 @@ ERROR_CODES = (
     "shutting_down",
     "internal",
 )
-
-
-def csr_to_payload(csr: CSRMatrix) -> tuple[dict, dict]:
-    """(meta, arrays) encoding a CSR matrix for the wire — the client
-    half of the request schema (:func:`payload_to_csr` is the server
-    half)."""
-    return (
-        {"n_rows": int(csr.n_rows), "n_cols": int(csr.n_cols)},
-        {"indptr": csr.indptr, "indices": csr.indices, "vals": csr.vals},
-    )
-
-
-def payload_to_csr(meta: dict, arrays: dict) -> CSRMatrix:
-    """Rebuild the CSR operand of a request; raises
-    :class:`~repro.errors.ValidationError` on a missing or malformed
-    payload (the container's own validation covers the rest)."""
-    missing = [k for k in ("indptr", "indices", "vals") if k not in arrays]
-    n_rows, n_cols = meta.get("n_rows"), meta.get("n_cols")
-    if missing or not isinstance(n_rows, int) or not isinstance(n_cols, int):
-        raise ValidationError(
-            "request needs integer meta n_rows/n_cols and arrays "
-            f"indptr/indices/vals (missing: {missing or 'meta'})"
-        )
-    return CSRMatrix(
-        n_rows, n_cols, arrays["indptr"], arrays["indices"], arrays["vals"]
-    )
 
 
 def _json_safe(obj):
@@ -415,7 +389,7 @@ class SpMMServer:
 
     async def _dispatch(self, frame, writer) -> bool:
         """Answer one request; False when the connection should close."""
-        meta = frame.meta if isinstance(frame.meta, dict) else {}
+        meta = frame.meta
         tenant = meta.get("tenant")
         tenant = str(tenant) if tenant is not None else None
         with self._lock:
@@ -428,10 +402,7 @@ class SpMMServer:
                 await write_frame(writer, frame.kind, self.metrics())
                 return True
             if frame.kind == "warm_start":
-                limit = meta.get("limit")
-                loaded = await self.engine.warm_start(
-                    limit if isinstance(limit, int) else None
-                )
+                loaded = await self.engine.warm_start(meta.get("limit"))
                 await write_frame(writer, "warm_started", {"loaded": loaded})
                 return True
             if frame.kind not in _DATA_PLANE:
@@ -572,7 +543,7 @@ class SpMMServer:
             self._counters["submits"] += 1
         csr = payload_to_csr(meta, frame.arrays)
         feature_dim = meta.get("feature_dim", 128)
-        if not isinstance(feature_dim, int) or feature_dim <= 0:
+        if not is_int(feature_dim) or feature_dim <= 0:
             raise ValidationError(
                 f"feature_dim must be a positive int; got {feature_dim!r}"
             )
@@ -766,7 +737,10 @@ class SpMMClient:
 
     # -- plumbing ------------------------------------------------------
     def _rpc(self, kind: str, meta: dict | None = None,
-             arrays: dict | None = None):
+             arrays: dict | None = None, expect: str | None = None):
+        """One round trip.  An error frame raises ServerError; with
+        ``expect``, any other kind (or a result without ``c``) raises
+        ProtocolError."""
         self._sock.sendall(encode_frame(kind, meta, arrays))
         frame = read_frame_from(
             self._file, max_body_bytes=self._max_body_bytes
@@ -781,14 +755,24 @@ class SpMMClient:
                 str(frame.meta.get("message", "")),
                 bool(frame.meta.get("retryable", False)),
             )
+        if expect is not None and (
+            frame.kind != expect
+            or (expect == "result" and "c" not in frame.arrays)
+        ):
+            raise ProtocolError(
+                f"expected a {expect} frame, got {frame.kind!r}"
+            )
         return frame
 
     @staticmethod
-    def _matrix_request(A, extra_meta: dict) -> tuple[dict, dict]:
+    def _options(**options) -> dict:
+        """The request options given (``None`` means not given)."""
+        return {k: v for k, v in options.items() if v is not None}
+
+    def _matrix_request(self, A, **options) -> tuple[dict, dict]:
         csr = coo_to_csr(A) if isinstance(A, COOMatrix) else A
         meta, arrays = csr_to_payload(csr)
-        meta.update({k: v for k, v in extra_meta.items() if v is not None})
-        return meta, arrays
+        return {**meta, **self._options(**options)}, arrays
 
     # -- endpoints -----------------------------------------------------
     def multiply(self, A, B, tenant=None, numerics=None,
@@ -798,24 +782,16 @@ class SpMMClient:
         server-side execution arm (``"cpu"``/``"cupy"``; default: the
         server's process default — see ``docs/GPU.md``)."""
         meta, arrays = self._matrix_request(
-            A, {"tenant": tenant, "numerics": numerics, "device": device,
-                "backend": backend}
+            A, tenant=tenant, numerics=numerics, device=device, backend=backend
         )
         arrays["b"] = np.asarray(B)
-        frame = self._rpc("multiply", meta, arrays)
-        if frame.kind != "result" or "c" not in frame.arrays:
-            raise ProtocolError(
-                f"expected a result frame, got {frame.kind!r}"
-            )
-        return frame.arrays["c"]
+        return self._rpc("multiply", meta, arrays, expect="result").arrays["c"]
 
     def submit(self, A, feature_dim: int = 128, tenant=None,
                device=None) -> dict:
         """Build (or confirm) the server-side plan for ``A`` without
         multiplying; returns the fingerprint record."""
-        meta, arrays = self._matrix_request(
-            A, {"tenant": tenant, "device": device}
-        )
+        meta, arrays = self._matrix_request(A, tenant=tenant, device=device)
         meta["feature_dim"] = int(feature_dim)
         return self._rpc("submit", meta, arrays).meta
 
@@ -854,31 +830,17 @@ class SpMMClient:
             delta = added
         else:
             delta = GraphDelta.from_edges(added=added, removed=removed)
-        meta = {"base_fingerprint": dict(base_fingerprint)}
-        meta.update(
-            {
-                k: v
-                for k, v in (
-                    ("tenant", tenant), ("numerics", numerics),
-                    ("device", device), ("backend", backend),
-                )
-                if v is not None
-            }
+        meta = self._options(
+            tenant=tenant, numerics=numerics, device=device, backend=backend
         )
+        meta["base_fingerprint"] = dict(base_fingerprint)
         arrays = delta.as_arrays()
         if B is not None:
             arrays["b"] = np.asarray(B)
-        frame = self._rpc("delta", meta, arrays)
+        expect = "delta_applied" if B is None else "result"
+        frame = self._rpc("delta", meta, arrays, expect=expect)
         if B is None:
-            if frame.kind != "delta_applied":
-                raise ProtocolError(
-                    f"expected a delta_applied frame, got {frame.kind!r}"
-                )
             return frame.meta["fingerprint"]
-        if frame.kind != "result" or "c" not in frame.arrays:
-            raise ProtocolError(
-                f"expected a result frame, got {frame.kind!r}"
-            )
         return frame.arrays["c"], frame.meta["fingerprint"]
 
     def stats(self) -> dict:

@@ -407,7 +407,7 @@ class PlanStore:
             except OSError:
                 continue  # raced with a concurrent gc/quarantine
             try:
-                meta = serial.read_header_from_file(path).get("meta", {})
+                meta = serial.read_header_from_file(path)["meta"]
             except (StoreError, OSError, ValueError):
                 meta = None
             out.append(

@@ -780,6 +780,18 @@ class TestWarmStart:
         assert eng.lookup(fingerprint(mats[1])) is not None
         assert eng.lookup(fingerprint(mats[0])) is None
 
+    @pytest.mark.parametrize("limit", [-1, True, 1.5, "2"])
+    def test_warm_start_limit_is_an_int_that_is_not_a_bool(
+        self, tmp_path, limit
+    ):
+        # -1 once sliced entries[:-1] and loaded 2 of 3; True loaded 1
+        store_priced(tmp_path, {0: 1.0, 1: 2.0, 2: 3.0})
+        eng = SpMMEngine(store=tmp_path)
+        with pytest.raises(ValidationError, match="limit"):
+            eng.warm_start(limit)
+        assert eng.stats["cached_plans"] == 0
+        assert eng.warm_start(0) == 0
+
     def test_warm_start_inserts_cheapest_first(self, tmp_path):
         # the priciest plans end at the MRU end, so byte pressure during
         # warm-up evicts what is cheapest to rebuild

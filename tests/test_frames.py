@@ -216,6 +216,8 @@ class TestMalformed:
             (lambda h: h["arrays"][0].update(dtype="V16"), "plain numeric"),
             (lambda h: h["arrays"][0].update(dtype=1234), "dtype"),
             (lambda h: h["arrays"][0].update(shape=[100, 4]), "needs"),
+            # np.dtype raises SyntaxError here, not TypeError/ValueError
+            (lambda h: h["arrays"][0].update(dtype=",8"), "dtype"),
         ],
     )
     def test_header_tampering(self, mutate, match):
@@ -235,6 +237,15 @@ class TestMalformed:
             except ProtocolError:
                 continue
             assert isinstance(frame, Frame)
+
+    def test_deeply_nested_header_is_a_protocol_error(self):
+        # json.loads raises RecursionError on deep nesting
+        header = b"[" * 100_000
+        head = struct.pack(
+            "<8sIQQ", b"ACCFRME\x00", FRAME_FORMAT_VERSION, len(header), 0
+        )
+        with pytest.raises(ProtocolError, match="JSON"):
+            decode_frame(head + header)
 
     def test_random_garbage_never_escapes(self):
         rng = np.random.default_rng(8)
@@ -319,3 +330,4 @@ def test_rep301_covers_frames_module():
     from repro.analysis.checkers.serialization import SERIAL_PATHS
 
     assert "repro/serve/frames.py" in SERIAL_PATHS
+    assert "repro/serve/container.py" in SERIAL_PATHS

@@ -33,14 +33,15 @@ from repro.kernels.tcgnn import TCGNNKernel
 from repro.gpusim.specs import get_device
 from repro.serve.cache import PlanCache
 from repro.serve import serial
+from repro.serve.container import align
 from repro.serve.fingerprint import config_fingerprint, fingerprint
 from repro.serve.serial import (
     PLAN_FORMAT_VERSION,
     pack_container,
     plan_from_bytes,
     read_header,
-    tcplan_from_bytes,
-    tcplan_to_bytes,
+    tcplan_from_payload,
+    tcplan_payload,
     unpack_container,
 )
 from repro.serve.store import PlanStore
@@ -84,7 +85,7 @@ class TestSerialRoundTrip:
         B = make_b(csr, n=24)
         tc = kernel_cls().plan(csr, 24, DEVICE)
         C0 = execute_tiled(tc, B)
-        tc2 = tcplan_from_bytes(tcplan_to_bytes(tc))
+        tc2 = tcplan_from_payload(*tcplan_payload(tc))
         assert tc2.name == tc.name
         assert tc2.pipeline_mode == tc.pipeline_mode
         assert np.array_equal(C0, execute_tiled(tc2, B))
@@ -109,12 +110,14 @@ class TestSerialRoundTrip:
         p2 = AccPlan.from_bytes(p.to_bytes(include_executor=False))
         assert p2.tc_plan.exec_structural is None
 
-    def test_executor_to_from_bytes(self):
+    def test_executor_structural_payload_round_trip(self):
         csr = make_csr(seed=5)
         B = make_b(csr)
         p = repro.plan(csr, feature_dim=32)
         C0 = p.multiply(B)
-        ex2 = TCExecPlan.from_bytes(p.executor.to_bytes(), p.tc_plan)
+        structural = p.executor.structural_payload()
+        ex2 = TCExecPlan(p.tc_plan, structural=structural)
+        assert ex2.pos_all is structural[1]["pos_all"]  # adopted, not rebuilt
         assert np.array_equal(C0, ex2.execute(B))
 
     def test_corrupt_structural_state_falls_back(self):
@@ -173,7 +176,7 @@ class TestSerialRoundTrip:
         ro = reorder_bilateral(csr)
         assert ro.col_perm is ro.row_perm
         tc = AccSpMMKernel(reorder=ro).plan(csr, 16, DEVICE)
-        tc2 = tcplan_from_bytes(tcplan_to_bytes(tc))
+        tc2 = tcplan_from_payload(*tcplan_payload(tc))
         assert tc2.reorder.col_perm is tc2.reorder.row_perm
         B = make_b(csr, n=16)
         assert np.array_equal(execute_tiled(tc, B), execute_tiled(tc2, B))
@@ -198,7 +201,7 @@ class TestContainerValidation:
             plan_from_bytes(bytes(data))
 
     def test_wrong_kind(self):
-        blob = pack_container("tcexec", {}, {})
+        blob = pack_container("accdelta", {}, {})
         with pytest.raises(StoreError):
             plan_from_bytes(blob)
 
@@ -236,7 +239,7 @@ def _string_nbytes(data: bytes) -> bytes:
     head = serial._HEAD.pack(
         serial.MAGIC, serial.PLAN_FORMAT_VERSION, len(raw)
     ) + raw
-    return head + bytes(serial._align(len(head)) - len(head)) + data[data_start:]
+    return head + bytes(align(len(head)) - len(head)) + data[data_start:]
 
 
 #: ways to break a stored entry, each turning its bytes into new bytes

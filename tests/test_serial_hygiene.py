@@ -12,6 +12,7 @@ exact integers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,9 +21,9 @@ import pytest
 import repro.serve.serial as serial
 from repro.core import plan
 from repro.errors import StoreError
+from repro.serve.container import align, check_table
 from repro.serve.serial import (
     _DECODE_ERRORS,
-    _normalised_table,
     pack_container,
     plan_from_bytes,
     plan_from_payload,
@@ -87,11 +88,11 @@ class TestDecodeErrorNarrowing:
 
     def test_keyboard_interrupt_propagates_from_table_parse(self):
         with pytest.raises(KeyboardInterrupt):
-            _normalised_table({"arrays": [_Interrupting()]})
+            check_table([_Interrupting()], 0, StoreError)
 
     def test_malformed_table_still_becomes_store_error(self):
         with pytest.raises(StoreError, match="malformed array table"):
-            _normalised_table({"arrays": [{"name": "a"}]})
+            check_table([{"name": "a"}], 0, StoreError)
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +140,7 @@ class TestDtypeWhitelist:
             "nbytes": 32,
         }
         with pytest.raises(StoreError, match="plain numeric dtypes"):
-            _normalised_table({"arrays": [entry]})
+            check_table([entry], 32, StoreError)
 
     def test_load_rejects_tampered_container(self, built_plan):
         # flip one table entry's declared dtype to a string type in the
@@ -166,7 +167,7 @@ def _container_with_table(table: list, payload: bytes) -> bytes:
     head = serial._HEAD.pack(
         serial.MAGIC, serial.PLAN_FORMAT_VERSION, len(header)
     ) + header
-    return head + b"\x00" * (serial._align(len(head)) - len(head)) + payload
+    return head + b"\x00" * (align(len(head)) - len(head)) + payload
 
 
 class TestTableSizes:
@@ -216,10 +217,16 @@ class TestTableSizes:
                   "offset": 0, "nbytes": 2}] * 2,
                 bytes(2),
             ),
+            (
+                # np.dtype raises SyntaxError here, not TypeError/ValueError
+                [{"name": "a", "dtype": ",8", "shape": [2],
+                  "offset": 0, "nbytes": 2}],
+                bytes(2),
+            ),
         ],
         ids=[
             "float-shape-string-nbytes", "bool-shape", "float-offset",
-            "int-name", "duplicate-name",
+            "int-name", "duplicate-name", "syntax-error-dtype",
         ],
     )
     def test_fields_are_not_coerced(self, tmp_path, table, payload):
@@ -232,3 +239,88 @@ class TestTableSizes:
         path.write_bytes(blob)
         with pytest.raises(StoreError):
             unpack_container(path=path)
+
+
+# ----------------------------------------------------------------------
+# plan payloads: every malformation is a StoreError
+# ----------------------------------------------------------------------
+def _repacked(blob: bytes, mutate) -> bytes:
+    """``blob`` with its header dict passed through ``mutate`` (the data
+    section moved to the new 64-byte boundary)."""
+    header, data_start = serial.read_header(blob)
+    del header["format_version"]  # lives in the fixed head
+    mutate(header)
+    raw = json.dumps(header).encode()
+    head = serial._HEAD.pack(serial.MAGIC, serial.PLAN_FORMAT_VERSION, len(raw))
+    head += raw
+    return head + bytes(align(len(head)) - len(head)) + blob[data_start:]
+
+
+class TestPlanPayload:
+    def test_header_without_meta_is_a_store_error(self, built_plan):
+        blob = _repacked(plan_to_bytes(built_plan), lambda h: h.pop("meta"))
+        with pytest.raises(StoreError):
+            plan_from_bytes(blob)
+
+    def test_decreasing_indptr_is_a_store_error(self, built_plan):
+        # CSRMatrix raises FormatError, which is not a ValueError
+        meta, arrays = plan_payload(built_plan)
+        indptr = arrays["csr.indptr"].copy()
+        indptr[1:-1] = indptr[1:-1][::-1]
+        assert (np.diff(indptr) < 0).any()
+        arrays["csr.indptr"] = indptr
+        with pytest.raises(StoreError, match="non-decreasing"):
+            plan_from_bytes(pack_container("accplan", meta, arrays))
+
+    @pytest.mark.parametrize(
+        "field", ["csr.n_rows", "csr.n_cols", "tiling.window_rows"]
+    )
+    @pytest.mark.parametrize("spelling", [float, str], ids=["float", "str"])
+    def test_integer_fields_are_not_coerced(self, built_plan, field, spelling):
+        # int() once read 64.0 and "64" as 64 and loaded the plan
+        meta, arrays = plan_payload(built_plan)
+        block, key = field.split(".")
+        meta["tc"][block][key] = spelling(meta["tc"][block][key])
+        with pytest.raises(StoreError, match="integer"):
+            plan_from_bytes(pack_container("accplan", meta, arrays))
+
+    def test_bool_dimension_is_not_an_int(self):
+        one_row = plan(random_csr(n_rows=1, density=0.5, seed=3), feature_dim=16)
+        meta, arrays = plan_payload(one_row)
+        assert meta["tc"]["csr"]["n_rows"] == 1
+        meta["tc"]["csr"]["n_rows"] = True
+        with pytest.raises(StoreError, match="integer"):
+            plan_from_bytes(pack_container("accplan", meta, arrays))
+
+    def test_random_byte_flips_never_escape(self):
+        """Any single-byte corruption of a plan file either still loads
+        or raises StoreError."""
+        raw = plan_to_bytes(plan(random_csr(seed=21), feature_dim=16))
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            bad = bytearray(raw)
+            pos = int(rng.integers(0, len(bad)))
+            bad[pos] ^= int(rng.integers(1, 256))
+            try:
+                plan_from_bytes(bytes(bad))
+            except StoreError:
+                continue
+
+
+# ----------------------------------------------------------------------
+# pinned plan-file bytes
+# ----------------------------------------------------------------------
+#: sha256 of the plan below, as written by format v4; a codec change
+#: that alters one byte of a plan file fails here
+PINNED_PLAN_SHA256 = (
+    "42623652bceefe2e421f074e9eb63ee7b101038d4f1840f3de6684a5f12960b2"
+)
+
+
+def test_plan_file_bytes_are_pinned(monkeypatch):
+    p = plan(random_csr(seed=21), feature_dim=16)
+    p.multiply(np.ones((p.csr.n_cols, 8), dtype=np.float32))
+    p.build_seconds = 0.5
+    monkeypatch.setattr(serial, "_wall_clock", lambda: 1.0e9)
+    digest = hashlib.sha256(plan_to_bytes(p)).hexdigest()
+    assert digest == PINNED_PLAN_SHA256

@@ -11,6 +11,7 @@ import repro
 from repro.core import plan
 from repro.errors import ValidationError
 from repro.serve import (
+    MatrixFingerprint,
     PlanCache,
     SpMMEngine,
     default_engine,
@@ -63,6 +64,15 @@ class TestFingerprint:
         a = CSRMatrix(2, 8, np.zeros(3, np.int64), empty, np.zeros(0, np.float32))
         b = CSRMatrix(2, 9, np.zeros(3, np.int64), empty, np.zeros(0, np.float32))
         assert fingerprint(a).structural != fingerprint(b).structural
+
+    @pytest.mark.parametrize("field", ["n_rows", "n_cols", "nnz"])
+    @pytest.mark.parametrize("value", [True, 4.0, "4"])
+    def test_record_sizes_are_ints_that_are_not_bools(self, field, value):
+        record = fingerprint(random_csr(64, 48, 0.1, seed=1)).record()
+        assert MatrixFingerprint.from_record(record).record() == record
+        record[field] = value
+        with pytest.raises(ValidationError, match="int"):
+            MatrixFingerprint.from_record(record)
 
 
 class TestPlanCache:

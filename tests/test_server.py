@@ -30,13 +30,8 @@ from repro.serve.frames import (
     encode_frame,
     read_frame_from,
 )
-from repro.serve.server import (
-    ServerConfig,
-    SpMMServer,
-    _TokenBucket,
-    csr_to_payload,
-    payload_to_csr,
-)
+from repro.serve.container import csr_to_payload, payload_to_csr
+from repro.serve.server import ServerConfig, SpMMServer, _TokenBucket
 from repro.serve.sharded import AsyncSpMMEngine
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.csr import CSRMatrix
@@ -329,6 +324,31 @@ class TestFaults:
         assert counters["protocol_errors"] == 1
         assert writer.frames()[0].meta["code"] == "bad_frame"
 
+    def test_unparseable_dtype_is_bad_frame(self):
+        # np.dtype(",8") raises SyntaxError; it once escaped read_frame
+        # and killed the connection task without a reply
+        csr = make_csr()
+        raw = multiply_frame(csr, make_b(csr))
+        _, version, header_len, body_len = _HEAD.unpack_from(raw)
+        header = json.loads(raw[_HEAD.size:_HEAD.size + header_len])
+        header["arrays"][0]["dtype"] = ",8"
+        new_header = json.dumps(header).encode()
+        bad = (
+            _HEAD.pack(b"ACCFRME\x00", version, len(new_header), body_len)
+            + new_header + raw[_HEAD.size + header_len:]
+        )
+
+        async def main():
+            server = make_server()
+            w = await run_connection(server, bad)
+            await server.engine.drain()
+            return w, server.counters()
+
+        writer, counters = asyncio.run(main())
+        assert [f.meta["code"] for f in writer.frames()] == ["bad_frame"]
+        assert counters["protocol_errors"] == 1
+        assert counters["internal_errors"] == 0
+
     def test_garbage_bytes(self):
         async def main():
             server = make_server()
@@ -367,6 +387,39 @@ class TestFaults:
 
         frames, counters = asyncio.run(main())
         assert frames[0].meta["code"] == "bad_request"
+        assert counters["internal_errors"] == 0
+
+    @pytest.mark.parametrize(
+        "kind,meta",
+        [
+            ("submit", {"feature_dim": True}),
+            ("submit", {"n_rows": True}),
+            ("warm_start", {"limit": True}),
+            ("warm_start", {"limit": "2"}),
+            ("warm_start", {"limit": -1}),
+        ],
+        ids=["bool-feature_dim", "bool-n_rows", "bool-limit", "str-limit",
+             "negative-limit"],
+    )
+    def test_integer_fields_refuse_bools_and_strings(self, kind, meta):
+        # a 1-row matrix, so n_rows=True would once have built it
+        one_row = CSRMatrix(1, 4, np.array([0, 2]), np.array([0, 3]),
+                            np.ones(2, np.float32))
+        payload, arrays = csr_to_payload(one_row)
+        if kind == "warm_start":
+            payload, arrays = {}, {}
+        payload.update(meta)
+
+        async def main():
+            server = make_server()
+            w = await run_connection(server, encode_frame(kind, payload, arrays))
+            stats = server.engine.stats
+            await server.engine.drain()
+            return w.frames(), stats, server.counters()
+
+        frames, stats, counters = asyncio.run(main())
+        assert [f.meta["code"] for f in frames] == ["bad_request"]
+        assert stats["plans_built"] == 0 and stats["cached_plans"] == 0
         assert counters["internal_errors"] == 0
 
     def test_missing_payload_is_bad_request(self):
@@ -849,6 +902,13 @@ class TestEngineDrain:
 # ----------------------------------------------------------------------
 # payload helpers
 # ----------------------------------------------------------------------
+_ONE_ROW_ARRAYS = {
+    "indptr": np.array([0, 1]),
+    "indices": np.array([0]),
+    "vals": np.ones(1, np.float32),
+}
+
+
 class TestPayload:
     def test_round_trip(self):
         csr = make_csr(31)
@@ -868,6 +928,9 @@ class TestPayload:
                 {"n_rows": 4, "n_cols": 4},
                 {"indptr": np.zeros(5, np.int64), "vals": np.zeros(0)},
             ),
+            # a bool is not an int, although CSRMatrix(True, ...) builds
+            ({"n_rows": True, "n_cols": 4}, _ONE_ROW_ARRAYS),
+            ({"n_rows": 1, "n_cols": True}, _ONE_ROW_ARRAYS),
         ],
     )
     def test_malformed_payload_raises_validation_error(self, meta, arrays):

@@ -331,8 +331,6 @@ def tcplan_from_payload(
             n_rows_original=_int(meta["n_rows_original"]),
             meta=dict(meta["meta"]),
         )
-    except StoreError:
-        raise
     except _DECODE_ERRORS as exc:  # malformed payloads surface uniformly
         raise StoreError(f"invalid TCPlan payload: {exc}") from exc
 
@@ -422,8 +420,6 @@ def plan_from_payload(meta: dict, arrays: dict) -> AccPlan:
             build_seconds=float(meta["build_seconds"]),
             kernel=kernel_for_config(cfg, tuned=tuned),
         )
-    except StoreError:
-        raise
     except _DECODE_ERRORS as exc:
         raise StoreError(f"invalid AccPlan payload: {exc}") from exc
 

@@ -56,8 +56,6 @@ class AccPlan:
             raise ValidationError(
                 f"B must be ({self.csr.n_cols}, N); got {B.shape}"
             )
-        if backend is None:
-            return self.kernel.execute(self.tc_plan, B, numerics=numerics)
         return self.kernel.execute(
             self.tc_plan, B, numerics=numerics, backend=backend
         )
@@ -110,21 +108,19 @@ class AccPlan:
         return (self.tc_plan.exec_cache or {}).get(resolve_policy(numerics).tier)
 
     # ------------------------------------------------------------------
-    def to_bytes(self, include_executor: bool = True) -> bytes:
+    def to_bytes(self) -> bytes:
         """Serialise this plan to a versioned, self-describing container.
 
         The bytes round-trip through :meth:`from_bytes` into a plan that
         multiplies **bit-for-bit** identically; they are also exactly
-        what :class:`repro.serve.store.PlanStore` persists to disk.  With
-        ``include_executor`` (default) the structural half of an
-        already-built prepared executor (gather geometry, pad masks, the
-        output permutation) rides along, so a process loading the plan
-        skips that part of executor compilation.  No pickle is involved —
-        the container is a JSON header plus raw array payloads.
+        what :class:`repro.serve.store.PlanStore` persists to disk.  They
+        hold no executor state: a process loading the plan compiles its
+        executors from the tiling.  No pickle is involved — the
+        container is a JSON header plus raw array payloads.
         """
         from repro.serve.serial import plan_to_bytes
 
-        return plan_to_bytes(self, include_executor=include_executor)
+        return plan_to_bytes(self)
 
     @staticmethod
     def from_bytes(data: bytes) -> "AccPlan":
@@ -208,8 +204,6 @@ class AccPlan:
             raise ValidationError(
                 f"Bs must be (batch, {self.csr.n_cols}, N); got {Bs.shape}"
             )
-        if backend is None:
-            return self.kernel.execute(self.tc_plan, Bs, numerics=numerics)
         return self.kernel.execute(
             self.tc_plan, Bs, numerics=numerics, backend=backend
         )

@@ -375,7 +375,6 @@ class TCExecPlan:
     def __init__(
         self,
         plan,
-        structural: tuple | None = None,
         numerics=None,
         geometry_from: "TCExecPlan | None" = None,
     ) -> None:
@@ -407,13 +406,10 @@ class TCExecPlan:
             donor = None  # geometry is tiling-derived; mismatched donors lie
 
         wr, bc = t.window_rows, t.block_cols
-        restored = self._check_structural(structural, plan)
-        if restored is not None:
-            #: output rows in original order: original row r lives at rank[r]
-            self.out_rank = restored["out_rank"]
-        elif donor is not None:
+        if donor is not None:
             self.out_rank = donor.out_rank
         else:
+            #: output rows in original order: original row r lives at rank[r]
             self.out_rank = plan.reorder.row_perm.rank[: plan.n_rows_original]
 
         if t.n_blocks == 0:
@@ -438,9 +434,7 @@ class TCExecPlan:
 
         # flat scatter index of each nnz into the dense (n_blocks, wr, bc)
         # tile stack — the decompression the reference re-derives per call
-        if restored is not None and restored.get("scatter_flat") is not None:
-            self.scatter_flat = restored["scatter_flat"]
-        elif donor is not None and donor.scatter_flat is not None:
+        if donor is not None and donor.scatter_flat is not None:
             self.scatter_flat = donor.scatter_flat
         else:
             counts = t.nnz_per_block()
@@ -480,91 +474,15 @@ class TCExecPlan:
             self.tiles_all = None
             self._tile_pos = None
 
-        # gather geometry as persisted: padding slots (-1) hold row 0 and
-        # are listed in pad_all; compiled programs send them to row K
-        if restored is not None:
-            self.pos_all = restored["pos_all"]
-            self.pad_all = restored["pad_all"]
-        elif donor is not None:
+        # gather geometry: padding slots (-1) hold row 0 and are listed
+        # in pad_all; compiled programs send them to row K
+        if donor is not None:
             self.pos_all = donor.pos_all
             self.pad_all = donor.pad_all
         else:
             slots = t.sparse_a_to_b
             self.pos_all = np.maximum(slots, 0)
             self.pad_all = np.flatnonzero(slots < 0)  # sorted flat slot ids
-
-    # ------------------------------------------------------------------
-    # structural persistence
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_structural(structural: tuple | None, plan) -> dict | None:
-        """Validate restored structural state; ``None`` falls back to
-        recomputation (restored geometry is an optimisation, never a
-        correctness dependency).  Values are range-checked too: the
-        multiply indexes with ``mode="clip"``, which would clamp a bad
-        index instead of raising."""
-        if structural is None:
-            return None
-
-        def in_range(a: np.ndarray, hi: int) -> bool:
-            return not a.size or (int(a.min()) >= 0 and int(a.max()) < hi)
-
-        try:
-            meta, arrays = structural
-            t = plan.tiling
-            slot_count = t.n_blocks * t.block_cols
-            out_rank = np.asarray(arrays["out_rank"], dtype=np.int64)
-            pos_all = np.asarray(arrays["pos_all"], dtype=np.int64)
-            pad_all = np.asarray(arrays["pad_all"], dtype=np.int64)
-            scatter = arrays.get("scatter_flat")
-            if scatter is not None:
-                scatter = np.asarray(scatter, dtype=np.int64)
-                if scatter.shape != (t.nnz,) or not in_range(
-                    scatter, slot_count * t.window_rows
-                ):
-                    return None
-            if (
-                out_rank.shape != (plan.n_rows_original,)
-                or pos_all.shape != (slot_count,)
-                or pad_all.size > slot_count
-                or not in_range(out_rank, t.n_rows)
-                or not in_range(pos_all, t.n_cols)
-                or not in_range(pad_all, slot_count)
-                or (np.diff(pad_all) <= 0).any()
-            ):
-                return None
-            return {
-                "out_rank": out_rank,
-                "pos_all": pos_all,
-                "pad_all": pad_all,
-                "scatter_flat": scatter,
-            }
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def structural_payload(self) -> tuple[dict, dict]:
-        """``(meta, arrays)`` of the value-independent half of this
-        executor: gather positions, pad slots, the output permutation,
-        and (when kept) the flat scatter indices.
-
-        This is what the plan persistence layer serialises and
-        ``TCExecPlan(plan, structural=...)`` adopts; the value-dependent
-        half (rounded values, materialised tiles) is always recomputed
-        from ``vals_packed`` on restore — it is a cheap scatter, and
-        baking values into the structural artifact would break
-        value-refresh sharing.
-        """
-        meta = {
-            "numerics": self.numerics.tier,
-            "materialized": bool(self.materialized),
-        }
-        arrays = {
-            "out_rank": self.out_rank,
-            "pos_all": self.pos_all,
-            "pad_all": self.pad_all,
-            "scatter_flat": self.scatter_flat,  # None when tiles resident
-        }
-        return meta, arrays
 
     # ------------------------------------------------------------------
     # compilation
@@ -989,11 +907,6 @@ def get_executor(plan, numerics=None) -> TCExecPlan:
         if e.vals_ref is not plan.vals_packed:
             cache.pop(tier, None)
     donor = next(iter(cache.values()), None)
-    structural = getattr(plan, "exec_structural", None)
-    ex = TCExecPlan(
-        plan, structural=structural, numerics=policy, geometry_from=donor
-    )
+    ex = TCExecPlan(plan, numerics=policy, geometry_from=donor)
     cache[policy.tier] = ex
-    if structural is not None:
-        plan.exec_structural = None  # consumed (or rejected) either way
     return ex

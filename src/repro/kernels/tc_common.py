@@ -64,15 +64,6 @@ class TCPlan:
     exec_cache: object = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: structural executor state restored by the persistence layer
-    #: (:mod:`repro.serve.serial`): a ``(meta, arrays)`` pair consumed —
-    #: and cleared — by the first :func:`~repro.kernels.executor.
-    #: get_executor` call, so a warm-started plan skips recomputing its
-    #: gather geometry.  ``init=False`` for the same reason as
-    #: ``exec_cache``: a value refresh must not inherit it.
-    exec_structural: object = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
 
 # ----------------------------------------------------------------------

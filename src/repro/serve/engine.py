@@ -267,11 +267,12 @@ class SpMMEngine:
         if self.exec_max_bytes is not None:
             p.tc_plan.meta["exec_max_bytes"] = self.exec_max_bytes
         if outcome == "build" and self.store is not None:
-            # compile the executor now, before persisting, so the stored
-            # entry carries the exec structural payload — without this
-            # the engine always wrote plans before any executor existed
-            # and warm-started workers re-derived exec preparation from
-            # scratch
+            # compile the executor for this feature dim before the store
+            # write: a fleet worker's submit builds without multiplying,
+            # and its first multiply then finds the executor ready.
+            # Plan files hold no executor state, so none is persisted;
+            # perfbench's traced cold-start run counts this compile
+            # (TCExecPlan.prepare_for) among its entry points
             p.prepare(feature_dim)
         with self._lock:
             stats = self.cache.stats

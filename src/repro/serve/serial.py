@@ -31,7 +31,10 @@ supported versions (the store quarantines such entries, and the
 ``.reason`` sidecar carries that message — replanning is always safe,
 migration never attempted).  A header that lacks the ``saved_at``
 timestamp (v2) or the ``tuned`` block (v3) still loads, falling back to
-the file's mtime and the plan meta's copy of the verdict.
+the file's mtime and the plan meta's copy of the verdict.  The ``exec``
+header block and ``exec.*`` arrays that older writers added (a copy of
+the executor's gather geometry) are ignored: the reader derives that
+geometry from the tiling, whose indices it checks on decode.
 """
 
 from __future__ import annotations
@@ -308,6 +311,17 @@ def tcplan_from_payload(
         schedule.validate_against(tiling)
         rm = meta["reorder"]
         row_perm = Permutation.from_order(arrays["reorder.row_order"])
+        # the executor gathers B at these slots and takes its output rows
+        # through the row order's ranks with mode="clip", which clamps a
+        # bad index instead of raising: refuse them here
+        slots = tiling.sparse_a_to_b
+        if slots.shape != (tiling.n_blocks * tiling.block_cols,):
+            raise StoreError("tiling.sparse_a_to_b has the wrong length")
+        if slots.size and not -1 <= slots.min() <= slots.max() < tiling.n_cols:
+            raise StoreError("tiling.sparse_a_to_b holds an out-of-range column")
+        n_rows_original = _int(meta["n_rows_original"])
+        if row_perm.n != tiling.n_rows or n_rows_original > tiling.n_rows:
+            raise StoreError("the row order does not fit the tiling's rows")
         if rm["col_is_row"]:
             col_perm: Permutation | None = row_perm
         elif rm["has_col"]:
@@ -328,7 +342,7 @@ def tcplan_from_payload(
             bytes_a_per_block=np.asarray(arrays["bytes_a_per_block"]),
             pipeline_mode=PipelineMode[meta["pipeline_mode"]],
             cache_policy_control=bool(meta["cache_policy_control"]),
-            n_rows_original=_int(meta["n_rows_original"]),
+            n_rows_original=n_rows_original,
             meta=dict(meta["meta"]),
         )
     except _DECODE_ERRORS as exc:  # malformed payloads surface uniformly
@@ -338,16 +352,15 @@ def tcplan_from_payload(
 # ----------------------------------------------------------------------
 # AccPlan (the store's unit of persistence)
 # ----------------------------------------------------------------------
-def plan_payload(p: AccPlan, include_executor: bool = True) -> tuple[dict, dict]:
+def plan_payload(p: AccPlan) -> tuple[dict, dict]:
     """``(meta, arrays)`` for a full :class:`AccPlan`.
 
     The header carries everything the store validates on load without
     touching the payload: the matrix fingerprint, the config fingerprint
     and full config dict, the device, dtype/shape metadata (inside the
     nested payload tables), and the recorded build cost that drives
-    cost-aware admission.  With ``include_executor`` (default), the
-    *structural half* of an already-built prepared executor rides along
-    so a warm-started process skips recomputing gather geometry.
+    cost-aware admission.  No executor state is written: a loading
+    process derives the executor's gather geometry from the tiling.
     """
     from repro.serve.fingerprint import fingerprint
 
@@ -372,18 +385,12 @@ def plan_payload(p: AccPlan, include_executor: bool = True) -> tuple[dict, dict]
     tuned = p.tc_plan.meta.get("tuned")
     if isinstance(tuned, dict):
         top["tuned"] = dict(tuned)
-    ex = p.executor
-    if include_executor and ex is not None:
-        ex_meta, ex_arrays = ex.structural_payload()
-        top["exec"] = ex_meta
-        for name, arr in ex_arrays.items():
-            arrays[f"exec.{name}"] = arr
     return top, arrays
 
 
-def plan_to_bytes(p: AccPlan, include_executor: bool = True) -> bytes:
+def plan_to_bytes(p: AccPlan) -> bytes:
     """Serialise an :class:`AccPlan` to a self-describing container."""
-    meta, arrays = plan_payload(p, include_executor=include_executor)
+    meta, arrays = plan_payload(p)
     return pack_container("accplan", meta, arrays)
 
 
@@ -402,15 +409,6 @@ def plan_from_payload(meta: dict, arrays: dict) -> AccPlan:
         tuned = TunedConfig.from_meta(meta.get("tuned"))
         if tuned is None:
             tuned = TunedConfig.from_meta(tc.meta.get("tuned"))
-        if "exec" in meta:
-            tc.exec_structural = (
-                dict(meta["exec"]),
-                {
-                    name[len("exec."):]: arr
-                    for name, arr in arrays.items()
-                    if name.startswith("exec.")
-                },
-            )
         return AccPlan(
             csr=csr,
             config=cfg,

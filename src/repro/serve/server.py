@@ -792,7 +792,7 @@ class SpMMClient:
         """Build (or confirm) the server-side plan for ``A`` without
         multiplying; returns the fingerprint record."""
         meta, arrays = self._matrix_request(A, tenant=tenant, device=device)
-        meta["feature_dim"] = int(feature_dim)
+        meta["feature_dim"] = feature_dim  # the server's int rule judges it
         return self._rpc("submit", meta, arrays).meta
 
     def delta(

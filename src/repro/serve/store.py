@@ -138,9 +138,14 @@ class StoreEntry:
 
     @property
     def build_seconds(self) -> float:
+        """The recorded rebuild cost; 0.0 (ranks cheapest, like an
+        unreadable header) when the header lacks a number."""
         if self.meta is None:
             return 0.0
-        return float(self.meta.get("build_seconds", 0.0))
+        try:
+            return float(self.meta.get("build_seconds", 0.0))
+        except (TypeError, ValueError):
+            return 0.0
 
     @property
     def last_used(self) -> float:
@@ -617,8 +622,6 @@ def _cmd_prewarm(store: PlanStore, args) -> int:
             device=args.device,
             autotune=args.autotune,
         )
-        if args.prepare:
-            p.prepare(args.feature_dim)
         stored = store.put(fp, p.device.name, p.config, p)
         state = "stored" if stored else "skipped"
         print(
@@ -668,11 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pre.add_argument("--device", default="a800", help="device spec name")
     pre.add_argument("--feature-dim", type=int, default=128)
-    pre.add_argument(
-        "--prepare",
-        action="store_true",
-        help="also compile the executor so its structural state is stored",
-    )
     pre.add_argument(
         "--autotune",
         action="store_true",

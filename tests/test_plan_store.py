@@ -27,7 +27,6 @@ from repro.core.planner import AccPlan
 from repro.errors import StoreError, StoreVersionError
 from repro.kernels.accspmm import AccSpMMKernel
 from repro.kernels.dtc import DTCKernel
-from repro.kernels.executor import TCExecPlan
 from repro.kernels.tc_common import execute_tiled
 from repro.kernels.tcgnn import TCGNNKernel
 from repro.gpusim.specs import get_device
@@ -89,85 +88,6 @@ class TestSerialRoundTrip:
         assert tc2.name == tc.name
         assert tc2.pipeline_mode == tc.pipeline_mode
         assert np.array_equal(C0, execute_tiled(tc2, B))
-
-    def test_executor_structural_rides_along(self):
-        csr = make_csr(seed=4)
-        B = make_b(csr)
-        p = repro.plan(csr, feature_dim=32)
-        C0 = p.multiply(B)  # builds the executor
-        assert p.executor is not None
-        p2 = AccPlan.from_bytes(p.to_bytes())
-        # structural state restored, consumed by the first multiply
-        assert p2.tc_plan.exec_structural is not None
-        assert np.array_equal(C0, p2.multiply(B))
-        assert p2.tc_plan.exec_structural is None
-        assert p2.executor is not None
-
-    def test_executor_structural_can_be_excluded(self):
-        csr = make_csr(seed=4)
-        p = repro.plan(csr, feature_dim=32)
-        p.multiply(make_b(csr))
-        p2 = AccPlan.from_bytes(p.to_bytes(include_executor=False))
-        assert p2.tc_plan.exec_structural is None
-
-    def test_executor_structural_payload_round_trip(self):
-        csr = make_csr(seed=5)
-        B = make_b(csr)
-        p = repro.plan(csr, feature_dim=32)
-        C0 = p.multiply(B)
-        structural = p.executor.structural_payload()
-        ex2 = TCExecPlan(p.tc_plan, structural=structural)
-        assert ex2.pos_all is structural[1]["pos_all"]  # adopted, not rebuilt
-        assert np.array_equal(C0, ex2.execute(B))
-
-    def test_corrupt_structural_state_falls_back(self):
-        csr = make_csr(seed=5)
-        B = make_b(csr)
-        p = repro.plan(csr, feature_dim=32)
-        C0 = p.multiply(B)
-        p2 = AccPlan.from_bytes(p.to_bytes())
-        meta, arrays = p2.tc_plan.exec_structural
-        arrays["pos_all"] = arrays["pos_all"][:-1]  # wrong shape
-        assert np.array_equal(C0, p2.multiply(B))  # recomputed, not trusted
-
-    @pytest.mark.parametrize(
-        "field,corrupt",
-        [
-            ("pos_all", "past_end"),
-            ("pos_all", "negative"),
-            ("out_rank", "past_end"),
-            ("out_rank", "negative"),
-            ("pad_all", "unsorted"),
-            ("pad_all", "past_end"),
-        ],
-    )
-    def test_out_of_range_structural_values_fall_back(self, field, corrupt):
-        # the multiply gathers with mode="clip", which clamps a bad index
-        # instead of raising, so restored values are range-checked once
-        csr = make_csr(seed=5)
-        B = make_b(csr)
-        p = repro.plan(csr, feature_dim=32)
-        C0 = p.multiply(B)
-        p2 = AccPlan.from_bytes(p.to_bytes())
-        meta, arrays = p2.tc_plan.exec_structural
-        t = p2.tc_plan.tiling
-        arr = np.array(arrays[field], dtype=np.int64)
-        assert arr.size > 1
-        if field == "pos_all":
-            at = np.setdiff1d(np.arange(arr.size), arrays["pad_all"])[0]
-            hi = t.n_cols
-        elif field == "out_rank":
-            at = int(np.argmax(arr) if corrupt == "negative" else np.argmin(arr))
-            hi = t.n_rows
-        else:
-            at, hi = -1, t.n_blocks * t.block_cols
-        if corrupt == "unsorted":
-            arr = arr[::-1].copy()
-        else:
-            arr[at] = hi if corrupt == "past_end" else -1
-        arrays[field] = arr
-        assert np.array_equal(C0.view(np.uint32), p2.multiply(B).view(np.uint32))
-        assert not np.array_equal(getattr(p2.executor, field), arr)
 
     def test_bilateral_reorder_alias_preserved(self):
         from repro.reorder.affinity import reorder_bilateral
@@ -242,6 +162,48 @@ def _string_nbytes(data: bytes) -> bytes:
     return head + bytes(align(len(head)) - len(head)) + data[data_start:]
 
 
+def _broken_index(case: str):
+    """A breaker putting one tiling or row-order index out of range.
+
+    The executor gathers with ``mode="clip"``, which clamps a bad index
+    instead of raising: a file with a column out of range once loaded
+    and multiplied to a wrong C, one with a short row order to a C a
+    row short.  That row order stays a permutation (of one row fewer),
+    so only its fit to the tiling is wrong.
+    """
+
+    def breaker(data: bytes) -> bytes:
+        header, arrays = unpack_container(data)
+        meta, arrays = header["meta"], dict(arrays)
+        slots = np.array(arrays["tiling.sparse_a_to_b"])
+        column = np.flatnonzero(slots >= 0)[0]
+        order = arrays["reorder.row_order"]
+        if case == "column_n_cols":
+            slots[column] = meta["tc"]["tiling"]["n_cols"]
+        elif case == "column_minus_two":
+            slots[column] = -2
+        elif case == "slots_length":
+            slots = slots[:-1]
+        elif case == "row_order_length":
+            arrays["reorder.row_order"] = order[order != order.size - 1]
+        else:
+            assert case == "n_rows_original_over"
+            meta["tc"]["n_rows_original"] += 1
+        arrays["tiling.sparse_a_to_b"] = slots
+        return pack_container("accplan", meta, arrays)
+
+    return breaker
+
+
+#: each broken index, with the refusal it gets at decode
+INDEX_BREAKS = {
+    "column_n_cols": "out-of-range column",
+    "column_minus_two": "out-of-range column",
+    "slots_length": "wrong length",
+    "row_order_length": "row order does not fit",
+    "n_rows_original_over": "row order does not fit",
+}
+
 #: ways to break a stored entry, each turning its bytes into new bytes
 BROKEN_ENTRIES = {
     "garbage": lambda data: b"garbage" * 100,
@@ -252,6 +214,7 @@ BROKEN_ENTRIES = {
     ],
     "cut_in_array": _cut_in_array,
     "string_nbytes": _string_nbytes,
+    **{f"index_{case}": _broken_index(case) for case in INDEX_BREAKS},
 }
 
 #: what a loading process can run short of, as opposed to a bad entry
@@ -261,6 +224,13 @@ RESOURCE_FAILURES = {
     "ENFILE": OSError(errno.ENFILE, os.strerror(errno.ENFILE)),
     "ENOMEM": OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)),
 }
+
+
+@pytest.mark.parametrize("case", list(INDEX_BREAKS))
+def test_out_of_range_index_is_refused_at_decode(case):
+    data = repro.plan(make_csr(seed=5), feature_dim=32).to_bytes()
+    with pytest.raises(StoreError, match=INDEX_BREAKS[case]):
+        plan_from_bytes(_broken_index(case)(data))
 
 
 class TestPlanStore:
@@ -409,6 +379,33 @@ class TestPlanStore:
         assert evicted and evicted[0].build_seconds == pytest.approx(0.001)
         remaining = {e.build_seconds for e in store.entries()}
         assert 5.0 in remaining  # the expensive plan survives pressure
+
+    def test_non_numeric_build_seconds_ranks_cheapest(self, tmp_path):
+        # a header holding "build_seconds": "slow" once made the
+        # warm start's sort key raise ValueError
+        for root in (tmp_path / "warm", tmp_path / "gc"):
+            store = PlanStore(root)
+            for seed, cost in ((37, 3.0), (38, 0.5), (39, 2.0)):
+                csr = make_csr(seed=seed, n=128, deg=4.0)
+                p = repro.plan(csr, feature_dim=16)
+                p.build_seconds = cost
+                store.put(fingerprint(csr), p.device.name, p.config, p)
+            (slow,) = [e for e in store.entries() if e.build_seconds == 3.0]
+            header, arrays = unpack_container(slow.path.read_bytes())
+            header["meta"]["build_seconds"] = "slow"
+            slow.path.write_bytes(
+                pack_container("accplan", header["meta"], arrays)
+            )
+        # a worker warm-starts past it (its load quarantines the entry)
+        # and loads every other entry
+        worker = repro.SpMMEngine(store=PlanStore(tmp_path / "warm"))
+        assert worker.warm_start() == 2
+        # gc prices it at 0.0, like an unreadable header: it goes first
+        store = PlanStore(tmp_path / "gc")
+        costs = sorted(e.build_seconds for e in store.entries())
+        assert costs == [0.0, 0.5, 2.0]
+        evicted = store.gc(max_bytes=store.total_bytes() - 1)
+        assert [e.digest for e in evicted] == [slow.digest]
 
     def test_entries_and_as_dict(self, tmp_path):
         store = PlanStore(tmp_path)
@@ -666,8 +663,7 @@ class TestCrossProcess:
 # ----------------------------------------------------------------------
 def store_plans(root, k: int) -> None:
     """Serve ``k`` distinct small matrices through a store-backed engine,
-    so ``root`` holds ``k`` plans with their executor state (22 arrays
-    each)."""
+    so ``root`` holds ``k`` plans (19 arrays each)."""
     engine = repro.SpMMEngine(store=PlanStore(root))
     for seed in range(k):
         csr = make_csr(seed=40 + seed, n=96, deg=5.0)
@@ -743,7 +739,7 @@ class TestOneMapPerPlan:
 
     def test_warm_start_under_a_low_descriptor_limit(self, tmp_path):
         pytest.importorskip("resource")
-        k, limit = 8, 64  # one descriptor per array would need 22 * k
+        k, limit = 8, 64  # one descriptor per array would need 19 * k
         store_plans(tmp_path, k)
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")

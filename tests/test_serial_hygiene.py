@@ -313,14 +313,44 @@ class TestPlanPayload:
 #: sha256 of the plan below, as written by format v4; a codec change
 #: that alters one byte of a plan file fails here
 PINNED_PLAN_SHA256 = (
+    "25c85d2a02a810eb9bb9d0351689e19a349a8fd2a02d92d4a144537c9baf4602"
+)
+
+#: sha256 of the same plan as older writers wrote it, with a copy of the
+#: exact executor's gather geometry in an ``exec`` block
+EXEC_BLOCK_PLAN_SHA256 = (
     "42623652bceefe2e421f074e9eb63ee7b101038d4f1840f3de6684a5f12960b2"
 )
 
 
-def test_plan_file_bytes_are_pinned(monkeypatch):
+@pytest.fixture
+def pinned_plan(monkeypatch):
     p = plan(random_csr(seed=21), feature_dim=16)
-    p.multiply(np.ones((p.csr.n_cols, 8), dtype=np.float32))
     p.build_seconds = 0.5
     monkeypatch.setattr(serial, "_wall_clock", lambda: 1.0e9)
-    digest = hashlib.sha256(plan_to_bytes(p)).hexdigest()
+    return p
+
+
+def test_plan_file_bytes_are_pinned(pinned_plan):
+    # a compiled executor leaves no trace in the file
+    pinned_plan.multiply(np.ones((pinned_plan.csr.n_cols, 8), dtype=np.float32))
+    digest = hashlib.sha256(plan_to_bytes(pinned_plan)).hexdigest()
     assert digest == PINNED_PLAN_SHA256
+
+
+def test_a_file_with_an_exec_block_loads_and_ignores_it(pinned_plan):
+    p = pinned_plan
+    meta, arrays = plan_payload(p)
+    slots = p.tc_plan.tiling.sparse_a_to_b
+    meta["exec"] = {"materialized": True, "numerics": "exact"}
+    arrays["exec.out_rank"] = p.tc_plan.reorder.row_perm.rank[
+        : p.tc_plan.n_rows_original
+    ]
+    arrays["exec.pos_all"] = np.maximum(slots, 0)
+    arrays["exec.pad_all"] = np.flatnonzero(slots < 0)
+    blob = pack_container("accplan", meta, arrays)
+    assert hashlib.sha256(blob).hexdigest() == EXEC_BLOCK_PLAN_SHA256
+    B = np.random.default_rng(4).standard_normal((p.csr.n_cols, 8))
+    B = B.astype(np.float32)
+    C = plan_from_bytes(blob).multiply(B)
+    assert np.array_equal(C.view(np.uint32), p.multiply(B).view(np.uint32))

@@ -186,6 +186,18 @@ class TestLiveSocket:
         assert stats["engine"]["plans_built"] == 1
         assert stats["engine"]["hits"] >= 1
 
+    def test_submit_sends_feature_dim_as_given(self):
+        # the client once sent int(feature_dim): True went out as 1 and
+        # 2.7 as 2, so the server's int rule never saw them
+        csr = make_csr(6)
+        with live_server() as box:
+            host, port = box["addr"]
+            with SpMMClient(host, port) as c:
+                for feature_dim in (True, 2.7):
+                    with pytest.raises(ServerError) as exc:
+                        c.submit(csr, feature_dim=feature_dim)
+                    assert exc.value.code == "bad_request"
+
     def test_bad_request_does_not_kill_connection(self):
         csr = make_csr(5)
         with live_server() as box:

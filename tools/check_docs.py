@@ -26,7 +26,13 @@ before this check):
    import — inline-code tokens such as ``repro.serve.store.PlanStore``
    or ``SpMMEngine.warm_start`` are resolved module-by-module and
    attribute-by-attribute, catching the API drift the link checker
-   cannot see.  Without numpy the check is skipped with a notice.
+   cannot see.  Without numpy the check is skipped with a notice;
+6. every ``--flag`` of a documented ``python -m repro.serve.store ...``
+   or ``python -m repro.serve.server ...`` command, in any document, is
+   an option of that module's ``build_parser()`` or one of its
+   subcommands.  Fenced blocks count, a line ending in ``\`` (or an
+   indented synopsis line) continues the command above it, and inline
+   code may wrap onto a second line.
 
 Run from the repository root: ``python tools/check_docs.py``.
 """
@@ -72,6 +78,9 @@ API_NAMESPACES = [
     "repro.tune.space",
     "repro.tune.autotune",
 ]
+
+#: modules whose documented command lines may use only their options
+CLI_MODULES = ("repro.serve.store", "repro.serve.server")
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
@@ -224,6 +233,66 @@ def check_api_references(doc: Path, errors: list[str]) -> None:
             )
 
 
+#: ``-m <module>`` and its arguments, up to a comment or shell operator
+CLI_RE = re.compile(
+    r"-m\s+(" + "|".join(map(re.escape, CLI_MODULES)) + r")(?![\w.])([^#|;&`]*)"
+)
+FLAG_RE = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+
+
+def command_texts(text: str) -> list[str]:
+    """Candidate command lines of a document: each fenced line with its
+    continuations joined (a trailing ``\\``, or an indented line after
+    it, as in a usage synopsis), and each inline code span, which may
+    wrap onto the next line."""
+    texts: list[str] = []
+    fenced, joinable = False, False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced, joinable = not fenced, False
+            continue
+        if not fenced:
+            continue
+        if joinable and (texts[-1].endswith("\\") or line[:1].isspace()):
+            texts[-1] = texts[-1].rstrip("\\") + " " + line.strip()
+        else:
+            texts.append(line)
+        joinable = True
+    texts += re.findall(r"`([^`\n]+(?:\n[^`\n]+)?)`", strip_fences(text))
+    return texts
+
+
+def cli_options(module: str) -> set[str]:
+    """Every option string of ``module``'s ``build_parser()``, its
+    subcommands' included."""
+    import argparse
+    import importlib
+
+    parsers = [importlib.import_module(module).build_parser()]
+    options: set[str] = set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return options
+
+
+def check_cli_flags(
+    doc: Path, options: dict[str, set[str]], errors: list[str]
+) -> None:
+    """Every ``--flag`` of a documented ``python -m <module>`` command
+    must be an option that module's parser accepts."""
+    for text in command_texts(doc.read_text()):
+        for module, args in CLI_RE.findall(text):
+            for flag in FLAG_RE.findall(args):
+                if flag not in options[module]:
+                    errors.append(
+                        f"{doc.relative_to(ROOT)}: `python -m {module}` "
+                        f"has no option `{flag}`"
+                    )
+
+
 def check_module_map(errors: list[str]) -> None:
     arch = ROOT / "docs" / "ARCHITECTURE.md"
     if not arch.exists():
@@ -304,7 +373,11 @@ def main() -> int:
         for doc in API_DOC_FILES:
             if doc.exists():
                 check_api_references(doc, errors)
-        api_note = "API refs resolve"
+        options = {module: cli_options(module) for module in CLI_MODULES}
+        for doc in DOC_FILES:
+            if doc.exists():
+                check_cli_flags(doc, options, errors)
+        api_note = "API refs and CLI flags resolve"
     if errors:
         print(f"docs check FAILED ({len(errors)} problem(s)):")
         for err in errors:

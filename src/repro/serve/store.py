@@ -136,16 +136,21 @@ class StoreEntry:
     #: :meth:`PlanStore.entries` — the upper clamp for :attr:`last_used`
     now: float | None = field(default=None)
 
-    @property
-    def build_seconds(self) -> float:
-        """The recorded rebuild cost; 0.0 (ranks cheapest, like an
-        unreadable header) when the header lacks a number."""
+    def _number(self, key: str) -> float:
+        """Header field ``key`` as a float; 0.0 when the header is
+        unreadable or the field is missing or not a number."""
         if self.meta is None:
             return 0.0
         try:
-            return float(self.meta.get("build_seconds", 0.0))
+            return float(self.meta.get(key, 0.0))
         except (TypeError, ValueError):
             return 0.0
+
+    @property
+    def build_seconds(self) -> float:
+        """The recorded rebuild cost; an entry without a readable one
+        costs 0.0, so it ranks cheapest."""
+        return self._number("build_seconds")
 
     @property
     def last_used(self) -> float:
@@ -165,12 +170,7 @@ class StoreEntry:
         ahead of the reader (the local clock itself stepped backwards),
         fall back to scan time — eviction then waits for the local clock
         to recover, which is the conservative failure mode."""
-        saved_at = 0.0
-        if self.meta is not None:
-            try:
-                saved_at = float(self.meta.get("saved_at", 0.0))
-            except (TypeError, ValueError):
-                saved_at = 0.0
+        saved_at = self._number("saved_at")
         if self.now is None:
             return max(self.mtime, saved_at)
         in_domain = [t for t in (self.mtime, saved_at) if t <= self.now]

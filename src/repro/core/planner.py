@@ -232,8 +232,8 @@ class AccPlan:
 
         The new plan's ``build_seconds`` is this plan's plus the patch's
         own time: what a worker without the derived plan pays to rebuild
-        it, which is what the plan store's admission and cheapest-first
-        gc rank it by.
+        it, which is what the plan store's cheapest-first gc and a warm
+        start rank it by.
         """
         from repro.formats.tiling import retile_windows
         from repro.sparse.delta import GraphDelta
@@ -282,7 +282,7 @@ class AccPlan:
                 self.feature_dim,
                 self.device,
             )
-            # carry the matrix-derived and engine-owned knobs
+            # carry the matrix-derived verdict and the executor knobs
             for key in ("tuned", "exec_max_bytes", "exec_chunk_elems"):
                 if key in tc.meta:
                     new_tc.meta[key] = tc.meta[key]

@@ -15,7 +15,7 @@ Typical use::
 
 Cross-process reuse (a new worker skips planning entirely)::
 
-    engine = SpMMEngine(store=PlanStore("/var/cache/accspmm"), policy="cost")
+    engine = SpMMEngine(store=PlanStore("/var/cache/accspmm"))
     engine.warm_start()                    # mmap persisted plans from disk
     C = engine.spmm(A, B)                  # pure cache hit, no replan
 
@@ -42,7 +42,6 @@ from repro.serve.frames import (
 from repro.serve.engine import (
     SpMMEngine,
     default_engine,
-    plan_build_cost,
     plan_nbytes,
     reset_default_engine,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "SpMMEngine",
     "AsyncSpMMEngine",
     "default_engine",
-    "plan_build_cost",
     "plan_nbytes",
     "reset_default_engine",
     "MatrixFingerprint",

@@ -51,6 +51,22 @@ def align(n: int) -> int:
     return (n + ALIGN - 1) // ALIGN * ALIGN
 
 
+def jsonable(obj):
+    """``obj`` as values JSON holds: dict keys become strings, lists and
+    tuples lists, numpy scalars Python scalars, at any depth; anything
+    else becomes its ``str``.  For plan meta and ``/metrics``, which are
+    informational: a value there never stops an encode."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if obj is None or isinstance(obj, (str, int, float, bool)):
+        return obj
+    return str(obj)
+
+
 def _dtype_refused(name, dtype: np.dtype, error) -> Exception:
     return error(
         f"array {name!r} has dtype {dtype.str!r}; containers carry only "

@@ -3,9 +3,9 @@
 :class:`SpMMEngine` fronts repeated ``C = A @ B`` traffic the way a
 production service would: every request is keyed by the *content* of its
 sparse operand, plans are built once and reused from a
-:class:`~repro.serve.cache.PlanCache` (LRU or cost-aware, optionally
-byte-budgeted — entries are charged their measured :func:`plan_nbytes`,
-prepared executors included), value-only matrix updates are served by
+:class:`~repro.serve.cache.PlanCache` (LRU, optionally byte-budgeted —
+entries are charged their measured :func:`plan_nbytes`, prepared
+executors included), value-only matrix updates are served by
 repacking values into the cached structural plan, and steady-state
 multiplies replay each plan's compiled executor
 (:mod:`repro.kernels.executor`), so only the B-dependent work runs per
@@ -55,15 +55,6 @@ def plan_nbytes(plan) -> int:
     return int(estimator()) if callable(estimator) else 0
 
 
-def plan_build_cost(plan) -> float:
-    """Rebuild cost of a cached plan in seconds (cost-aware eviction).
-
-    Duck-typed like :func:`plan_nbytes`; plans without a recorded
-    ``build_seconds`` cost 0 and are therefore evicted first.
-    """
-    return float(getattr(plan, "build_seconds", 0.0) or 0.0)
-
-
 @audit_guarded
 class SpMMEngine:
     """Serve repeated SpMM traffic through a content-addressed plan cache.
@@ -80,10 +71,6 @@ class SpMMEngine:
         multiplies that compiled executor state; a plan fetched via
         :meth:`get_plan` and multiplied *outside* the engine grows its
         entry silently until the next engine-mediated request re-checks.
-    exec_max_bytes:
-        Optional per-plan budget for executor tile materialisation;
-        plans whose dense tiles would exceed it fall back to lazy
-        per-chunk decompression (see :mod:`repro.kernels.executor`).
     store:
         Optional cross-process persistence: a
         :class:`~repro.serve.store.PlanStore` (or a directory path, which
@@ -92,16 +79,6 @@ class SpMMEngine:
         write-temp-then-rename).  Corrupt store entries are quarantined
         by the store and served as ordinary misses — the engine's
         counters and byte accounting stay consistent either way.
-    policy:
-        Eviction policy for the in-memory cache: ``"lru"`` (default) or
-        ``"cost"`` — rank entries by recorded ``build_seconds`` times
-        observed hit rate, so expensive reorder+tile plans survive
-        byte-budget pressure (see :mod:`repro.serve.cache`).
-    max_idle_seconds:
-        Optional TTL for cached plans: entries not requested for this
-        long are expired whenever cache limits are enforced, so a matrix
-        that stops arriving stops pinning memory (counted in
-        ``stats["expirations"]``; see :mod:`repro.serve.cache`).
     numerics:
         Default numerics tier for requests that do not name their own —
         ``"exact"`` (bit-for-bit, the default), ``"tf32"``, ``"fast"``,
@@ -136,10 +113,7 @@ class SpMMEngine:
         device: DeviceSpec | str = "a800",
         config: AccConfig | None = None,
         max_bytes: int | None = None,
-        exec_max_bytes: int | None = None,
         store=None,
-        policy: str = "lru",
-        max_idle_seconds: float | None = None,
         numerics=None,
         autotune: bool = False,
         backend=None,
@@ -151,9 +125,6 @@ class SpMMEngine:
             capacity=capacity,
             max_bytes=max_bytes,
             size_of=plan_nbytes,
-            policy=policy,
-            cost_of=plan_build_cost,
-            max_idle_seconds=max_idle_seconds,
             owner_lock=self._lock,
         )
         if store is not None and not hasattr(store, "get"):
@@ -163,7 +134,6 @@ class SpMMEngine:
         self.store = store
         self.default_device = get_device(device)
         self.default_config = config or AccConfig.paper_default()
-        self.exec_max_bytes = exec_max_bytes
         #: engine-default numerics tier (validated up front, so a typo
         #: fails at construction rather than on the first request)
         self.default_numerics = resolve_policy(numerics)
@@ -246,13 +216,6 @@ class SpMMEngine:
         if base is None and self.store is not None:
             p = self.store.get(fp, spec.name, cfg)  # never raises
             outcome = "store" if p is not None else None
-            if p is not None:
-                # the writer's materialisation budget must not leak into
-                # this engine, which re-applies its own below.  "tuned"
-                # is deliberately NOT scrubbed: it is derived from the
-                # matrix, and dropping it would waste the amortised
-                # autotuning.
-                p.tc_plan.meta.pop("exec_max_bytes", None)
         if p is None and base is not None:
             p = self._refresh_values(base, csr)
         if p is None:
@@ -264,8 +227,6 @@ class SpMMEngine:
                 autotune=self.autotune,
             )
             outcome = "build"
-        if self.exec_max_bytes is not None:
-            p.tc_plan.meta["exec_max_bytes"] = self.exec_max_bytes
         if outcome == "build" and self.store is not None:
             # compile the executor for this feature dim before the store
             # write: a fleet worker's submit builds without multiplying,
@@ -303,10 +264,10 @@ class SpMMEngine:
     ) -> AccPlan | None:
         """Cache-only probe by fingerprint: the plan, or ``None``.
 
-        Count-free: neither outcome touches the hit/miss counters, LRU
-        order, or TTL recency, so tools and benchmarks can read a cached
-        plan without skewing the request statistics.  Never builds,
-        never touches the store, never waits on an in-flight resolution.
+        Count-free: neither outcome touches the hit/miss counters or LRU
+        order, so tools and benchmarks can read a cached plan without
+        skewing the request statistics.  Never builds, never touches the
+        store, never waits on an in-flight resolution.
         """
         spec = get_device(device) if device is not None else self.default_device
         cfg = config or self.default_config
@@ -339,7 +300,8 @@ class SpMMEngine:
         ``new_fingerprint`` (:meth:`~repro.serve.store.PlanStore.put`),
         like a fresh build, so any worker loads it with one map of one
         file; its ``build_seconds`` counts the base's build, so the
-        store's admission and gc price it as a rebuild would cost.
+        store's gc and :meth:`warm_start` price it as a rebuild would
+        cost.
         ``apply_delta`` is pure on the base plan, so concurrent deltas
         on one base are not coalesced — last insert wins under the
         engine lock.
@@ -371,8 +333,6 @@ class SpMMEngine:
                 "serve the full matrix once before streaming deltas against it"
             )
         new_plan = base.apply_delta(delta)
-        if self.exec_max_bytes is not None:
-            new_plan.tc_plan.meta["exec_max_bytes"] = self.exec_max_bytes
         new_fp = fingerprint(new_plan.csr)
         new_key = (new_fp.full, spec.name, cfg)
         new_structural = (new_fp.structural, spec.name, cfg)
@@ -454,19 +414,12 @@ class SpMMEngine:
     def _adopt(self, plan_obj: AccPlan, fp=None) -> bool:
         """Insert a store-loaded plan into the cache (warm-start path).
 
-        Applies the same scrubbing as a store hit (the writer's
-        ``exec_max_bytes`` must not leak into this engine), then inserts
-        under the engine lock.  ``fp`` skips the re-fingerprint when the
-        caller holds one the store already checked against the entry's
-        header (the delta path's base); without it the fingerprint is
-        recomputed, which doubles as an integrity check on the mapped
-        arrays.
-        Returns ``False`` when the content is already cached.
+        ``fp`` skips the re-fingerprint when the caller holds one the
+        store already checked against the entry's header (the delta
+        path's base); without it the fingerprint is recomputed, which
+        doubles as an integrity check on the mapped arrays.  Returns
+        ``False`` when the content is already cached.
         """
-        # scrub the writer's budget, keep the matrix-derived "tuned" verdict
-        plan_obj.tc_plan.meta.pop("exec_max_bytes", None)
-        if self.exec_max_bytes is not None:
-            plan_obj.tc_plan.meta["exec_max_bytes"] = self.exec_max_bytes
         if fp is None:
             fp = fingerprint(plan_obj.csr)
         key = (fp.full, plan_obj.device.name, plan_obj.config)
@@ -564,11 +517,10 @@ class SpMMEngine:
 
     # ------------------------------------------------------------------
     def enforce_limits(self) -> None:
-        """Apply the TTL, byte budget and capacity now.  Inserts and
-        executor-compiling multiplies do this on their own; steady
-        all-hit traffic does neither, so an operator who wants idle
-        plans released calls this on a timer (it holds the engine lock
-        only for the sweep; see ``docs/CONCURRENCY.md``)."""
+        """Apply the byte budget and capacity now.  Inserts and
+        executor-compiling multiplies do this on their own; a plan
+        multiplied outside the engine grows its entry unchecked until
+        this runs (it holds the engine lock only for the sweep)."""
         with self._lock:
             self.cache.enforce_limits()
 
@@ -607,7 +559,6 @@ class SpMMEngine:
             counters = self.cache.stats.as_dict()
             capacity = self.cache.capacity
             max_bytes = self.cache.max_bytes
-            policy = self.cache.policy
         # exec_cache is a tier-keyed dict: count plans with at least one
         # compiled executor, sum prep accounting over every tier
         per_plan = [
@@ -626,7 +577,6 @@ class SpMMEngine:
             "capacity": capacity,
             "cached_bytes": cached_bytes,
             "max_bytes": max_bytes,
-            "policy": policy,
             "prepared_plans": sum(1 for exs in per_plan if exs),
             "prepared_bytes": sum(ex.nbytes for ex in executors),
             "prep_hits": sum(ex.stats.prep_hits for ex in executors),

@@ -39,7 +39,6 @@ geometry from the tiling, whose indices it checks on decode.
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
 import struct
@@ -192,26 +191,6 @@ def unpack_container(data: bytes | None = None, path=None) -> tuple[dict, dict]:
     return header, container.materialise(table, data, data_start)
 
 
-def _jsonable(d: dict) -> dict:
-    """A JSON-round-trippable copy of a metadata dict.
-
-    Numpy scalars become Python numbers; values JSON cannot express are
-    stringified (plan meta is informational, not load-bearing).
-    """
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, (np.integer,)):
-            v = int(v)
-        elif isinstance(v, (np.floating,)):
-            v = float(v)
-        try:
-            json.dumps(v)
-        except (TypeError, ValueError):
-            v = repr(v)
-        out[str(k)] = v
-    return out
-
-
 # ----------------------------------------------------------------------
 # TCPlan payload (shared by all three tensor-core kernels)
 # ----------------------------------------------------------------------
@@ -236,7 +215,7 @@ def tcplan_payload(tc: TCPlan, csr: CSRMatrix | None = None) -> tuple[dict, dict
         "pipeline_mode": tc.pipeline_mode.name,
         "cache_policy_control": bool(tc.cache_policy_control),
         "n_rows_original": int(tc.n_rows_original),
-        "meta": _jsonable(tc.meta),
+        "meta": container.jsonable(tc.meta),
     }
     if csr is not None:
         meta["csr"], csr_arrays = container.csr_to_payload(csr, "csr")
@@ -268,7 +247,7 @@ def tcplan_payload(tc: TCPlan, csr: CSRMatrix | None = None) -> tuple[dict, dict
     col_is_row = r.col_perm is not None and r.col_perm is r.row_perm
     meta["reorder"] = {
         "name": r.name,
-        "meta": _jsonable(r.meta),
+        "meta": container.jsonable(r.meta),
         "col_is_row": col_is_row,
         "has_col": r.col_perm is not None,
     }
@@ -291,15 +270,21 @@ def tcplan_from_payload(
             meta["csr_r"], arrays, "csr_r", StoreError
         )
         tm = meta["tiling"]
+        tiling_arrays = {
+            name: np.asarray(arrays[f"tiling.{name}"])
+            for name in RowWindowTiling.ARRAY_FIELDS
+        }
+        # the executor indexes with all of them: a float array of
+        # integral values would load, then fail on every multiply
+        for name, arr in tiling_arrays.items():
+            if arr.dtype.kind not in "iu":
+                raise StoreError(f"tiling.{name} is not an integer array")
         tiling = RowWindowTiling(
             n_rows=_int(tm["n_rows"]),
             n_cols=_int(tm["n_cols"]),
             window_rows=_int(tm["window_rows"]),
             block_cols=_int(tm["block_cols"]),
-            **{
-                name: np.asarray(arrays[f"tiling.{name}"])
-                for name in RowWindowTiling.ARRAY_FIELDS
-            },
+            **tiling_arrays,
         )
         schedule = TBAssignment(
             tb_start=np.asarray(arrays["schedule.tb_start"]),
@@ -322,6 +307,12 @@ def tcplan_from_payload(
         n_rows_original = _int(meta["n_rows_original"])
         if row_perm.n != tiling.n_rows or n_rows_original > tiling.n_rows:
             raise StoreError("the row order does not fit the tiling's rows")
+        # every kernel sets it to the original matrix's row count; the
+        # output keeps that many rows of the row order's ranks
+        if n_rows_original < 0 or (
+            csr is not None and n_rows_original != csr.n_rows
+        ):
+            raise StoreError("n_rows_original does not fit the matrix")
         if rm["col_is_row"]:
             col_perm: Permutation | None = row_perm
         elif rm["has_col"]:
@@ -358,9 +349,10 @@ def plan_payload(p: AccPlan) -> tuple[dict, dict]:
     The header carries everything the store validates on load without
     touching the payload: the matrix fingerprint, the config fingerprint
     and full config dict, the device, dtype/shape metadata (inside the
-    nested payload tables), and the recorded build cost that drives
-    cost-aware admission.  No executor state is written: a loading
-    process derives the executor's gather geometry from the tiling.
+    nested payload tables), and the recorded build cost that orders
+    the store's gc and warm starts.  No executor state is written: a
+    loading process derives the executor's gather geometry from the
+    tiling.
     """
     from repro.serve.fingerprint import fingerprint
 

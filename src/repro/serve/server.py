@@ -72,7 +72,7 @@ from repro.errors import (
     ServerError,
     ValidationError,
 )
-from repro.serve.container import csr_to_payload, is_int, payload_to_csr
+from repro.serve.container import csr_to_payload, is_int, jsonable, payload_to_csr
 from repro.serve.frames import (
     DEFAULT_MAX_BODY_BYTES,
     encode_frame,
@@ -100,22 +100,6 @@ ERROR_CODES = (
     "shutting_down",
     "internal",
 )
-
-
-def _json_safe(obj):
-    """Recursively coerce a stats structure into JSON-encodable types
-    (anything exotic is stringified — metrics must never 500)."""
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return str(obj)
 
 
 @dataclass(frozen=True)
@@ -704,7 +688,7 @@ class SpMMServer:
     def metrics(self) -> dict:
         """The ``/metrics`` payload: server counters plus the engine's
         full stat dicts, coerced to JSON-encodable types."""
-        return _json_safe(
+        return jsonable(
             {"server": self.counters(), "engine": self.engine.stats}
         )
 

@@ -26,10 +26,9 @@ Guarantees:
   bad entry, and a bad entry is touched at most once.  A load that fails
   because this process ran out of memory or descriptors is a miss too,
   but the entry stays where it is: every worker shares the store.
-* **Cost-aware admission** — each entry's header records its measured
-  ``build_seconds``; :meth:`put` refuses plans cheaper to rebuild than
-  ``admit_min_seconds``, and :meth:`gc` evicts cheapest-first (breaking
-  ties towards least-recently-used mtimes) until ``max_bytes`` holds, so
+* **Cost-aware gc** — each entry's header records its measured
+  ``build_seconds``; :meth:`gc` evicts cheapest-first (breaking ties
+  towards least-recently-used mtimes) until ``max_bytes`` holds, so
   expensive reorder+tile plans survive byte-budget pressure.
 * **TTL / staleness** — entries carry a ``last_used`` recency signal
   (the newer of the file mtime, refreshed on every successful load, and
@@ -98,8 +97,6 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    #: puts refused by the cost-aware admission threshold
-    rejected_puts: int = 0
     #: entries moved to quarantine after failing to load/validate
     quarantined: int = 0
     #: write failures (disk full, permissions) — persistence is
@@ -114,7 +111,6 @@ class StoreStats:
             "hits": self.hits,
             "misses": self.misses,
             "puts": self.puts,
-            "rejected_puts": self.rejected_puts,
             "quarantined": self.quarantined,
             "put_errors": self.put_errors,
             "load_errors": self.load_errors,
@@ -193,10 +189,6 @@ class PlanStore:
     max_bytes:
         Optional byte budget enforced after every :meth:`put` by running
         :meth:`gc` (cheapest-to-rebuild entries evicted first).
-    admit_min_seconds:
-        Cost-aware admission threshold: plans whose recorded
-        ``build_seconds`` is below it are not persisted (rebuilding them
-        is cheaper than a disk round-trip is worth).  0 admits all.
     max_idle_seconds:
         Optional TTL: :meth:`gc` (run after every :meth:`put` when any
         budget is configured) drops entries idle longer than this —
@@ -223,7 +215,6 @@ class PlanStore:
         self,
         root: str | Path | None = None,
         max_bytes: int | None = None,
-        admit_min_seconds: float = 0.0,
         max_idle_seconds: float | None = None,
         clock=time.time,
     ) -> None:
@@ -231,7 +222,6 @@ class PlanStore:
             raise ValueError("store max_idle_seconds must be > 0 (or None)")
         self.root = Path(root) if root is not None else default_store_root()
         self.max_bytes = max_bytes
-        self.admit_min_seconds = float(admit_min_seconds)
         self.max_idle_seconds = max_idle_seconds
         self.clock = clock
         self._stats_lock = create_lock("PlanStore._stats_lock")
@@ -295,6 +285,12 @@ class PlanStore:
         (``MemoryError``, or an ``OSError`` out of descriptors or
         memory) quarantines nothing: it counts one ``load_errors`` and
         returns ``None``.
+
+        The writer's materialisation budget (``exec_max_bytes``, set by
+        :meth:`~repro.core.planner.AccPlan.prepare`) is dropped here, so
+        no plan served from the store or preloaded by a warm start
+        carries it.  The ``tuned`` verdict stays: it is derived from the
+        matrix, and dropping it would waste the amortised autotuning.
         """
         from repro.serve import serial
 
@@ -327,6 +323,7 @@ class PlanStore:
             os.utime(path)  # recency for gc; best-effort
         except OSError:
             pass
+        plan.tc_plan.meta.pop("exec_max_bytes", None)
         return plan
 
     def _quarantine(self, path: Path, reason: str) -> None:
@@ -353,12 +350,9 @@ class PlanStore:
     def put(self, fp: MatrixFingerprint, device: str, config, plan) -> bool:
         """Persist a plan (atomic write-temp-then-rename); True if stored.
 
-        Best-effort: admission rejections and I/O errors return False —
-        the serving path never depends on persistence succeeding.
+        Best-effort: I/O errors return False — the serving path never
+        depends on persistence succeeding.
         """
-        if plan.build_seconds < self.admit_min_seconds:
-            self._count("rejected_puts")
-            return False
         try:
             data = plan.to_bytes()
             self._publish(self.path_for(self.digest(fp, device, config)), data)

@@ -162,8 +162,8 @@ class TestCacheOwnerAssertion:
         lock = rt.create_lock("SpMMEngine._lock")
         cache = PlanCache(capacity=2, owner_lock=lock)
         cache.put(("k",), object())
-        # put -> enforce_limits -> expire_idle each assert, so one
-        # unlocked call records several violations — all guarded-access
+        # put and enforce_limits each assert, so one unlocked call
+        # records several violations — all guarded-access
         found = rt.violations()
         assert found and {k for k, _ in found} == {"guarded-access"}
         assert "owner lock" in found[0][1]

@@ -3,10 +3,10 @@ starts, version compat.
 
 M simultaneous misses on one matrix build exactly one plan (threaded
 and async, asserted via stats), a delta-derived plan is a cache hit,
-``max_idle_seconds`` expires idle entries in both the in-memory cache
-and the on-disk store — never one used since the cutoff — a warm start
-spends its budget on the priciest plans, and containers older than the
-v4 floor quarantine as version errors.  Every engine layer answers the
+``max_idle_seconds`` expires idle entries in the on-disk store — never
+one used since the cutoff — a warm start spends its budget on the
+priciest plans, and containers older than the v4 floor quarantine as
+version errors.  Every engine layer answers the
 same inputs with the same bits.
 """
 
@@ -32,7 +32,6 @@ from repro.serve import (
     fingerprint,
     reset_default_engine,
 )
-from repro.serve.cache import PlanCache
 from repro.serve.serial import (
     MIN_PLAN_FORMAT_VERSION,
     PLAN_FORMAT_VERSION,
@@ -557,80 +556,6 @@ class TestEveryEngineLayer:
         bad = np.zeros(B.shape[:-2] + (csr.n_cols + 1, 16), np.float32)
         with pytest.raises(ValidationError):
             _serve(layer, A, bad, batched)
-
-
-# ----------------------------------------------------------------------
-# TTL / staleness: in-memory cache
-# ----------------------------------------------------------------------
-class TestCacheTTL:
-    def test_idle_entries_expire_used_entries_survive(self):
-        t = [0.0]
-        c = PlanCache(capacity=8, max_idle_seconds=10.0, clock=lambda: t[0])
-        c.put(("a",), 1)
-        c.put(("b",), 2)
-        t[0] = 8.0
-        assert c.get(("b",)) == 2  # refreshes b's recency
-        t[0] = 15.0  # a idle 15s (> 10), b idle 7s
-        c.enforce_limits()
-        assert ("a",) not in c and ("b",) in c
-        assert c.stats.expirations == 1 and c.stats.evictions == 0
-
-    def test_ttl_may_empty_the_cache(self):
-        t = [0.0]
-        c = PlanCache(capacity=8, max_idle_seconds=5.0, clock=lambda: t[0])
-        c.put(("a",), 1)
-        t[0] = 100.0
-        assert c.expire_idle() == 1
-        assert len(c) == 0
-
-    def test_insert_driven_expiry(self):
-        t = [0.0]
-        c = PlanCache(capacity=8, max_idle_seconds=5.0, clock=lambda: t[0])
-        c.put(("a",), 1)
-        t[0] = 50.0
-        c.put(("b",), 2)  # put() enforces limits -> expires a
-        assert ("a",) not in c and ("b",) in c
-
-    def test_structural_index_follows_expiry(self):
-        t = [0.0]
-        c = PlanCache(capacity=8, max_idle_seconds=5.0, clock=lambda: t[0])
-        c.put(("a", "v1"), 1, structural_key=("a",))
-        t[0] = 50.0
-        c.expire_idle()
-        assert c.peek_structural(("a",)) is None
-
-    def test_validated(self):
-        with pytest.raises(ValueError):
-            PlanCache(max_idle_seconds=0.0)
-
-    def test_engine_level_ttl(self):
-        eng = SpMMEngine(max_idle_seconds=30.0)
-        t = [0.0]
-        eng.cache.clock = lambda: t[0]
-        A, A2 = make_csr(seed=13), make_csr(seed=14)
-        eng.spmm(A, make_b(A))
-        t[0] = 60.0  # A idle past the TTL
-        eng.spmm(A2, make_b(A2))  # insert sweeps the idle entry
-        s = eng.stats
-        assert s["expirations"] == 1 and s["cached_plans"] == 1
-        # the expired matrix is replanned on its next appearance
-        eng.spmm(A, make_b(A))
-        assert eng.stats["plans_built"] == 3
-
-    def test_engine_enforce_limits_expires_idle_plans(self):
-        # steady all-hit traffic never inserts: the explicit call is what
-        # releases idle plans (the runbook's TTL cadence step)
-        eng = SpMMEngine(max_idle_seconds=30.0)
-        t = [0.0]
-        eng.cache.clock = lambda: t[0]
-        mats = [make_csr(seed=s) for s in range(4)]
-        for A in mats:
-            eng.spmm(A, make_b(A))
-        assert eng.stats["cached_plans"] == 4
-        t[0] = 100.0
-        eng.enforce_limits()
-        s = eng.stats
-        assert s["cached_plans"] == 0 and s["expirations"] == 4
 
 
 # ----------------------------------------------------------------------

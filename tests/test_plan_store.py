@@ -1,4 +1,4 @@
-"""Plan serialisation, the persistent store, and cost-aware admission.
+"""Plan serialisation, the persistent store, and its cost-aware gc.
 
 Covers the PR-3 acceptance criteria: ``from_bytes(to_bytes(plan))``
 multiplies bit-for-bit across all three TC kernels, a second process
@@ -30,7 +30,6 @@ from repro.kernels.dtc import DTCKernel
 from repro.kernels.tc_common import execute_tiled
 from repro.kernels.tcgnn import TCGNNKernel
 from repro.gpusim.specs import get_device
-from repro.serve.cache import PlanCache
 from repro.serve import serial
 from repro.serve.container import align
 from repro.serve.fingerprint import config_fingerprint, fingerprint
@@ -163,13 +162,16 @@ def _string_nbytes(data: bytes) -> bytes:
 
 
 def _broken_index(case: str):
-    """A breaker putting one tiling or row-order index out of range.
+    """A breaker putting one tiling or row-order index out of range,
+    or storing a tiling index array as floats.
 
     The executor gathers with ``mode="clip"``, which clamps a bad index
     instead of raising: a file with a column out of range once loaded
-    and multiplied to a wrong C, one with a short row order to a C a
-    row short.  That row order stays a permutation (of one row fewer),
-    so only its fit to the tiling is wrong.
+    and multiplied to a wrong C, one with a short row order (or an
+    ``n_rows_original`` of -1) to a C a row short.  That row order
+    stays a permutation (of one row fewer), so only its fit to the
+    tiling is wrong.  A float64 index array of integral values once
+    loaded and then failed every multiply with a ``TypeError``.
     """
 
     def breaker(data: bytes) -> bytes:
@@ -186,6 +188,15 @@ def _broken_index(case: str):
             slots = slots[:-1]
         elif case == "row_order_length":
             arrays["reorder.row_order"] = order[order != order.size - 1]
+        elif case == "sparse_a_to_b_float":
+            slots = slots.astype(np.float64)
+        elif case == "tc_offset_float":
+            offsets = arrays["tiling.tc_offset"]
+            arrays["tiling.tc_offset"] = offsets.astype(np.float64)
+        elif case == "n_rows_original_negative":
+            meta["tc"]["n_rows_original"] = -1
+        elif case == "n_rows_original_under":
+            meta["tc"]["n_rows_original"] -= 1
         else:
             assert case == "n_rows_original_over"
             meta["tc"]["n_rows_original"] += 1
@@ -202,6 +213,10 @@ INDEX_BREAKS = {
     "slots_length": "wrong length",
     "row_order_length": "row order does not fit",
     "n_rows_original_over": "row order does not fit",
+    "n_rows_original_negative": "n_rows_original does not fit",
+    "n_rows_original_under": "n_rows_original does not fit",
+    "sparse_a_to_b_float": "not an integer array",
+    "tc_offset_float": "not an integer array",
 }
 
 #: ways to break a stored entry, each turning its bytes into new bytes
@@ -231,6 +246,14 @@ def test_out_of_range_index_is_refused_at_decode(case):
     data = repro.plan(make_csr(seed=5), feature_dim=32).to_bytes()
     with pytest.raises(StoreError, match=INDEX_BREAKS[case]):
         plan_from_bytes(_broken_index(case)(data))
+
+
+def test_negative_n_rows_original_is_refused_without_the_csr():
+    tc = AccSpMMKernel().plan(make_csr(seed=5), 16, DEVICE)
+    meta, arrays = tcplan_payload(tc)  # no original CSR to compare with
+    meta["n_rows_original"] = -1
+    with pytest.raises(StoreError, match="n_rows_original does not fit"):
+        tcplan_from_payload(meta, arrays)
 
 
 class TestPlanStore:
@@ -356,14 +379,6 @@ class TestPlanStore:
         # the honest entry still serves
         assert store.get(fp_a, p.device.name, p.config) is not None
 
-    def test_admission_threshold(self, tmp_path):
-        csr = make_csr(seed=17)
-        p = repro.plan(csr, feature_dim=16)
-        store = PlanStore(tmp_path, admit_min_seconds=1e9)
-        assert not store.put(fingerprint(csr), p.device.name, p.config, p)
-        assert store.stats.rejected_puts == 1
-        assert not list(tmp_path.glob("*.plan"))
-
     def test_gc_evicts_cheapest_first(self, tmp_path):
         store = PlanStore(tmp_path)
         plans = []
@@ -418,70 +433,6 @@ class TestPlanStore:
         assert e.build_seconds == pytest.approx(p.build_seconds)
         d = store.as_dict()
         assert d["entries"] == 1 and d["stored_bytes"] == e.nbytes
-
-
-# ----------------------------------------------------------------------
-# cost-aware in-memory eviction
-# ----------------------------------------------------------------------
-class _FakePlan:
-    def __init__(self, cost, size=1):
-        self.build_seconds = cost
-        self._size = size
-
-    def nbytes(self):
-        return self._size
-
-
-class TestCostAwareCache:
-    def test_cost_policy_keeps_expensive_hit_plan(self):
-        cache = PlanCache(
-            capacity=2, policy="cost",
-            cost_of=lambda p: p.build_seconds,
-        )
-        expensive, cheap = _FakePlan(10.0), _FakePlan(0.01)
-        cache.put(("exp",), expensive)
-        cache.put(("cheap",), cheap)
-        for _ in range(3):
-            assert cache.get(("exp",)) is expensive
-        assert cache.get(("cheap",)) is cheap
-        # LRU would now evict ("exp",); cost-aware evicts the cheap plan
-        cache.put(("new",), _FakePlan(1.0))
-        assert ("exp",) in cache and ("cheap",) not in cache
-        assert cache.stats.evictions == 1
-
-    def test_lru_policy_unchanged(self):
-        cache = PlanCache(capacity=2)
-        cache.put(("a",), _FakePlan(10.0))
-        cache.put(("b",), _FakePlan(0.01))
-        cache.get(("b",))
-        cache.put(("c",), _FakePlan(1.0))
-        assert ("a",) not in cache and ("b",) in cache
-
-    def test_fresh_expensive_plan_not_instantly_evicted(self):
-        cache = PlanCache(
-            capacity=2, policy="cost", cost_of=lambda p: p.build_seconds
-        )
-        cache.put(("old-cheap",), _FakePlan(0.01))
-        for _ in range(5):
-            cache.get(("old-cheap",))
-        cache.put(("fresh-exp",), _FakePlan(10.0))
-        cache.put(("another",), _FakePlan(0.5))
-        assert ("fresh-exp",) in cache
-
-    def test_policy_validated(self):
-        with pytest.raises(ValueError):
-            PlanCache(policy="fifo")
-
-    def test_cost_policy_byte_budget(self):
-        cache = PlanCache(
-            capacity=8, max_bytes=100,
-            size_of=lambda p: p.nbytes(),
-            policy="cost", cost_of=lambda p: p.build_seconds,
-        )
-        cache.put(("exp",), _FakePlan(10.0, size=60))
-        cache.get(("exp",))
-        cache.put(("cheap",), _FakePlan(0.01, size=60))  # over budget
-        assert ("exp",) in cache and ("cheap",) not in cache
 
 
 # ----------------------------------------------------------------------
@@ -579,16 +530,23 @@ class TestEngineStore:
         )
         store = PlanStore(tmp_path)
         store.put(fingerprint(csr), p.device.name, p.config, p)
-        engine = repro.SpMMEngine(store=store)
-        served = engine.get_plan(csr, feature_dim=32)
-        assert engine.stats["store_hits"] == 1
-        # the writer's materialisation budget must not leak into this
-        # engine
-        assert "exec_max_bytes" not in served.tc_plan.meta
-        # exact-mode result == reference bit-for-bit
-        assert np.array_equal(
-            engine.spmm(csr, B), repro.spmm(csr, B, use_cache=False)
-        )
+        (entry,) = store.entries()
+        assert entry.meta["tc"]["meta"]["exec_max_bytes"] == 1024
+        served = repro.SpMMEngine(store=store)
+        warmed = repro.SpMMEngine(store=store)
+        assert warmed.warm_start() == 1
+        for engine in (served, warmed):
+            got = engine.get_plan(csr, feature_dim=32)
+            # the writer's materialisation budget must not leak into
+            # this engine, whether the store served the plan or a warm
+            # start preloaded it
+            assert "exec_max_bytes" not in got.tc_plan.meta
+            # exact-mode result == reference bit-for-bit
+            assert np.array_equal(
+                engine.spmm(csr, B), repro.spmm(csr, B, use_cache=False)
+            )
+        assert served.stats["store_hits"] == 1
+        assert warmed.stats["store_hits"] == 0
 
     def test_value_refresh_preferred_over_store(self, tmp_path):
         csr = make_csr(seed=26)

@@ -182,11 +182,12 @@ class TestByteBudget:
         assert s["cached_bytes"] >= s["prepared_bytes"]
 
     def test_engine_exec_budget_forces_lazy(self):
-        eng = SpMMEngine(exec_max_bytes=0)
+        eng = SpMMEngine()
         csr = random_csr(96, 80, 0.12, seed=75)
         B = np.ones((80, 16), dtype=np.float32)
+        p = eng.get_plan(csr, feature_dim=16).prepare(16, max_bytes=0)
         C = eng.spmm(csr, B)
-        p = eng.get_plan(csr, feature_dim=16)
+        assert eng.get_plan(csr, feature_dim=16) is p
         assert p.executor is not None and not p.executor.materialized
         assert np.array_equal(C, plan(csr, feature_dim=16).multiply(B))
 

@@ -21,6 +21,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.planner import AccPlan, plan as build_plan
 from repro.errors import EngineClosedError, ValidationError
 from repro.serve.engine import SpMMEngine
 from repro.serve.frames import (
@@ -266,6 +267,28 @@ class TestDispatch:
         json.dumps(m)  # must never raise
         assert m["server"]["requests_total"] == 1
         assert m["engine"]["requests"] >= 1
+
+    def test_nested_numpy_values_coerce_alike_in_plan_meta_and_metrics(self):
+        # one coercer shapes both: a plan file once held such a dict as
+        # the repr of the whole, and /metrics a numpy bool as "True"
+        nested = {
+            "sizes": (np.int64(3), np.float32(0.5)),
+            "inner": {"on": np.bool_(True)},
+        }
+        want = {"sizes": [3, 0.5], "inner": {"on": True}}
+        p = build_plan(make_csr(5), feature_dim=8)
+        p.tc_plan.meta["nested"] = nested
+        assert AccPlan.from_bytes(p.to_bytes()).tc_plan.meta["nested"] == want
+
+        async def main():
+            server = make_server()
+            server.counters = lambda: {"nested": nested}
+            m = server.metrics()
+            await server.engine.drain()
+            return m
+
+        m = asyncio.run(main())
+        assert json.loads(json.dumps(m))["server"] == {"nested": want}
 
 
 # ----------------------------------------------------------------------

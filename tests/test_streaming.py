@@ -6,10 +6,7 @@ Three families of behaviour, matching ``docs/STREAMING.md``:
 
 * **clock domains** — ``StoreEntry.last_used`` must discard recency
   signals that run *ahead* of the reader's clock (a skewed writer's
-  ``saved_at`` previously pinned entries immortal against every TTL),
-  and ``PlanCache.peek_structural`` must count as a use for the cache
-  TTL (a plan serving pure value-refresh traffic was expired
-  mid-stream);
+  ``saved_at`` previously pinned entries immortal against every TTL);
 * **whole-plan persistence** — ``apply_delta`` stores each derived
   plan whole, as an ``accplan`` at the edited matrix's content address,
   priced at its base's build cost plus the patch, so a fresh engine
@@ -37,7 +34,7 @@ from conftest import bits_equal, make_b, random_csr
 from repro.core.config import AccConfig
 from repro.errors import ServerError, ValidationError
 from repro.serve import serial
-from repro.serve.cache import CacheStats, PlanCache
+from repro.serve.cache import CacheStats
 from repro.serve.engine import SpMMEngine
 from repro.serve.fingerprint import config_fingerprint, fingerprint
 from repro.serve.server import ServerConfig, SpMMClient, SpMMServer
@@ -114,39 +111,6 @@ class TestStoreClockDomains:
 
 
 class TestCacheTTLTouch:
-    def _cache(self, clock):
-        return PlanCache(capacity=4, max_idle_seconds=10.0, clock=clock)
-
-    class _Plan:
-        nbytes = 8
-
-    def test_peek_structural_counts_as_a_use(self):
-        t = [0.0]
-        cache = self._cache(lambda: t[0])
-        cache.put(("k",), self._Plan(), structural_key=("s",))
-        t[0] = 9.0
-        assert cache.peek_structural(("s",)) is not None  # touch
-        t[0] = 15.0  # idle since touch: 6s < 10s
-        assert cache.expire_idle() == 0
-        assert ("k",) in cache
-
-    def test_untouched_entry_still_expires(self):
-        t = [0.0]
-        cache = self._cache(lambda: t[0])
-        cache.put(("k",), self._Plan(), structural_key=("s",))
-        t[0] = 15.0
-        assert cache.expire_idle() == 1
-        assert ("k",) not in cache
-
-    def test_plain_peek_does_not_touch(self):
-        t = [0.0]
-        cache = self._cache(lambda: t[0])
-        cache.put(("k",), self._Plan())
-        t[0] = 9.0
-        assert cache.peek(("k",)) is not None
-        t[0] = 15.0
-        assert cache.expire_idle() == 1
-
     def test_stats_report_delta_patches(self):
         stats = CacheStats()
         assert stats.as_dict()["delta_patches"] == 0
@@ -225,21 +189,29 @@ class TestWholePlanPersistence:
         assert store.get(base_fp, DEV, CFG) is not None  # the base serves
 
     def test_admission_prices_a_derived_plan_as_a_rebuild(self, tmp_path):
-        # admit_min_seconds lies between the patch's own time and the
-        # base's build cost: the derived plan costs what a rebuild would
+        # the derived entry's header holds its base's build cost plus
+        # the patch's: what a rebuild would cost, far above the patch
         csr = random_csr(48, 48, seed=21)
         base = repro.plan(csr, feature_dim=16)
         base.build_seconds = 10.0
-        store = PlanStore(root=tmp_path, admit_min_seconds=5.0)
+        store = PlanStore(root=tmp_path)
         dev = base.device.name
         assert store.put(fingerprint(csr), dev, CFG, base)
         eng = SpMMEngine(store=store)
         new_fp, new_plan = eng.apply_delta(
             fingerprint(csr), added=[(0, 0, 1.0)]
         )
-        assert new_plan.build_seconds >= base.build_seconds
-        assert store.stats.rejected_puts == 0
-        assert store.path_for(store.digest(new_fp, dev, CFG)).is_file()
+        path = store.path_for(store.digest(new_fp, dev, CFG))
+        (derived,) = [e for e in store.entries() if e.path == path]
+        assert derived.build_seconds == new_plan.build_seconds
+        assert derived.build_seconds > base.build_seconds
+        # that price orders a warm start (priciest first) ...
+        worker = SpMMEngine(capacity=1, store=PlanStore(root=tmp_path))
+        assert worker.warm_start() == 1
+        assert worker.lookup(new_fp) is not None
+        # ... and gc (cheapest first): the base goes, the derived stays
+        (gone,) = store.gc(max_bytes=store.total_bytes() - 1)
+        assert gone.path != path and path.is_file()
 
 
 # ----------------------------------------------------------------------

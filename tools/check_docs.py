@@ -26,7 +26,10 @@ before this check):
    import — inline-code tokens such as ``repro.serve.store.PlanStore``
    or ``SpMMEngine.warm_start`` are resolved module-by-module and
    attribute-by-attribute, catching the API drift the link checker
-   cannot see.  Without numpy the check is skipped with a notice;
+   cannot see, and each ``name=`` argument of a documented call such as
+   ``SpMMEngine(store=...)`` must be a parameter of what it resolves to
+   (a ``**kwargs`` parameter takes any name).  Without numpy the check
+   is skipped with a notice;
 6. every ``--flag`` of a documented ``python -m repro.serve.store ...``
    or ``python -m repro.serve.server ...`` command, in any document, is
    an option of that module's ``build_parser()`` or one of its
@@ -155,11 +158,52 @@ def check_inline_paths(doc: Path, errors: list[str]) -> None:
 API_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)(\(.*\))?$")
 
 
-def _resolves(chain: list[str]) -> bool:
+#: a bracketed group inside an argument list (removed innermost first)
+NESTED_RE = re.compile(r"\([^()]*\)|\[[^\[\]]*\]|\{[^{}]*\}")
+KEYWORD_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=(?!=)")
+#: what :func:`_resolve` returns for a chain that does not resolve
+UNRESOLVED = object()
+
+
+def call_keywords(call: str) -> list[str]:
+    """The ``name=`` arguments at the top level of ``call``, an argument
+    list such as ``(fp, added=, removed=)``: a nested call's keywords
+    belong to that call."""
+    args, n = call[1:-1], 1
+    while n:
+        args, n = NESTED_RE.subn("", args)
+    return [
+        m.group(1)
+        for arg in args.split(",")
+        if (m := KEYWORD_RE.match(arg.strip()))
+    ]
+
+
+def unknown_keywords(obj, names: list[str]) -> list[str] | None:
+    """The ``names`` that ``obj``'s signature cannot take as keywords
+    (none when it has a ``**kwargs`` parameter), or ``None`` when ``obj``
+    has no signature to check them against."""
+    import inspect
+
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except (TypeError, ValueError):
+        return None
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        return []
+    known = {
+        p.name for p in params
+        if p.kind not in (p.POSITIONAL_ONLY, p.VAR_POSITIONAL)
+    }
+    return [name for name in names if name not in known]
+
+
+def _resolve(chain: list[str]):
     """Resolve ``chain`` (e.g. ``["PlanCache", "enforce_limits"]``) left
     to right: the head against :data:`API_NAMESPACES` (or as a module
     path when it starts with ``repro``), the rest as attributes —
-    accepting dataclass fields, which are not class attributes."""
+    accepting dataclass fields, which are not class attributes.  Returns
+    the object named, or :data:`UNRESOLVED`."""
     import dataclasses
     import importlib
 
@@ -180,29 +224,28 @@ def _resolves(chain: list[str]) -> bool:
             mod = importlib.import_module(mod_name)
             if hasattr(mod, chain[0]):
                 heads.append(getattr(mod, chain[0]))
-        if not heads:
-            return False
         chain = chain[1:]
     for head in heads:
-        obj, ok = head, True
+        obj = head
         for part in chain:
             if hasattr(obj, part):
                 obj = getattr(obj, part)
             elif dataclasses.is_dataclass(obj) and part in {
                 f.name for f in dataclasses.fields(obj)
             }:
-                ok = True  # a field without a default: real API, no attr
-                obj = object()  # cannot chain deeper than a plain field
+                # a field without a default: real API, but no attribute
+                # to chain deeper into or call
+                obj = None
             else:
-                ok = False
                 break
-        if ok:
-            return True
-    return False
+        else:
+            return obj
+    return UNRESOLVED
 
 
 def check_api_references(doc: Path, errors: list[str]) -> None:
-    """Every python-looking inline-code token must resolve via import.
+    """Every python-looking inline-code token must resolve via import,
+    and a call's keyword arguments must fit what it calls.
 
     Only names that *look like* API are checked: bare CamelCase /
     ALL_CAPS heads (``SpMMEngine``, ``PLAN_FORMAT_VERSION``) or chains
@@ -210,7 +253,7 @@ def check_api_references(doc: Path, errors: list[str]) -> None:
     fragments, filenames) are illustrative, not contractual.
     """
     text = strip_fences(doc.read_text())
-    seen: set[str] = set()
+    resolved: dict[str, object] = {}
     for token in INLINE_CODE_RE.findall(text):
         m = API_TOKEN_RE.match(token)
         if not m:
@@ -223,13 +266,29 @@ def check_api_references(doc: Path, errors: list[str]) -> None:
         shouty_const = "_" in head and head.isupper()
         if head != "repro" and not camel_case and not shouty_const:
             continue  # lowercase chains, acronyms, placeholders: prose
-        if dotted in seen:
+        first = dotted not in resolved
+        if first:
+            resolved[dotted] = _resolve(dotted.split("."))
+        obj = resolved[dotted]
+        if obj is UNRESOLVED:
+            if first:
+                errors.append(
+                    f"{doc.relative_to(ROOT)}: API reference `{token}` "
+                    f"does not resolve via import"
+                )
             continue
-        seen.add(dotted)
-        if not _resolves(dotted.split(".")):
+        names = call_keywords(m.group(2)) if m.group(2) else []
+        unknown = unknown_keywords(obj, names) if names else []
+        if unknown is None:
             errors.append(
-                f"{doc.relative_to(ROOT)}: API reference `{token}` does "
-                f"not resolve via import"
+                f"{doc.relative_to(ROOT)}: `{token}` passes keyword "
+                f"arguments to something without a signature"
+            )
+        elif unknown:
+            errors.append(
+                f"{doc.relative_to(ROOT)}: `{token}` passes "
+                f"{', '.join(f'{n}=' for n in unknown)}, which "
+                f"`{dotted}` does not take"
             )
 
 

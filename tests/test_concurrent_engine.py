@@ -6,8 +6,8 @@ and async, asserted via stats), a delta-derived plan is a cache hit,
 ``max_idle_seconds`` expires idle entries in the on-disk store — never
 one used since the cutoff — a warm start spends its budget on the
 priciest plans, and containers older than the v4 floor quarantine as
-version errors.  Every engine layer answers the
-same inputs with the same bits.
+version errors.  Every engine layer answers the same inputs with the
+same bits.
 """
 
 from __future__ import annotations

@@ -216,12 +216,10 @@ class AccPlan:
         also be a ready :class:`~repro.sparse.delta.GraphDelta`).  Only
         the RowWindows an edit touches are re-tiled
         (:func:`repro.formats.tiling.retile_windows`); clean windows are
-        spliced from this plan, the base reordering is kept (a delta
-        never changes the matrix shape, so the permutation stays valid),
-        and compiled executors are rebased chunk-by-chunk — only chunks
-        intersecting a dirty window recompile, and the fresh executor
-        instances force the device mirrors to re-upload, keeping host
-        and device program caches in lockstep.
+        spliced from this plan, and the base reordering is kept (a
+        delta never changes the matrix shape, so the permutation stays
+        valid).  Like a fresh plan, the new one starts with no compiled
+        executor: each numerics tier compiles on its first multiply.
 
         The result is **bit-for-bit identical** to planning the edited
         matrix from scratch with this plan's reordering pinned
@@ -238,15 +236,7 @@ class AccPlan:
         from repro.formats.tiling import retile_windows
         from repro.sparse.delta import GraphDelta
 
-        if isinstance(added, GraphDelta):
-            if removed is not None:
-                raise ValidationError(
-                    "pass either a GraphDelta or added/removed edge "
-                    "lists, not both"
-                )
-            delta = added
-        else:
-            delta = GraphDelta.from_edges(added=added, removed=removed)
+        delta = GraphDelta.from_edges(added=added, removed=removed)
         timer = Timer()
         with timer:
             delta.validate_for(self.csr.n_rows, self.csr.n_cols)
@@ -286,28 +276,6 @@ class AccPlan:
             for key in ("tuned", "exec_max_bytes", "exec_chunk_elems"):
                 if key in tc.meta:
                     new_tc.meta[key] = tc.meta[key]
-            if tc.exec_cache:
-                rwo = new_tiling.row_window_offset
-                dirty_blocks = (
-                    np.concatenate(
-                        [
-                            np.arange(rwo[w], rwo[w + 1], dtype=np.int64)
-                            for w in dirty_windows.tolist()
-                        ]
-                    )
-                    if dirty_windows.size
-                    else np.zeros(0, dtype=np.int64)
-                )
-                from repro.kernels.executor import TCExecPlan
-
-                cache = {}
-                donor = None
-                for tier, old_ex in tc.exec_cache.items():
-                    ex = TCExecPlan(new_tc, numerics=tier, geometry_from=donor)
-                    ex.rebase_from(old_ex, dirty_blocks)
-                    cache[tier] = ex
-                    donor = ex
-                new_tc.exec_cache = cache
         return AccPlan(
             csr=new_csr,
             config=self.config,

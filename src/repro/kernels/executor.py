@@ -550,8 +550,7 @@ class TCExecPlan:
     def _compile_chunk(
         self, b0: int, b1: int, counts_nnz: np.ndarray
     ) -> _ChunkProgram:
-        """Compile one chunk ``[b0, b1)`` (also the unit
-        :meth:`rebase_from` recompiles when a delta dirtied it)."""
+        """Compile one chunk ``[b0, b1)``."""
         t = self.tiling
         wr, bc = t.window_rows, t.block_cols
         k = b1 - b0
@@ -675,65 +674,6 @@ class TCExecPlan:
             w = int(bw[b0])
             cp.cont_dst = rows[starts[w] : starts[w + 1]]
             cp.cont_src = src_of(cp.cont_dst)
-
-    def rebase_from(self, old: "TCExecPlan", dirty_blocks) -> int:
-        """Adopt ``old``'s chunk programs for chunks a delta left clean.
-
-        ``old`` is the executor of the plan a structural delta was
-        applied to; ``dirty_blocks`` lists every TC-block id (in the new
-        numbering) whose window was re-tiled.  Adoption requires the
-        delta to have preserved the block grid (equal
-        ``row_window_offset``), the output permutation and the compile
-        knobs to match — then a clean chunk's program is identical to
-        what a fresh compile would produce (even the fused strategy's
-        baked A slabs, since every changed value lives in a dirty
-        window, and its exit indices, which read only the window grid
-        and the permutation), so reusing the object is bit-neutral.
-        Dirty chunks are recompiled one by one.  Returns the number of
-        chunk programs reused (0 when ineligible).
-        """
-        t, ot = self.tiling, old.tiling
-        if (
-            old.numerics != self.numerics
-            or old.chunk_elems != self.chunk_elems
-            or old.max_bytes != self.max_bytes
-            or old.materialized != self.materialized
-            or old._fused_hint != self._fused_hint
-            or ot.window_rows != t.window_rows
-            or ot.block_cols != t.block_cols
-            or not np.array_equal(ot.row_window_offset, t.row_window_offset)
-            or not np.array_equal(old.out_rank, self.out_rank)
-        ):
-            return 0
-        dirty = np.unique(np.asarray(dirty_blocks, dtype=np.int64))
-        counts_nnz = t.nnz_per_block()
-        with old._lock:
-            donor = {bpc: list(prog) for bpc, prog in old._programs.items()}
-        reused = 0
-        for bpc, prog in donor.items():
-            rebuilt: list[_ChunkProgram] = []
-            adopted = 0
-            for cp in prog:
-                at = int(np.searchsorted(dirty, cp.b0))
-                if at < dirty.size and dirty[at] < cp.b1:
-                    rebuilt.append(
-                        self._compile_chunk(cp.b0, cp.b1, counts_nnz)
-                    )
-                else:
-                    rebuilt.append(cp)
-                    adopted += 1
-            with self._lock:
-                if (
-                    bpc not in self._programs
-                    and len(self._programs) < self._MAX_PROGRAMS
-                ):
-                    self._programs[bpc] = rebuilt
-                    reused += adopted
-                    for cp in rebuilt:
-                        self.stats.strategies[cp.strategy] = (
-                            self.stats.strategies.get(cp.strategy, 0) + 1
-                        )
-        return reused
 
     def _compile_fused(self, b0: int, b1: int, wins, first, seg):
         """Group a chunk's windows by block count and pre-concatenate A.

@@ -310,14 +310,7 @@ class SpMMEngine:
 
         spec = get_device(device) if device is not None else self.default_device
         cfg = config or self.default_config
-        if isinstance(added, GraphDelta):
-            if removed is not None:
-                raise ValidationError(
-                    "pass either a GraphDelta or added/removed arrays, not both"
-                )
-            delta = added
-        else:
-            delta = GraphDelta.from_edges(added=added, removed=removed)
+        delta = GraphDelta.from_edges(added=added, removed=removed)
         key = (fp.full, spec.name, cfg)
         with self._lock:
             base = self.cache.get(key)

@@ -29,12 +29,17 @@ payload schema changes.  Readers accept the closed range
 :class:`~repro.errors.StoreVersionError`, naming both the found and the
 supported versions (the store quarantines such entries, and the
 ``.reason`` sidecar carries that message — replanning is always safe,
-migration never attempted).  A header that lacks the ``saved_at``
-timestamp (v2) or the ``tuned`` block (v3) still loads, falling back to
-the file's mtime and the plan meta's copy of the verdict.  The ``exec``
-header block and ``exec.*`` arrays that older writers added (a copy of
-the executor's gather geometry) are ignored: the reader derives that
-geometry from the tiling, whose indices it checks on decode.
+migration never attempted).
+
+A file records each fact once, so the bytes are a function of the plan
+alone: one plan written twice gives identical files.  Older writers
+also put a ``saved_at`` write time, a ``config_fp`` and a copy of the
+``tuned`` verdict in the header, and an ``exec`` block with ``exec.*``
+arrays (a copy of the executor's gather geometry).  The reader ignores
+all of them: the store's recency is the file mtime, the config is
+hashed into the file's name, the verdict lives in the plan meta, and
+the geometry derives from the tiling, whose indices it checks on
+decode.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-import time
 from dataclasses import asdict
 
 import numpy as np
@@ -57,19 +61,17 @@ from repro.gpusim.specs import get_device
 from repro.kernels.tc_common import TCPlan
 from repro.reorder.base import Permutation, ReorderResult
 from repro.serve import container
-from repro.serve.fingerprint import config_fingerprint
 from repro.sparse.csr import CSRMatrix
 from repro.tune.space import TunedConfig
 
 #: Bump on any change to the container or payload schema.  Writers emit
-#: this version; v2 added the ``saved_at`` wall-clock header field that
-#: feeds the store's TTL/staleness policy; v3 added the ``tuned`` header
-#: block recording the autotuner's verdict (kernel, tile shape, fused
-#: hint) so a warm-started worker rebuilds the exact tuned kernel; v4
-#: added an ``accdelta`` container kind for delta-chain links.  The
-#: store no longer writes or reads that kind: it keeps every plan whole
-#: as an ``accplan`` and quarantines an ``accdelta`` left by an older
-#: store, so ``accplan`` bytes are unchanged and v4 stays current.
+#: this version; v2 added a ``saved_at`` wall-clock header field for the
+#: store's TTL; v3 copied the autotuner's ``tuned`` verdict from the
+#: plan meta into the header; v4 added an ``accdelta`` container kind
+#: for delta-chain links.  The store no longer writes or reads that
+#: kind, and writers no longer emit ``saved_at``, ``config_fp`` or the
+#: header's ``tuned`` copy.  Every v4 reader loads a file without them
+#: (the verdict is read from the plan meta), so v4 stays current.
 PLAN_FORMAT_VERSION = 4
 
 #: Oldest version this build still reads.  Versions in
@@ -79,12 +81,6 @@ MIN_PLAN_FORMAT_VERSION = 4
 
 MAGIC = b"ACCSPMM\x00"
 _HEAD = struct.Struct("<8sIQ")  # magic, version, header-json length
-
-#: The injectable wall clock behind the v2 ``saved_at`` header field —
-#: the one legitimate wall-clock read in this module.  Bound once so
-#: determinism audits and tests can monkeypatch it; production code must
-#: call the binding, never ``time.time()`` directly (REP201).
-_wall_clock = time.time
 
 #: What a malformed-but-well-formed-JSON payload can legitimately raise
 #: while being decoded into plan objects: missing/mistyped keys, wrong
@@ -347,36 +343,25 @@ def plan_payload(p: AccPlan) -> tuple[dict, dict]:
     """``(meta, arrays)`` for a full :class:`AccPlan`.
 
     The header carries everything the store validates on load without
-    touching the payload: the matrix fingerprint, the config fingerprint
-    and full config dict, the device, dtype/shape metadata (inside the
-    nested payload tables), and the recorded build cost that orders
-    the store's gc and warm starts.  No executor state is written: a
+    touching the payload: the matrix fingerprint, the full config dict,
+    the device, dtype/shape metadata (inside the nested payload tables),
+    and the recorded build cost that orders the store's gc and warm
+    starts.  The autotuner's verdict rides in the plan meta
+    (``meta["tc"]["meta"]["tuned"]``).  No executor state is written: a
     loading process derives the executor's gather geometry from the
     tiling.
     """
     from repro.serve.fingerprint import fingerprint
 
     meta, arrays = tcplan_payload(p.tc_plan, csr=p.csr)
-    fp = fingerprint(p.csr)
     top = {
         "tc": meta,
         "config": asdict(p.config),
-        "config_fp": config_fingerprint(p.config),
         "device": p.device.name,
         "feature_dim": int(p.feature_dim),
         "build_seconds": float(p.build_seconds),
-        # wall-clock serialisation time (format v2): the store's initial
-        # ``last_used`` recency signal for TTL gc, robust against file
-        # copies that reset mtimes.
-        "saved_at": float(_wall_clock()),
-        "fingerprint": fp.record(),
+        "fingerprint": fingerprint(p.csr).record(),
     }
-    # format v3: the autotuner's verdict, promoted from the plan meta to
-    # the header so the store's header-only scan (and `store inspect`)
-    # can show it without deserialising the payload
-    tuned = p.tc_plan.meta.get("tuned")
-    if isinstance(tuned, dict):
-        top["tuned"] = dict(tuned)
     return top, arrays
 
 
@@ -395,12 +380,9 @@ def plan_from_payload(meta: dict, arrays: dict) -> AccPlan:
             meta["tc"]["csr"], arrays, "csr", StoreError
         )
         tc = tcplan_from_payload(meta["tc"], arrays, csr=csr)
-        # v3 header block first; tolerate its absence or a malformed
-        # dict (from_meta returns None) by falling back to the copy the
-        # plan meta carries, then to the untuned default kernel
-        tuned = TunedConfig.from_meta(meta.get("tuned"))
-        if tuned is None:
-            tuned = TunedConfig.from_meta(tc.meta.get("tuned"))
+        # a missing or malformed verdict (from_meta returns None) builds
+        # the untuned default kernel
+        tuned = TunedConfig.from_meta(tc.meta.get("tuned"))
         return AccPlan(
             csr=csr,
             config=cfg,

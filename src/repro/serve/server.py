@@ -805,15 +805,7 @@ class SpMMClient:
         ``(C, new_fingerprint_record)``."""
         if isinstance(base_fingerprint, MatrixFingerprint):
             base_fingerprint = base_fingerprint.record()
-        if isinstance(added, GraphDelta):
-            if removed is not None:
-                raise ValidationError(
-                    "pass either a GraphDelta or added/removed arrays, "
-                    "not both"
-                )
-            delta = added
-        else:
-            delta = GraphDelta.from_edges(added=added, removed=removed)
+        delta = GraphDelta.from_edges(added=added, removed=removed)
         meta = self._options(
             tenant=tenant, numerics=numerics, device=device, backend=backend
         )

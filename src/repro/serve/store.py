@@ -30,9 +30,8 @@ Guarantees:
   ``build_seconds``; :meth:`gc` evicts cheapest-first (breaking ties
   towards least-recently-used mtimes) until ``max_bytes`` holds, so
   expensive reorder+tile plans survive byte-budget pressure.
-* **TTL / staleness** — entries carry a ``last_used`` recency signal
-  (the newer of the file mtime, refreshed on every successful load, and
-  the ``saved_at`` wall clock persisted in the v2 container header);
+* **TTL / staleness** — an entry's recency is its file mtime, set when
+  the entry is published and refreshed by every successful load;
   :meth:`gc` with ``max_idle_seconds`` drops entries whose matrices have
   stopped arriving, and never one used since the cutoff.
 * **One kind of entry** — every entry is a whole ``accplan`` container
@@ -128,49 +127,15 @@ class StoreEntry:
     #: decoded header metadata (fingerprint, device, config, build cost);
     #: ``None`` when the header itself is unreadable
     meta: dict | None = field(default=None)
-    #: the reader's clock at scan time, stamped by
-    #: :meth:`PlanStore.entries` — the upper clamp for :attr:`last_used`
-    now: float | None = field(default=None)
-
-    def _number(self, key: str) -> float:
-        """Header field ``key`` as a float; 0.0 when the header is
-        unreadable or the field is missing or not a number."""
-        if self.meta is None:
-            return 0.0
-        try:
-            return float(self.meta.get(key, 0.0))
-        except (TypeError, ValueError):
-            return 0.0
 
     @property
     def build_seconds(self) -> float:
-        """The recorded rebuild cost; an entry without a readable one
-        costs 0.0, so it ranks cheapest."""
-        return self._number("build_seconds")
-
-    @property
-    def last_used(self) -> float:
-        """Recency signal for TTL gc, normalised to the reader's clock
-        domain.
-
-        Two raw signals exist: the file mtime (local filesystem clock,
-        refreshed on every successful load) and the ``saved_at`` wall
-        clock persisted in the v2 header (the *writer's* clock — robust
-        against tree copies that reset mtimes; 0 when a malformed header
-        lacks it).  They live in different clock domains, so a signal
-        that runs *ahead* of :attr:`now` (scan time) is untrusted and
-        discarded rather than merely clamped: a skewed writer's
-        ``saved_at`` would otherwise pin idle time at zero forever,
-        making the entry immortal to every ``max_idle_seconds`` cutoff.
-        The newest surviving in-domain signal wins; when every signal is
-        ahead of the reader (the local clock itself stepped backwards),
-        fall back to scan time — eviction then waits for the local clock
-        to recover, which is the conservative failure mode."""
-        saved_at = self._number("saved_at")
-        if self.now is None:
-            return max(self.mtime, saved_at)
-        in_domain = [t for t in (self.mtime, saved_at) if t <= self.now]
-        return max(in_domain) if in_domain else self.now
+        """The recorded rebuild cost; 0.0, so it ranks cheapest, when the
+        header is unreadable or the field is missing or not a number."""
+        try:
+            return float((self.meta or {}).get("build_seconds", 0.0))
+        except (TypeError, ValueError):
+            return 0.0
 
 
 class PlanStore:
@@ -192,14 +157,13 @@ class PlanStore:
     max_idle_seconds:
         Optional TTL: :meth:`gc` (run after every :meth:`put` when any
         budget is configured) drops entries idle longer than this —
-        idleness measured on :attr:`StoreEntry.last_used`, so an entry
-        loaded (or written) since the cutoff is never dropped.
+        idleness measured on the file mtime, which publication sets and
+        every successful load refreshes, so an entry loaded (or written)
+        since the cutoff is never dropped.
     clock:
-        The wall clock (``time.time``-compatible) used for TTL
-        reference times and temp-file reaping.  Injectable so tests can
-        drive gc with skewed or frozen clocks; entries' ``saved_at``
-        headers always come from the *writer's* clock and are clamped
-        into this reader-side domain by :attr:`StoreEntry.last_used`.
+        The wall clock (``time.time``-compatible) that TTL cutoffs and
+        temp-file reaping compare mtimes against.  Injectable so tests
+        can drive gc with a moved or frozen clock.
 
     All methods are safe to call from concurrent threads: the filesystem
     operations are atomic (write-temp-then-rename) and the in-process
@@ -264,7 +228,7 @@ class PlanStore:
         the file and count as a miss.  A load that runs out of memory or
         descriptors is a miss too, counted in ``load_errors``, and leaves
         the file in place.  A successful load refreshes the entry's mtime
-        (the recency signal :meth:`gc` ties on).
+        (the recency :meth:`gc` ages and ranks entries by).
         """
         path = self.path_for(self.digest(fp, device, config))
         plan = self._load(path, expect_fp=fp)
@@ -388,15 +352,10 @@ class PlanStore:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def entries(self, now: float | None = None) -> list[StoreEntry]:
-        """All decodable entries (header-only scan, payloads untouched).
-
-        Each entry is stamped with ``now`` (default: this store's
-        clock), the domain :attr:`StoreEntry.last_used` clamps into.
-        """
+    def entries(self) -> list[StoreEntry]:
+        """All decodable entries (header-only scan, payloads untouched)."""
         from repro.serve import serial
 
-        now = float(self.clock()) if now is None else float(now)
         out = []
         for path in sorted(self.root.glob(f"*{self.SUFFIX}")):
             if path.name.startswith(".tmp-"):
@@ -416,7 +375,6 @@ class PlanStore:
                     nbytes=st.st_size,
                     mtime=st.st_mtime,
                     meta=meta,
-                    now=now,
                 )
             )
         return out
@@ -428,38 +386,35 @@ class PlanStore:
         self,
         max_bytes: int | None = None,
         max_idle_seconds: float | None = None,
-        now: float | None = None,
     ) -> list[StoreEntry]:
         """Drop stale entries, then evict down to ``max_bytes``; returns
         everything removed.
 
         Two passes over one directory scan:
 
-        1. **TTL** — entries whose :attr:`StoreEntry.last_used` is older
-           than ``max_idle_seconds`` (their matrices stopped arriving)
-           are dropped regardless of the byte budget.  An entry loaded
-           or written since the cutoff is never touched by this pass.
+        1. **TTL** — entries whose mtime is more than
+           ``max_idle_seconds`` before this store's clock (their matrices
+           stopped arriving) are dropped regardless of the byte budget.
+           An entry loaded or written since the cutoff is never touched
+           by this pass, and a future mtime reads as not idle.
         2. **Byte budget** — cost-aware: survivors are ranked by recorded
            ``build_seconds`` ascending (cheapest to rebuild goes first),
            ties — and unreadable headers, which rank cheapest — broken
-           towards the oldest ``last_used``.
+           towards the oldest mtime.
 
         ``None`` arguments fall back to the store's configured budgets;
         with neither budget, gc only removes leftover temp files.
-        ``now`` overrides the TTL reference time (tests); it defaults to
-        this store's injectable clock, the one domain every entry's
-        ``last_used`` is clamped into.
         """
         budget = self.max_bytes if max_bytes is None else max_bytes
         max_idle = (
             self.max_idle_seconds if max_idle_seconds is None
             else max_idle_seconds
         )
-        now = float(self.clock()) if now is None else float(now)
+        now = float(self.clock())
         # reap temp files from *crashed* writers only: an age threshold
         # keeps gc (possibly run by another worker's put) from deleting
         # a temp file a live writer is between mkstemp and os.replace on
-        cutoff = float(self.clock()) - self.TMP_REAP_SECONDS
+        cutoff = now - self.TMP_REAP_SECONDS
         for tmp in self.root.glob(f".tmp-*{self.SUFFIX}"):
             try:
                 if tmp.stat().st_mtime < cutoff:
@@ -468,13 +423,13 @@ class PlanStore:
                 pass
         if budget is None and max_idle is None:
             return []
-        entries = self.entries(now=now)
+        entries = self.entries()
         evicted: list[StoreEntry] = []
         if max_idle is not None:
             idle_cutoff = now - max_idle
             fresh = []
             for entry in entries:
-                if entry.last_used >= idle_cutoff:
+                if entry.mtime >= idle_cutoff:
                     fresh.append(entry)
                     continue
                 try:
@@ -489,7 +444,7 @@ class PlanStore:
         if budget is not None:
             total = sum(e.nbytes for e in entries)
             for entry in sorted(
-                entries, key=lambda e: (e.build_seconds, e.last_used)
+                entries, key=lambda e: (e.build_seconds, e.mtime)
             ):
                 if total <= budget:
                     break
@@ -576,9 +531,9 @@ def _cmd_inspect(store: PlanStore, args) -> int:
     for e in sorted(entries, key=lambda e: -e.build_seconds):
         meta = e.meta or {}
         fp = meta.get("fingerprint", {})
-        # v3 header block: the autotuner's verdict (absent on untuned
+        # the autotuner's verdict, in the plan meta (absent on untuned
         # plans)
-        tuned = meta.get("tuned")
+        tuned = meta.get("tc", {}).get("meta", {}).get("tuned")
         tuned_label = (
             f"{tuned.get('kernel', '?')}@"
             f"{tuned.get('window_rows', '?')}x{tuned.get('block_cols', '?')}"
@@ -670,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "run the per-matrix autotuner first; its verdict is stored "
-            "with the plan (format v3), so workers never re-tune"
+            "with the plan, so workers never re-tune"
         ),
     )
 

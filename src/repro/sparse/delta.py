@@ -106,7 +106,17 @@ class GraphDelta:
         ``added`` is an iterable of ``(row, col, value)`` triples or an
         ``(k, 3)`` array; ``removed`` an iterable of ``(row, col)``
         pairs or an ``(m, 2)`` array.  Either may be ``None``/empty.
+        ``added`` may also be a ready :class:`GraphDelta`, returned as
+        is; passing ``removed`` with it raises
+        :class:`~repro.errors.ValidationError`.
         """
+        if isinstance(added, GraphDelta):
+            if removed is not None:
+                raise ValidationError(
+                    "pass either a GraphDelta or added/removed edge "
+                    "lists, not both"
+                )
+            return added
         a = np.asarray(
             added if added is not None else np.zeros((0, 3), dtype=np.float64)
         )

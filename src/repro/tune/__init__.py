@@ -16,7 +16,7 @@ Two decisions used to be buried in plan metadata and benchmark scripts:
   plus the ``gpusim`` cost model (optionally timing candidates on a
   sampled row-window subset) and the result — a
   :class:`~repro.tune.space.TunedConfig` — is persisted in the plan
-  container header (format v3) so tuning is a one-time cost amortised by
+  meta of every plan file, so tuning is a one-time cost amortised by
   :class:`~repro.serve.store.PlanStore`.
 
 See ``docs/NUMERICS.md`` for tier semantics, error bounds, and the

@@ -27,8 +27,9 @@ the plan and serialised, the timings themselves never are.
 The verdict is a :class:`~repro.tune.space.TunedConfig`; hand it to
 :func:`repro.core.planner.plan` (``tuned=``) or let
 ``SpMMEngine(autotune=True)`` apply it on cache-miss builds.  Tuning is
-a one-time cost: the config rides in the v3 plan container header, so a
-:class:`~repro.serve.store.PlanStore` hit restores it without re-tuning.
+a one-time cost: the config rides in the plan meta of the plan file, so
+a :class:`~repro.serve.store.PlanStore` hit restores it without
+re-tuning.
 """
 
 from __future__ import annotations

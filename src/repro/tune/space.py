@@ -86,9 +86,9 @@ def candidate_configs(
 class TunedConfig:
     """The autotuner's verdict for one matrix — what the plan bakes in.
 
-    Lives in ``tc_plan.meta["tuned"]`` (as the :meth:`as_meta` dict) and
-    in the top-level ``"tuned"`` field of the v3 plan container header,
-    so a :class:`~repro.serve.store.PlanStore` hit restores the tuned
+    Lives in ``tc_plan.meta["tuned"]`` (as the :meth:`as_meta` dict),
+    which a plan file carries, so a
+    :class:`~repro.serve.store.PlanStore` hit restores the tuned
     geometry, kernel, and execution strategy without re-tuning.  It is
     **matrix-derived** — a function of the operand, not of the request —
     so it never participates in cache keys or store digests.
@@ -122,7 +122,7 @@ class TunedConfig:
 
     # ------------------------------------------------------------------
     def as_meta(self) -> dict:
-        """A plain JSON-able dict (plan meta / container header form)."""
+        """A plain JSON-able dict (the plan meta form)."""
         return {
             "window_rows": int(self.window_rows),
             "block_cols": int(self.block_cols),
@@ -136,7 +136,7 @@ class TunedConfig:
     def from_meta(cls, meta) -> "TunedConfig | None":
         """Inverse of :meth:`as_meta`; tolerant of absence and garbage.
 
-        Returns ``None`` for ``None`` or malformed input — a plan header
+        Returns ``None`` for ``None`` or malformed input — a plan meta
         with a corrupt ``tuned`` field degrades to untuned defaults
         instead of failing the whole load (the tuned config is an
         optimisation, never a correctness dependency).

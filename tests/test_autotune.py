@@ -3,8 +3,8 @@
 Covers the :mod:`repro.tune` search machinery end to end: candidate
 enumeration (shared with the tile-shape ablation bench), stats-based
 pruning, model and measured tuning, correctness of plans built under
-tuned non-default geometries and kernels, the v3 container round-trip
-of the verdict, engine-level ``autotune=True``, and the cross-process
+tuned non-default geometries and kernels, the plan-file round trip of
+the verdict, engine-level ``autotune=True``, and the cross-process
 acceptance criterion — a fresh worker warm-starts a tuned plan and
 serves it with ``plans_built == 0``.
 """
@@ -241,7 +241,7 @@ class TestTunedPlans:
 
 
 # ----------------------------------------------------------------------
-# the verdict survives serialisation (container v3)
+# the verdict survives serialisation, in the plan meta
 # ----------------------------------------------------------------------
 class TestTunedSerialization:
     def test_v3_round_trip(self):
@@ -264,14 +264,29 @@ class TestTunedSerialization:
         cfg = TunedConfig(window_rows=4, block_cols=4, fused=True)
         p = repro.plan(csr, feature_dim=16, tuned=cfg)
         header, _ = read_header(p.to_bytes())
-        assert header["meta"]["tuned"] == cfg.as_meta()
+        assert header["meta"]["tc"]["meta"]["tuned"] == cfg.as_meta()
+        assert "tuned" not in header["meta"]  # one copy, in the plan meta
 
     def test_untuned_plan_has_no_tuned_block(self):
         from repro.serve.serial import read_header
 
         p = repro.plan(random_csr(seed=40), feature_dim=16)
         header, _ = read_header(p.to_bytes())
+        assert "tuned" not in header["meta"]["tc"]["meta"]
         assert "tuned" not in header["meta"]
+
+    def test_store_inspect_shows_the_verdict(self, tmp_path, capsys):
+        from repro.serve.fingerprint import fingerprint
+        from repro.serve.store import main
+
+        store = PlanStore(tmp_path)
+        for seed, tuned in ((45, TunedConfig(4, 8, kernel="dtc")), (46, None)):
+            csr = random_csr(seed=seed)
+            p = repro.plan(csr, feature_dim=16, tuned=tuned)
+            assert store.put(fingerprint(csr), p.device.name, p.config, p)
+        assert main(["--root", str(tmp_path), "inspect"]) == 0
+        rows = capsys.readouterr().out.splitlines()[-2:]
+        assert sorted(row.split()[6] for row in rows) == ["-", "dtc@4x8"]
 
     def test_corrupt_tuned_header_degrades_to_untuned(self):
         csr = random_csr(seed=41)

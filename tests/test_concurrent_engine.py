@@ -575,24 +575,38 @@ class TestStoreTTL:
         import time
 
         store = self._populated(tmp_path, n=2)
-        e_old, e_new = store.entries()
-        # age both below the cutoff is impossible via mtime alone (the
-        # header's saved_at also counts) — so move "now" forward instead
-        # and refresh one entry the way real traffic would (a load)
-        now = time.time() + 7200.0
-        os.utime(e_new.path, times=(now - 10.0, now - 10.0))
-        evicted = store.gc(max_idle_seconds=3600.0, now=now)
-        assert [e.path for e in evicted] == [e_old.path]
-        remaining = store.entries()
-        assert [e.path for e in remaining] == [e_new.path]
+        # both entries idle for two hours, then traffic loads one
+        ancient = time.time() - 7200.0
+        for e in store.entries():
+            os.utime(e.path, times=(ancient, ancient))
+        A = make_csr(seed=1)
+        p = repro.plan(A, feature_dim=16)
+        fp = fingerprint(A)
+        assert store.get(fp, p.device.name, p.config) is not None
+        used = store.path_for(store.digest(fp, p.device.name, p.config))
+        evicted = store.gc(max_idle_seconds=3600.0)
+        assert len(evicted) == 1 and evicted[0].path != used
+        assert [e.path for e in store.entries()] == [used]
 
     def test_gc_never_evicts_used_since_cutoff(self, tmp_path):
-        import time
-
         store = self._populated(tmp_path, n=3)
         # everything was just written: nothing is idle
-        assert store.gc(max_idle_seconds=3600.0, now=time.time()) == []
+        assert store.gc(max_idle_seconds=3600.0) == []
         assert len(store.entries()) == 3
+
+    def test_future_mtime_is_not_idle_and_back_dated_one_is_evicted(
+        self, tmp_path
+    ):
+        import os
+
+        self._populated(tmp_path, n=2)
+        store = PlanStore(tmp_path, clock=lambda: 1000.0)
+        future, past = store.entries()
+        os.utime(future.path, times=(5e9, 5e9))  # ahead of the clock
+        os.utime(past.path, times=(900.0, 900.0))  # idle 100 s
+        evicted = store.gc(max_idle_seconds=50.0)
+        assert [e.path for e in evicted] == [past.path]
+        assert [e.path for e in store.entries()] == [future.path]
 
     def test_load_refreshes_recency(self, tmp_path):
         import os
@@ -639,7 +653,7 @@ class TestStoreTTL:
         stale = sorted(store.entries(), key=lambda e: e.build_seconds)
         ghost, live = stale[0], stale[1]
         ghost.path.unlink()  # the "concurrent" gc
-        store.entries = lambda now=None: stale  # this gc saw the pre-race scan
+        store.entries = lambda: stale  # this gc saw the pre-race scan
         evicted = store.gc(max_bytes=live.nbytes)
         assert evicted == []  # ghost not reported, live not sacrificed
         assert live.path.is_file()
@@ -647,13 +661,12 @@ class TestStoreTTL:
     def test_gc_ttl_race_ghost_entry_is_not_reported(self, tmp_path):
         import time
 
-        store = self._populated(tmp_path, n=2)
-        stale = store.entries()
+        stale = self._populated(tmp_path, n=2).entries()
         stale[0].path.unlink()
-        store.entries = lambda now=None: stale
-        evicted = store.gc(
-            max_idle_seconds=3600.0, now=time.time() + 7200.0
-        )
+        # two hours on, both entries are idle
+        store = PlanStore(tmp_path, clock=lambda: time.time() + 7200.0)
+        store.entries = lambda: stale
+        evicted = store.gc(max_idle_seconds=3600.0)
         # both are idle; only the one still on disk is evicted/reported
         assert [e.path for e in evicted] == [stale[1].path]
 
@@ -763,19 +776,6 @@ class TestVersionCompat:
             ).read_text()
             assert f"found plan format version {version}," in reason
             assert "expected 4..4" in reason
-
-    def test_saved_at_recorded_in_v2_headers(self, tmp_path):
-        import time
-
-        before = time.time()
-        store = PlanStore(tmp_path)
-        A = make_csr(seed=24)
-        p = repro.plan(A, feature_dim=16)
-        store.put(fingerprint(A), p.device.name, p.config, p)
-        (entry,) = store.entries()
-        assert entry.meta is not None
-        assert before <= float(entry.meta["saved_at"]) <= time.time()
-        assert entry.last_used >= before
 
 
 # ----------------------------------------------------------------------

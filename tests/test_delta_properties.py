@@ -200,12 +200,12 @@ def test_stream_bitwise_equal_to_pinned_fresh_plan(kernel_cls, data):
 
 
 def check_executor_caches_rebase(data, chunks: int) -> None:
-    """Warm executors survive the patch: multiplying *before* the delta
-    populates the exec cache, and the rebased executors must produce the
-    same bits as the fresh plan's cold ones for every numerics tier.
-    ``chunks`` > 1 splits the blocks into about that many chunk programs
-    through ``exec_chunk_elems``; every chunk program the patched plan
-    adopted must then carry the exit indices a fresh compile builds."""
+    """A warm base hands the patched plan no executor: with every tier
+    of the base compiled before the delta, the patched plan starts with
+    no exec cache, and once multiplied it gives the fresh plan's bits at
+    every tier.  ``chunks`` > 1 splits the blocks into about that many
+    chunk programs through ``exec_chunk_elems``, a knob the patched plan
+    keeps."""
     n_rows, n_cols, seed, density, steps = data
     current = build_plan(AccSpMMKernel(), make_csr(n_rows, n_cols, density, seed))
     t = current.tc_plan.tiling
@@ -216,37 +216,29 @@ def check_executor_caches_rebase(data, chunks: int) -> None:
     B = make_b(current.csr, n=8, seed=3)
     for tier in TIERS:
         current.multiply(B, numerics=tier)  # warm every tier's executor
+        if t.n_blocks:
+            ex = current.executor_for(tier)
+            (prog,) = ex._programs.values()
+            assert len(prog) >= min(chunks, t.n_blocks)
     delta = GraphDelta.from_edges(
         added=added,
         removed=list(removed) + existing_edges(current.csr, drop_seed, n_drop),
     )
     patched = current.apply_delta(delta)
+    assert patched.tc_plan.exec_cache is None
     fresh = pinned_fresh(current, delta.apply_to(current.csr))
     fresh.meta.update(
         {k: v for k, v in current.tc_plan.meta.items() if k == "exec_chunk_elems"}
     )
+    assert patched.tc_plan.meta.get("exec_chunk_elems") == fresh.meta.get(
+        "exec_chunk_elems"
+    )
     B2 = make_b(patched.csr, n=8, seed=5)
     for tier in TIERS:
         assert bits_equal(
-            execute_tiled(patched.tc_plan, B2, numerics=tier),
+            patched.multiply(B2, numerics=tier),
             execute_tiled(fresh, B2, numerics=tier),
         )
-        if not t.n_blocks:
-            continue
-        old_ex = current.tc_plan.exec_cache[tier]
-        new_ex = patched.tc_plan.exec_cache[tier]
-        fresh_ex = fresh.exec_cache[tier]
-        (prog,) = old_ex._programs.values()
-        assert len(prog) >= min(chunks, t.n_blocks)
-        old_ids = {id(cp) for cp in prog}
-        for key, new_prog in new_ex._programs.items():
-            for cp, fcp in zip(new_prog, fresh_ex._programs[key]):
-                if id(cp) not in old_ids:
-                    continue
-                for name in ("exit_src", "exit_dst", "cont_src", "cont_dst"):
-                    a, b = getattr(cp, name), getattr(fcp, name)
-                    assert (a is None) == (b is None), name
-                    assert a is None or np.array_equal(a, b), name
 
 
 @settings(max_examples=12, deadline=None)

@@ -28,6 +28,7 @@ from repro.kernels.tc_common import execute_tiled, execute_tiled_reference
 from repro.serve import SpMMEngine
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
+from repro.tune import TIERS
 
 from tests.conftest import bits_equal, hub_csr, random_csr, rhs
 
@@ -212,6 +213,19 @@ class TestExecutorLifecycle:
         assert isinstance(ex, TCExecPlan)
         p.multiply(rhs(64, seed=2))
         assert p.executor is ex  # reused, not rebuilt
+
+    def test_derived_plan_starts_cold(self):
+        # a delta-derived plan takes no executor from its base: like a
+        # fresh plan, each tier compiles on its first multiply
+        base = plan(random_csr(64, 64, 0.1, seed=24), feature_dim=16)
+        B = rhs(64)
+        for tier in TIERS:
+            base.multiply(B, numerics=tier)
+        derived = base.apply_delta(added=[(0, 1, 0.5)])
+        assert derived.tc_plan.exec_cache is None
+        derived.multiply(B)
+        assert list(derived.tc_plan.exec_cache) == ["exact"]
+        assert set(base.tc_plan.exec_cache) == set(TIERS)
 
     def test_value_refresh_invalidates_executor(self):
         csr = random_csr(96, 80, 0.12, seed=21)

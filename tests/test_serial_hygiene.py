@@ -22,6 +22,7 @@ import repro.serve.serial as serial
 from repro.core import plan
 from repro.errors import StoreError
 from repro.serve.container import align, check_table
+from repro.serve.fingerprint import config_fingerprint, fingerprint
 from repro.serve.serial import (
     _DECODE_ERRORS,
     pack_container,
@@ -32,6 +33,7 @@ from repro.serve.serial import (
     tcplan_from_payload,
     unpack_container,
 )
+from repro.serve.store import PlanStore
 from tests.conftest import random_csr
 
 
@@ -313,22 +315,42 @@ class TestPlanPayload:
 #: sha256 of the plan below, as written by format v4; a codec change
 #: that alters one byte of a plan file fails here
 PINNED_PLAN_SHA256 = (
+    "7cce44a5058ac467634090483ade306105a6ff745bad3c9ebd2aa093268d7bc9"
+)
+
+#: sha256 of the same plan as older writers wrote it, with a write time
+#: (``saved_at``) and a ``config_fp`` in the header
+OLDER_PLAN_SHA256 = (
     "25c85d2a02a810eb9bb9d0351689e19a349a8fd2a02d92d4a144537c9baf4602"
 )
 
-#: sha256 of the same plan as older writers wrote it, with a copy of the
-#: exact executor's gather geometry in an ``exec`` block
+#: sha256 of that older file with a copy of the exact executor's gather
+#: geometry in an ``exec`` block, as still older writers added it
 EXEC_BLOCK_PLAN_SHA256 = (
     "42623652bceefe2e421f074e9eb63ee7b101038d4f1840f3de6684a5f12960b2"
 )
 
 
 @pytest.fixture
-def pinned_plan(monkeypatch):
+def pinned_plan():
     p = plan(random_csr(seed=21), feature_dim=16)
     p.build_seconds = 0.5
-    monkeypatch.setattr(serial, "_wall_clock", lambda: 1.0e9)
     return p
+
+
+def older_payload(p):
+    """``plan_payload(p)`` with the header fields older writers added."""
+    meta, arrays = plan_payload(p)
+    meta["saved_at"] = 1.0e9
+    meta["config_fp"] = config_fingerprint(p.config)
+    return meta, arrays
+
+
+def assert_loads_bit_for_bit(blob, p):
+    B = np.random.default_rng(4).standard_normal((p.csr.n_cols, 8))
+    B = B.astype(np.float32)
+    C = plan_from_bytes(blob).multiply(B)
+    assert np.array_equal(C.view(np.uint32), p.multiply(B).view(np.uint32))
 
 
 def test_plan_file_bytes_are_pinned(pinned_plan):
@@ -338,9 +360,25 @@ def test_plan_file_bytes_are_pinned(pinned_plan):
     assert digest == PINNED_PLAN_SHA256
 
 
+def test_one_plan_written_twice_gives_identical_bytes(pinned_plan, tmp_path):
+    p, fp = pinned_plan, fingerprint(pinned_plan.csr)
+    files = []
+    for root in (tmp_path / "a", tmp_path / "b"):
+        store = PlanStore(root)
+        assert store.put(fp, p.device.name, p.config, p)
+        files.append(store.path_for(store.digest(fp, p.device.name, p.config)))
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
+def test_an_older_file_loads_and_ignores_its_extra_fields(pinned_plan):
+    blob = pack_container("accplan", *older_payload(pinned_plan))
+    assert hashlib.sha256(blob).hexdigest() == OLDER_PLAN_SHA256
+    assert_loads_bit_for_bit(blob, pinned_plan)
+
+
 def test_a_file_with_an_exec_block_loads_and_ignores_it(pinned_plan):
     p = pinned_plan
-    meta, arrays = plan_payload(p)
+    meta, arrays = older_payload(p)
     slots = p.tc_plan.tiling.sparse_a_to_b
     meta["exec"] = {"materialized": True, "numerics": "exact"}
     arrays["exec.out_rank"] = p.tc_plan.reorder.row_perm.rank[
@@ -350,7 +388,4 @@ def test_a_file_with_an_exec_block_loads_and_ignores_it(pinned_plan):
     arrays["exec.pad_all"] = np.flatnonzero(slots < 0)
     blob = pack_container("accplan", meta, arrays)
     assert hashlib.sha256(blob).hexdigest() == EXEC_BLOCK_PLAN_SHA256
-    B = np.random.default_rng(4).standard_normal((p.csr.n_cols, 8))
-    B = B.astype(np.float32)
-    C = plan_from_bytes(blob).multiply(B)
-    assert np.array_equal(C.view(np.uint32), p.multiply(B).view(np.uint32))
+    assert_loads_bit_for_bit(blob, p)

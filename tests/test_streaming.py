@@ -1,12 +1,8 @@
 """Streaming-path integration tests: delta-derived plans through the
-store, the engines, and the server — plus the clock-domain TTL
-regressions.
+store, the engines, and the server.
 
-Three families of behaviour, matching ``docs/STREAMING.md``:
+Two families of behaviour, matching ``docs/STREAMING.md``:
 
-* **clock domains** — ``StoreEntry.last_used`` must discard recency
-  signals that run *ahead* of the reader's clock (a skewed writer's
-  ``saved_at`` previously pinned entries immortal against every TTL);
 * **whole-plan persistence** — ``apply_delta`` stores each derived
   plan whole, as an ``accplan`` at the edited matrix's content address,
   priced at its base's build cost plus the patch, so a fresh engine
@@ -23,21 +19,21 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
-import threading
+import functools
 from dataclasses import asdict
 
 import pytest
 
 import repro
 from conftest import bits_equal, make_b, random_csr
+from test_server_sockets import live_server
 from repro.core.config import AccConfig
 from repro.errors import ServerError, ValidationError
 from repro.serve import serial
 from repro.serve.cache import CacheStats
 from repro.serve.engine import SpMMEngine
 from repro.serve.fingerprint import config_fingerprint, fingerprint
-from repro.serve.server import ServerConfig, SpMMClient, SpMMServer
+from repro.serve.server import SpMMClient
 from repro.serve.sharded import AsyncSpMMEngine
 from repro.serve.store import PlanStore
 from repro.sparse.delta import GraphDelta
@@ -52,62 +48,6 @@ def put_full(store, csr, feature_dim=16):
     fp = fingerprint(csr)
     assert store.put(fp, DEV, CFG, p)
     return fp, p
-
-
-# ----------------------------------------------------------------------
-# clock domains (the bugfix sweep)
-# ----------------------------------------------------------------------
-class TestStoreClockDomains:
-    def _entry(self, store, tmp_path, monkeypatch, saved_at, mtime):
-        """One stored plan with controlled saved_at and mtime."""
-        monkeypatch.setattr(serial, "_wall_clock", lambda: saved_at)
-        fp, _ = put_full(store, random_csr(32, 32, seed=1))
-        path = store.path_for(store.digest(fp, DEV, CFG))
-        os.utime(path, (mtime, mtime))
-        return fp, path
-
-    def test_future_saved_at_no_longer_pins_entry_alive(
-        self, tmp_path, monkeypatch
-    ):
-        """The regression: a writer whose wall clock ran ahead stamped
-        ``saved_at`` in the future; taking max(mtime, saved_at) made the
-        entry's idle time negative forever — immortal to every TTL."""
-        store = PlanStore(root=tmp_path, clock=lambda: 1000.0)
-        self._entry(store, tmp_path, monkeypatch, saved_at=5e9, mtime=900.0)
-        (entry,) = store.entries()
-        assert entry.last_used == 900.0  # foreign-domain signal discarded
-        removed = store.gc(max_idle_seconds=50.0)
-        assert len(removed) == 1  # idle 100s > 50s: evicted, not immortal
-
-    def test_newest_in_domain_signal_wins(self, tmp_path, monkeypatch):
-        store = PlanStore(root=tmp_path, clock=lambda: 1000.0)
-        self._entry(store, tmp_path, monkeypatch, saved_at=950.0, mtime=900.0)
-        (entry,) = store.entries()
-        assert entry.last_used == 950.0
-        assert store.gc(max_idle_seconds=60.0) == []  # idle 50s < 60s
-
-    def test_every_signal_ahead_falls_back_to_scan_time(
-        self, tmp_path, monkeypatch
-    ):
-        """When the *local* clock stepped backwards (all signals ahead),
-        idle time reads 0 — eviction waits for the clock to recover
-        rather than dropping entries on a clock glitch."""
-        store = PlanStore(root=tmp_path, clock=lambda: 1000.0)
-        self._entry(store, tmp_path, monkeypatch, saved_at=2000.0, mtime=1500.0)
-        (entry,) = store.entries()
-        assert entry.last_used == 1000.0
-        assert store.gc(max_idle_seconds=1.0) == []
-
-    def test_unstamped_scan_keeps_legacy_semantics(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.serve.store import StoreEntry
-
-        e = StoreEntry(
-            digest="d", path=tmp_path, nbytes=0, mtime=900.0,
-            meta={"saved_at": 950.0}, now=None,
-        )
-        assert e.last_used == 950.0  # no domain to clamp into
 
 
 class TestCacheTTLTouch:
@@ -254,6 +194,25 @@ class TestEngineDelta:
         assert bits_equal(p3.multiply(B), want.multiply(B))
 
 
+@pytest.mark.parametrize("layer", ["plan", "engine", "client"])
+def test_a_graph_delta_with_removed_edges_is_refused(layer):
+    """A ready GraphDelta and ``removed=`` together are refused, before
+    any plan is looked up or any frame is sent."""
+    csr = random_csr(16, 16, seed=18)
+    delta = GraphDelta.from_edges(added=[(0, 1, 1.0)])
+    with contextlib.ExitStack() as stack:
+        if layer == "plan":
+            apply = repro.plan(csr, feature_dim=8).apply_delta
+        elif layer == "engine":
+            apply = functools.partial(SpMMEngine().apply_delta, fingerprint(csr))
+        else:
+            box = stack.enter_context(live_server())
+            client = stack.enter_context(SpMMClient(*box["addr"]))
+            apply = functools.partial(client.delta, fingerprint(csr))
+        with pytest.raises(ValidationError, match="not both"):
+            apply(delta, removed=[(1, 1)])
+
+
 class TestDeltaLineage:
     """Every link of a delta chain is a cache hit under its own
     fingerprint, in the process that applied the deltas and after a
@@ -319,35 +278,6 @@ class TestDeltaLineage:
 # ----------------------------------------------------------------------
 # the server's delta endpoint
 # ----------------------------------------------------------------------
-@contextlib.contextmanager
-def live_server(**cfg_kw):
-    started = threading.Event()
-    box = {}
-
-    async def serve():
-        server = SpMMServer(
-            engine=AsyncSpMMEngine(),
-            config=ServerConfig(**cfg_kw),
-        )
-        box["server"] = server
-        box["addr"] = await server.start()
-        box["loop"] = asyncio.get_running_loop()
-        box["stop"] = asyncio.Event()
-        started.set()
-        await box["stop"].wait()
-        await server.stop()
-
-    thread = threading.Thread(target=lambda: asyncio.run(serve()), daemon=True)
-    thread.start()
-    assert started.wait(30), "server failed to start"
-    try:
-        yield box
-    finally:
-        box["loop"].call_soon_threadsafe(box["stop"].set)
-        thread.join(30)
-        assert not thread.is_alive(), "server failed to stop"
-
-
 class TestServerDelta:
     def test_delta_endpoint_round_trip(self):
         csr = random_csr(48, 48, seed=15)

@@ -21,21 +21,27 @@ Validates, without importing the library:
 And, when the library is importable (numpy present — CI installs it
 before this check):
 
-5. every public class/function/attribute named in the serving docs
-   (``docs/SERVING.md``, ``docs/CONCURRENCY.md``) actually resolves via
-   import — inline-code tokens such as ``repro.serve.store.PlanStore``
-   or ``SpMMEngine.warm_start`` are resolved module-by-module and
+5. every public class/function/attribute named in the API docs
+   (``README.md`` and six of ``docs/``) actually resolves via import —
+   inline-code tokens such as ``repro.serve.store.PlanStore`` or
+   ``SpMMEngine.warm_start`` are resolved module-by-module and
    attribute-by-attribute, catching the API drift the link checker
    cannot see, and each ``name=`` argument of a documented call such as
-   ``SpMMEngine(store=...)`` must be a parameter of what it resolves to
-   (a ``**kwargs`` parameter takes any name).  Without numpy the check
-   is skipped with a notice;
+   ``SpMMEngine(store=...)`` must be a parameter of what it resolves to.
+   A callable with a ``**kwargs`` parameter takes the names of the
+   callable it hands them to (``AsyncSpMMEngine(**kwargs)`` builds a
+   ``SpMMEngine(**kwargs)``), and any name when that cannot be found.
+   The calls in fenced ``python`` blocks of those docs are checked the
+   same way (each block must parse).
+   Without numpy the check is skipped with a notice;
 6. every ``--flag`` of a documented ``python -m repro.serve.store ...``
    or ``python -m repro.serve.server ...`` command, in any document, is
    an option of that module's ``build_parser()`` or one of its
    subcommands.  Fenced blocks count, a line ending in ``\`` (or an
    indented synopsis line) continues the command above it, and inline
-   code may wrap onto a second line.
+   code may wrap onto a second line.  An inline span that starts with a
+   store subcommand, such as ``gc --max-bytes 0``, may use only that
+   subcommand's options.
 
 Run from the repository root: ``python tools/check_docs.py``.
 """
@@ -48,8 +54,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
-#: documents whose inline-code API names must resolve via import
+#: documents whose API names (inline code, fenced ``python`` calls) must
+#: resolve via import
 API_DOC_FILES = [
+    ROOT / "README.md",
     ROOT / "docs" / "SERVING.md",
     ROOT / "docs" / "CONCURRENCY.md",
     ROOT / "docs" / "NUMERICS.md",
@@ -179,23 +187,51 @@ def call_keywords(call: str) -> list[str]:
     ]
 
 
+def forwarded_to(obj, varkw: str):
+    """The callable ``obj`` (a class: its ``__init__``) passes its
+    ``**varkw`` on to whole, as in ``SpMMEngine(**kwargs)``, resolved in
+    its module; ``None`` when its source shows no such call."""
+    import ast
+    import inspect
+    import textwrap
+
+    func = obj.__init__ if inspect.isclass(obj) else obj
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    except (OSError, TypeError, SyntaxError):
+        return None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and any(
+            kw.arg is None and isinstance(kw.value, ast.Name)
+            and kw.value.id == varkw
+            for kw in node.keywords
+        ):
+            return getattr(func, "__globals__", {}).get(node.func.id)
+    return None
+
+
 def unknown_keywords(obj, names: list[str]) -> list[str] | None:
-    """The ``names`` that ``obj``'s signature cannot take as keywords
-    (none when it has a ``**kwargs`` parameter), or ``None`` when ``obj``
-    has no signature to check them against."""
+    """The ``names`` that ``obj``'s signature cannot take as keywords, or
+    ``None`` when ``obj`` has no signature to check them against.  Names
+    left for a ``**kwargs`` parameter are checked against the callable
+    it forwards them to (:func:`forwarded_to`); any name passes when
+    there is none."""
     import inspect
 
     try:
         params = inspect.signature(obj).parameters.values()
     except (TypeError, ValueError):
         return None
-    if any(p.kind is p.VAR_KEYWORD for p in params):
-        return []
     known = {
         p.name for p in params
-        if p.kind not in (p.POSITIONAL_ONLY, p.VAR_POSITIONAL)
+        if p.kind not in (p.POSITIONAL_ONLY, p.VAR_POSITIONAL, p.VAR_KEYWORD)
     }
-    return [name for name in names if name not in known]
+    unknown = [name for name in names if name not in known]
+    varkw = next((p.name for p in params if p.kind is p.VAR_KEYWORD), None)
+    if unknown and varkw is not None:
+        target = forwarded_to(obj, varkw)
+        return [] if target is None else unknown_keywords(target, unknown)
+    return unknown
 
 
 def _resolve(chain: list[str]):
@@ -243,22 +279,61 @@ def _resolve(chain: list[str]):
     return UNRESOLVED
 
 
+#: the body of a fenced ``python`` block
+FENCED_PYTHON_RE = re.compile(r"^[ \t]*```python[ \t]*\n(.*?)^[ \t]*```", re.M | re.S)
+
+
+def example_calls(doc: Path, errors: list[str]) -> list[tuple]:
+    """``(source, dotted name, keyword names)`` of every call of a name
+    or attribute chain in the fenced ``python`` blocks of ``doc``; a
+    block that does not parse is an error."""
+    import ast
+    import textwrap
+
+    calls = []
+    for block in FENCED_PYTHON_RE.findall(doc.read_text()):
+        block = textwrap.dedent(block)
+        try:
+            tree = ast.parse(block)
+        except SyntaxError as exc:
+            errors.append(
+                f"{doc.relative_to(ROOT)}: a fenced python block does not "
+                f"parse ({exc.msg}, line {exc.lineno} of the block)"
+            )
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, parts = node.func, []
+            while isinstance(func, ast.Attribute):
+                parts.insert(0, func.attr)
+                func = func.value
+            if isinstance(func, ast.Name):
+                calls.append((
+                    " ".join(ast.get_source_segment(block, node).split()),
+                    ".".join([func.id, *parts]),
+                    [kw.arg for kw in node.keywords if kw.arg],
+                ))
+    return calls
+
+
 def check_api_references(doc: Path, errors: list[str]) -> None:
-    """Every python-looking inline-code token must resolve via import,
-    and a call's keyword arguments must fit what it calls.
+    """Every python-looking inline-code token and every call in a fenced
+    ``python`` block must resolve via import, and a call's keyword
+    arguments must fit what it calls.
 
     Only names that *look like* API are checked: bare CamelCase /
     ALL_CAPS heads (``SpMMEngine``, ``PLAN_FORMAT_VERSION``) or chains
     rooted at ``repro`` — lowercase heads (``engine.stats``, shell
     fragments, filenames) are illustrative, not contractual.
     """
-    text = strip_fences(doc.read_text())
+    refs = example_calls(doc, errors)
+    for token in INLINE_CODE_RE.findall(strip_fences(doc.read_text())):
+        if m := API_TOKEN_RE.match(token):
+            names = call_keywords(m.group(2)) if m.group(2) else []
+            refs.append((token, m.group(1), names))
     resolved: dict[str, object] = {}
-    for token in INLINE_CODE_RE.findall(text):
-        m = API_TOKEN_RE.match(token)
-        if not m:
-            continue
-        dotted = m.group(1)
+    for token, dotted, names in refs:
         head = dotted.split(".")[0]
         if head in ("None", "True", "False", "Exception"):
             continue  # python literals look CamelCase but are not API
@@ -277,7 +352,6 @@ def check_api_references(doc: Path, errors: list[str]) -> None:
                     f"does not resolve via import"
                 )
             continue
-        names = call_keywords(m.group(2)) if m.group(2) else []
         unknown = unknown_keywords(obj, names) if names else []
         if unknown is None:
             errors.append(
@@ -321,35 +395,50 @@ def command_texts(text: str) -> list[str]:
     return texts
 
 
-def cli_options(module: str) -> set[str]:
-    """Every option string of ``module``'s ``build_parser()``, its
-    subcommands' included."""
+def cli_options(module: str) -> dict[str | None, set[str]]:
+    """The option strings of each parser of ``module``'s
+    ``build_parser()``: ``None`` keys the top-level parser's, a
+    subcommand's name its own."""
     import argparse
     import importlib
 
-    parsers = [importlib.import_module(module).build_parser()]
-    options: set[str] = set()
+    parsers = [(None, importlib.import_module(module).build_parser())]
+    options: dict[str | None, set[str]] = {}
     while parsers:
-        for action in parsers.pop()._actions:
-            options.update(action.option_strings)
+        name, parser = parsers.pop()
+        options[name] = set()
+        for action in parser._actions:
+            options[name].update(action.option_strings)
             if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
+                parsers.extend(action.choices.items())
     return options
 
 
 def check_cli_flags(
-    doc: Path, options: dict[str, set[str]], errors: list[str]
+    doc: Path, options: dict[str, dict[str | None, set[str]]], errors: list[str]
 ) -> None:
     """Every ``--flag`` of a documented ``python -m <module>`` command
-    must be an option that module's parser accepts."""
-    for text in command_texts(doc.read_text()):
-        for module, args in CLI_RE.findall(text):
+    must be an option of one of that module's parsers, and every flag of
+    an inline span that starts with a store subcommand one of its own."""
+    text = doc.read_text()
+    for command in command_texts(text):
+        for module, args in CLI_RE.findall(command):
+            accepted = set().union(*options[module].values())
             for flag in FLAG_RE.findall(args):
-                if flag not in options[module]:
+                if flag not in accepted:
                     errors.append(
                         f"{doc.relative_to(ROOT)}: `python -m {module}` "
                         f"has no option `{flag}`"
                     )
+    store = options["repro.serve.store"]
+    for span in INLINE_CODE_RE.findall(strip_fences(text)):
+        word, _, args = span.partition(" ")
+        for flag in FLAG_RE.findall(args):
+            if word in store and flag not in store[word]:
+                errors.append(
+                    f"{doc.relative_to(ROOT)}: store subcommand `{word}` "
+                    f"has no option `{flag}`"
+                )
 
 
 def check_module_map(errors: list[str]) -> None:
